@@ -10,7 +10,10 @@ implement the reverse-reachable (RR) set machinery:
   with probability equal to its edge weight (in-weights sum to 1), stop on
   a revisit.  (Our graphs carry a self-loop on in-degree-0 nodes, which
   simply ends the path.)
-* Seed selection: greedy max-coverage over θ_im RR sets.
+* Seed selection: greedy max-coverage over θ_im RR sets, collected once to
+  the driver and run by the shared sketch greedy (``core.sketch``): with
+  every RR set's ``op`` at 0, a node's cumulative gain is the number of
+  uncovered RR sets containing it, and a pick retires the sets it covers.
 
 Substitution vs the paper (DESIGN.md §3): IMM's adaptive martingale
 stopping rule is replaced by a fixed, generous θ_im; at our scale the
@@ -29,6 +32,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from repro.core.sketch import SketchSet, collect_sketches
 from repro.graphs.graph import OpinionGraph
 
 _RR_SCHEMA = T.StructType(
@@ -39,21 +43,12 @@ _RR_SCHEMA = T.StructType(
 )
 
 
-def _reverse_csr(graph: OpinionGraph):
-    """(indptr, indices, weights) of the reverse graph, dst-major."""
-    order = np.argsort(graph.dst, kind="stable")
-    dsts = graph.dst[order]
-    indptr = np.zeros(graph.n + 1, dtype=np.int64)
-    np.add.at(indptr, dsts + 1, 1)
-    return np.cumsum(indptr), graph.src[order].astype(np.int32), graph.w[order]
-
-
 def rr_sets_np(
     graph: OpinionGraph, model: str, roots: np.ndarray, rng: np.random.Generator
 ) -> list[list[int]]:
     """RR sets for the given roots (reference kernel, also used per-partition)."""
-    indptr, indices, wts = _reverse_csr(graph)
     alias = graph.reverse_alias()
+    indptr, indices, wts = alias.indptr, alias.indices, graph.w
     out: list[list[int]] = []
     for root in roots:
         if model == "ic":
@@ -128,36 +123,9 @@ def select_seeds_im(
     seed: int = 0,
 ) -> list[int]:
     """Greedy max-coverage over RR sets (IMM-lite seed selection)."""
-    rr = generate_rr_sets(spark, graph, model, theta, seed=seed).persist()
-    rr.count()
-    seeds: list[int] = []
-    remaining = rr
-    for rnd in range(k):
-        counts = (
-            remaining.select(F.explode("nodes").alias("v"))
-            .groupBy("v")
-            .agg(F.count("*").alias("cov"))
-            .orderBy(F.col("cov").desc(), F.col("v"))
-            .limit(1)
-            .collect()
-        )
-        if not counts:
-            pool = [v for v in range(graph.n) if v not in seeds]
-            seeds.append(int(pool[0]))
-            continue
-        u = int(counts[0]["v"])
-        seeds.append(u)
-        nxt = remaining.where(
-            F.array_position(F.col("nodes"), F.lit(u)) == 0
-        ).persist()
-        nxt.count()
-        remaining.unpersist()
-        # Truncate lineage every couple of rounds — k chained filters
-        # otherwise blow up the driver's plan bookkeeping.
-        remaining = nxt.localCheckpoint(eager=True) if rnd % 2 == 1 else nxt
-    remaining.unpersist()
-    rr.unpersist()
-    return seeds
+    rr = generate_rr_sets(spark, graph, model, theta, seed=seed)
+    _, nodes, offsets = collect_sketches(rr, "sketch_id", "nodes")
+    return SketchSet(graph.n, nodes, offsets, np.zeros(theta), retire=True).select(k)
 
 
 def expected_influence_spread(

@@ -25,7 +25,7 @@ from pyspark.sql import types as T
 
 from repro.graphs.graph import OpinionGraph
 from repro.opinion.fj import fj_diffuse_np
-from repro.voting.scores import score_np
+from repro.voting.scores import duels, score_np, unit_contribution
 
 # Below this node count the batched FJ iteration uses a dense W (BLAS);
 # above it, segment-reduceat over the dst-sorted sparse COO arrays.
@@ -80,24 +80,10 @@ def batch_scores_np(
             return M[:, user_mask].sum(axis=1)
         return M.sum(axis=1)
     assert others is not None, "rank-based scores need the others matrix"
-    if score in ("plurality", "p_approval", "positional_p_approval"):
-        pp = 1 if score == "plurality" else p
-        # β per (candidate-row, user): 1 + #{others ≥ M}, vectorized over
-        # the (small) number of non-target candidates.
-        beta = 1 + sum((o[None, :] >= M).astype(np.int64) for o in others)
-        if score == "positional_p_approval" and omega is not None:
-            om = np.asarray(omega)
-            contrib = np.where(beta <= pp, om[np.minimum(beta, len(om)) - 1], 0.0)
-        else:
-            contrib = (beta <= pp).astype(np.float64)
-        return contrib.sum(axis=1)
-    # Copeland: per opponent, compare win/loss counts across users.
-    wins = np.zeros(nb)
-    for o in others:
-        above = (M > o[None, :]).sum(axis=1)
-        below = (M < o[None, :]).sum(axis=1)
-        wins += (above > below).astype(np.float64)
-    return wins
+    if score == "copeland":
+        above, below = duels(M, others)
+        return (above.sum(axis=-1) > below.sum(axis=-1)).sum(axis=0).astype(np.float64)
+    return unit_contribution(M, others, score, p=p, omega=omega).sum(axis=1)
 
 
 def others_at_horizon(graph: OpinionGraph, target: int, t: int) -> np.ndarray:

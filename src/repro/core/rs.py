@@ -10,26 +10,22 @@ Estimators (Eqs. 35, 42, 47):
 * plurality variants:  F̂(S) = (n/θ) Σ_j ω[β(op_j)]·1[β(op_j) ≤ p]
 * Copeland: pairwise duel counts over the θ samples.
 
-Greedy gains come from the same walks-DataFrame pipelines as RW but with
-per-*sketch* (not per-user) units; truncation is shared
-(`repro.opinion.walks.truncate_at`).
+Spark generates the sketches; the greedy runs on the driver in
+``core.sketch`` with every sketch its own unit, ranked against the
+non-target opinions of its start user.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.core.dm import others_at_horizon
-from repro.core.rw import _contrib_expr
+from repro.core.sketch import SketchSelector, SketchSet, collect_sketches
 from repro.graphs.graph import OpinionGraph
-from repro.opinion.walks import generate_walks, truncate_at
-
-_CHECKPOINT_EVERY = 2
+from repro.opinion.walks import generate_walks
 
 
-class RSSelector:
+class RSSelector(SketchSelector):
     """Greedy seed selection on θ uniformly-sampled sketches."""
 
     def __init__(
@@ -44,177 +40,23 @@ class RSSelector:
         p: int = 1,
         omega=None,
         seed: int = 0,
-        user_mask: np.ndarray | None = None,
     ):
-        self.spark = spark
-        self.graph = graph
-        self.target = target
-        self.t = t
-        self.score = score
-        self.theta = theta
-        self.p = p
-        self.omega = omega
-        self.user_mask = user_mask
         rng = np.random.default_rng(seed)
-        pool = (
-            np.flatnonzero(user_mask) if user_mask is not None else np.arange(graph.n)
-        )
-        starts = rng.choice(pool, size=theta, replace=True)
-        self.scale = float(len(pool)) / float(theta)
-        self.walks = generate_walks(
-            spark, graph, target, t, starts=starts, seed=seed + 1
-        ).persist()
-        self.walks.count()
+        starts = rng.choice(graph.n, size=theta, replace=True)
+        self.scale = float(graph.n) / float(theta)
+        self.walks = generate_walks(spark, graph, target, t, starts=starts, seed=seed + 1)
+        table, nodes, offsets = collect_sketches(self.walks, "walk_id", "path")
+        others = None
         if score != "cumulative":
-            others = others_at_horizon(graph, target, t)
-            pdf = pd.DataFrame(
-                {
-                    "node": np.arange(graph.n, dtype="int64"),
-                    "others": [others[:, v].tolist() for v in range(graph.n)],
-                }
-            )
-            self.others_df = spark.createDataFrame(pdf).persist()
-            self.others_df.count()
-        else:
-            self.others_df = None
-
-    # ------------------------------------------------------------------ #
-    def _sketch_state(self) -> DataFrame:
-        """One row per sketch, joined with the start user's others array."""
-        if self.others_df is None:
-            return self.walks
-        return self.walks.join(
-            self.others_df.withColumnRenamed("node", "start"), on="start"
+            others = others_at_horizon(graph, target, t)[:, table.column("start").to_numpy()]
+        self.sketches = SketchSet(
+            graph.n,
+            nodes,
+            offsets,
+            table.column("op").to_numpy(),
+            score=score,
+            others=others,
+            p=p,
+            omega=omega,
+            scale=self.scale,
         )
-
-    def gains(self) -> DataFrame:
-        if self.score == "cumulative":
-            return (
-                self.walks.select(
-                    F.explode(F.array_distinct("path")).alias("v"),
-                    (F.lit(1.0) - F.col("op")).alias("g"),
-                )
-                .groupBy("v")
-                .agg((F.sum("g") * F.lit(self.scale)).alias("gain"))
-            )
-        if self.score == "copeland":
-            return self._gains_copeland()
-        st = self._sketch_state().withColumn(
-            "contrib",
-            _contrib_expr(F.col("op"), F.col("others"), self.score, self.p, self.omega),
-        ).withColumn(
-            "contrib_seeded",
-            _contrib_expr(F.lit(1.0), F.col("others"), self.score, self.p, self.omega),
-        )
-        return (
-            st.select(
-                F.explode(F.array_distinct("path")).alias("v"),
-                (F.col("contrib_seeded") - F.col("contrib")).alias("g"),
-            )
-            .groupBy("v")
-            .agg((F.sum("g") * F.lit(self.scale)).alias("gain"))
-        )
-
-    def _duel_table(self) -> pd.DataFrame:
-        duel = (
-            self._sketch_state()
-            .select(F.col("op").alias("bhat"), F.posexplode("others").alias("x", "bx"))
-            .groupBy("x")
-            .agg(
-                F.sum(F.when(F.col("bhat") > F.col("bx"), 1).otherwise(0)).alias("above"),
-                F.sum(F.when(F.col("bhat") < F.col("bx"), 1).otherwise(0)).alias("below"),
-            )
-        )
-        return duel.toPandas().set_index("x").sort_index()
-
-    def _gains_copeland(self) -> DataFrame:
-        base = self._duel_table()
-        base_rows = [
-            (int(x), int(r["above"]), int(r["below"])) for x, r in base.iterrows()
-        ]
-        base_df = F.broadcast(
-            self.spark.createDataFrame(base_rows, "x int, above long, below long")
-        )
-        score_cur = int(sum(1 for _, a, b in base_rows if a > b))
-        per_pair = (
-            self._sketch_state()
-            .select(  # two generators need two selects in Spark SQL
-                F.explode(F.array_distinct("path")).alias("v"),
-                F.col("op").alias("bhat"),
-                "others",
-            )
-            .select("v", "bhat", F.posexplode("others").alias("x", "bx"))
-            .groupBy("v", "x")
-            .agg(
-                F.sum(
-                    F.when(F.lit(1.0) > F.col("bx"), 1).otherwise(0)
-                    - F.when(F.col("bhat") > F.col("bx"), 1).otherwise(0)
-                ).alias("d_above"),
-                F.sum(
-                    F.when(F.lit(1.0) < F.col("bx"), 1).otherwise(0)
-                    - F.when(F.col("bhat") < F.col("bx"), 1).otherwise(0)
-                ).alias("d_below"),
-            )
-        )
-        return (
-            per_pair.join(base_df, on="x")
-            .groupBy("v")
-            .agg(
-                F.sum(
-                    F.when(
-                        F.col("above") + F.col("d_above") > F.col("below") + F.col("d_below"),
-                        1,
-                    ).otherwise(0)
-                ).alias("wins")
-            )
-            .select("v", (F.col("wins") - F.lit(score_cur)).alias("gain"))
-        )
-
-    def estimated_score(self) -> float:
-        if self.score == "cumulative":
-            row = self.walks.agg(F.sum("op").alias("s")).collect()[0]
-            return float(row["s"] or 0.0) * self.scale
-        if self.score == "copeland":
-            base = self._duel_table()
-            return float((base["above"] > base["below"]).sum())
-        st = self._sketch_state().withColumn(
-            "contrib",
-            _contrib_expr(F.col("op"), F.col("others"), self.score, self.p, self.omega),
-        )
-        row = st.agg(F.sum("contrib").alias("s")).collect()[0]
-        return float(row["s"] or 0.0) * self.scale
-
-    def select(self, k: int) -> list[int]:
-        """Greedy top-k seeds by estimated marginal gain (Alg. 5).
-
-        Resumable like ``RWSelector.select`` — a later call with larger
-        ``k`` extends the selected prefix on the already-truncated sketches.
-        """
-        seeds: list[int] = getattr(self, "seeds", [])
-        for rnd in range(len(seeds), k):
-            g = self.gains()
-            if seeds:
-                g = g.where(~F.col("v").isin([int(s) for s in seeds]))
-            row = g.orderBy(F.col("gain").desc(), F.col("v")).limit(1).collect()
-            if not row:
-                remaining = [v for v in range(self.graph.n) if v not in seeds]
-                seeds.append(int(remaining[0]))
-                continue
-            u = int(row[0]["v"])
-            seeds.append(u)
-            nxt = truncate_at(self.walks, u).persist()
-            nxt.count()
-            self.walks.unpersist()
-            self.walks = (
-                nxt.localCheckpoint(eager=True)
-                if (rnd + 1) % _CHECKPOINT_EVERY == 0
-                else nxt
-            )
-        self.seeds = seeds
-        return list(seeds)
-
-    def close(self) -> None:
-        """Release the persisted sketches / others DataFrames."""
-        self.walks.unpersist()
-        if self.others_df is not None:
-            self.others_df.unpersist()

@@ -1,21 +1,17 @@
 """Random-walk-based greedy seed selection ("RW", paper Alg. 4, §V).
 
-λ reverse walks are generated once per node (empty seed set); every
-greedy round computes *estimated* marginal gains from the walks DataFrame
-and truncates the walks at the chosen seed (Post-Generation Truncation).
+λ reverse walks are generated once per node (empty seed set) by Spark and
+collected to the driver once.  Every greedy round then computes
+*estimated* marginal gains over the walks and truncates them at the
+chosen seed (Post-Generation Truncation) — both in ``core.sketch``, with
+the λ walks from one start user forming one unit whose estimate b̂_u is
+their mean:
 
-Gain pipelines (all Spark SQL over the walks DataFrame):
-
-* cumulative — a walk containing candidate ``v`` would be truncated at
-  ``v`` and its estimate jumps from ``op`` to 1, so
-  ``gain(v) = Σ_{walks ∋ v} (1 − op) / λ`` — one
-  explode → groupBy → sum job per round.
-* plurality / p-approval / positional-p-approval — per-user estimate
-  ``b̂_u`` rises by ``δ_u(v) = Σ_{walks from u ∋ v} (1 − op)/λ``; the
-  user's score contribution is recomputed against the (exact, broadcast)
-  non-target opinions and the gains aggregated per candidate.
-* Copeland — per-(candidate, opponent) deltas to the pairwise win/loss
-  counts, combined with the current duel table.
+* cumulative — ``gain(v) = Σ_{walks ∋ v} (1 − op) / λ``.
+* plurality variants — b̂_u rises by ``δ_u(v) = Σ_{walks from u ∋ v}
+  (1 − op)/λ``; the gain is the change of u's contribution ω[β]·1[β ≤ p]
+  against the (exact) non-target opinions.
+* Copeland — the change of the per-opponent win/loss counts.
 
 The non-target candidates' opinions at the horizon are exact (direct
 matrix–vector products), matching the paper's complexity analysis
@@ -23,37 +19,15 @@ matrix–vector products), matching the paper's complexity analysis
 """
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 from repro.core.dm import others_at_horizon
+from repro.core.sketch import SketchSelector, SketchSet, collect_sketches
 from repro.graphs.graph import OpinionGraph
-from repro.opinion.walks import generate_walks, truncate_at
-
-_CHECKPOINT_EVERY = 2
+from repro.opinion.walks import generate_walks
 
 
-def _contrib_expr(bhat_col, others_col, score: str, p: int, omega):
-    """Column: a user's contribution ω[β]·1[β≤p] given b̂ and the others.
-
-    β = 1 + #{x ≠ q : b_x ≥ b̂} (the paper's rank, Eq. 4: q's own term
-    contributes 1).  For plurality p=1 and ω≡1.
-    """
-    beta = F.lit(1) + F.aggregate(
-        others_col,
-        F.lit(0),
-        lambda acc, x: acc + F.when(x >= bhat_col, 1).otherwise(0),
-    )
-    pp = 1 if score == "plurality" else p
-    if score == "positional_p_approval" and omega is not None:
-        omega_arr = F.array(*[F.lit(float(x)) for x in omega])
-        return F.when(beta <= pp, F.element_at(omega_arr, beta.cast("int"))).otherwise(0.0)
-    return F.when(beta <= pp, F.lit(1.0)).otherwise(F.lit(0.0))
-
-
-class RWSelector:
+class RWSelector(SketchSelector):
     """Greedy seed selection on pre-generated reverse walks."""
 
     def __init__(
@@ -68,206 +42,18 @@ class RWSelector:
         p: int = 1,
         omega=None,
         seed: int = 0,
-        user_mask: np.ndarray | None = None,
     ):
-        self.spark = spark
-        self.graph = graph
-        self.target = target
-        self.t = t
-        self.score = score
-        self.lam = lam
-        self.p = p
-        self.omega = omega
-        self.user_mask = user_mask
-        self.walks = generate_walks(
-            spark, graph, target, t, lam=lam, seed=seed
-        ).persist()
-        self.walks.count()
-        if score != "cumulative":
-            others = others_at_horizon(graph, target, t)  # (r-1, n)
-            pdf = pd.DataFrame(
-                {
-                    "node": np.arange(graph.n, dtype="int64"),
-                    "others": [others[:, v].tolist() for v in range(graph.n)],
-                }
-            )
-            self.others_df = spark.createDataFrame(pdf).persist()
-            self.others_df.count()
-        else:
-            self.others_df = None
-
-    # ------------------------------------------------------------------ #
-    def _gains_cumulative(self) -> DataFrame:
-        w = self.walks
-        if self.user_mask is not None:
-            mask_nodes = [int(v) for v in np.flatnonzero(self.user_mask)]
-            w = w.where(F.col("start").isin(mask_nodes))
-        return (
-            w.select(
-                F.explode(F.array_distinct("path")).alias("v"),
-                ((F.lit(1.0) - F.col("op")) / F.lit(float(self.lam))).alias("g"),
-            )
-            .groupBy("v")
-            .agg(F.sum("g").alias("gain"))
+        self.walks = generate_walks(spark, graph, target, t, lam=lam, seed=seed)
+        table, nodes, offsets = collect_sketches(self.walks, "walk_id", "path")
+        self.sketches = SketchSet(
+            graph.n,
+            nodes,
+            offsets,
+            table.column("op").to_numpy(),
+            score=score,
+            unit=table.column("start").to_numpy(),
+            per_unit=lam,
+            others=None if score == "cumulative" else others_at_horizon(graph, target, t),
+            p=p,
+            omega=omega,
         )
-
-    def _user_deltas(self) -> DataFrame:
-        """(start, v, delta): rise of b̂_start if v were added as a seed."""
-        return (
-            self.walks.select(
-                "start",
-                F.explode(F.array_distinct("path")).alias("v"),
-                ((F.lit(1.0) - F.col("op")) / F.lit(float(self.lam))).alias("g"),
-            )
-            .groupBy("start", "v")
-            .agg(F.sum("g").alias("delta"))
-        )
-
-    def _user_state(self) -> DataFrame:
-        """(node, bhat, others) for every user."""
-        est = self.walks.groupBy(F.col("start").alias("node")).agg(
-            F.avg("op").alias("bhat")
-        )
-        return est.join(self.others_df, on="node")
-
-    def _gains_rank(self) -> DataFrame:
-        state = self._user_state()
-        cur = state.withColumn(
-            "contrib",
-            _contrib_expr(F.col("bhat"), F.col("others"), self.score, self.p, self.omega),
-        )
-        joined = self._user_deltas().join(
-            cur.withColumnRenamed("node", "start"), on="start"
-        )
-        bnew = F.least(F.col("bhat") + F.col("delta"), F.lit(1.0))
-        return (
-            joined.withColumn(
-                "contrib_new",
-                _contrib_expr(bnew, F.col("others"), self.score, self.p, self.omega),
-            )
-            .groupBy("v")
-            .agg(F.sum(F.col("contrib_new") - F.col("contrib")).alias("gain"))
-        )
-
-    def _duel_table(self) -> pd.DataFrame:
-        """Current per-opponent (above, below) counts from the estimates."""
-        state = self._user_state()
-        duel = (
-            state.select("bhat", F.posexplode("others").alias("x", "bx"))
-            .groupBy("x")
-            .agg(
-                F.sum(F.when(F.col("bhat") > F.col("bx"), 1).otherwise(0)).alias("above"),
-                F.sum(F.when(F.col("bhat") < F.col("bx"), 1).otherwise(0)).alias("below"),
-            )
-        )
-        return duel.toPandas().set_index("x").sort_index()
-
-    def _gains_copeland(self) -> DataFrame:
-        state = self._user_state().withColumnRenamed("node", "start")
-        base = self._duel_table()
-        base_rows = [
-            (int(x), int(r["above"]), int(r["below"])) for x, r in base.iterrows()
-        ]
-        base_df = F.broadcast(
-            self.spark.createDataFrame(base_rows, "x int, above long, below long")
-        )
-        score_cur = int(sum(1 for _, a, b in base_rows if a > b))
-        per_pair = (
-            self._user_deltas()
-            .join(state, on="start")
-            .select(
-                "v",
-                "bhat",
-                F.least(F.col("bhat") + F.col("delta"), F.lit(1.0)).alias("bnew"),
-                F.posexplode("others").alias("x", "bx"),
-            )
-            .groupBy("v", "x")
-            .agg(
-                F.sum(
-                    F.when(F.col("bnew") > F.col("bx"), 1).otherwise(0)
-                    - F.when(F.col("bhat") > F.col("bx"), 1).otherwise(0)
-                ).alias("d_above"),
-                F.sum(
-                    F.when(F.col("bnew") < F.col("bx"), 1).otherwise(0)
-                    - F.when(F.col("bhat") < F.col("bx"), 1).otherwise(0)
-                ).alias("d_below"),
-            )
-        )
-        return (
-            per_pair.join(base_df, on="x")
-            .groupBy("v")
-            .agg(
-                F.sum(
-                    F.when(
-                        F.col("above") + F.col("d_above") > F.col("below") + F.col("d_below"),
-                        1,
-                    ).otherwise(0)
-                ).alias("wins")
-            )
-            .select("v", (F.col("wins") - F.lit(score_cur)).alias("gain"))
-        )
-
-    # ------------------------------------------------------------------ #
-    def gains(self) -> DataFrame:
-        if self.score == "cumulative":
-            return self._gains_cumulative()
-        if self.score == "copeland":
-            return self._gains_copeland()
-        return self._gains_rank()
-
-    def estimated_score(self) -> float:
-        """F̂ for the current (already-truncated) walks."""
-        if self.score == "cumulative":
-            w = self.walks
-            if self.user_mask is not None:
-                mask_nodes = [int(v) for v in np.flatnonzero(self.user_mask)]
-                w = w.where(F.col("start").isin(mask_nodes))
-            row = w.groupBy("start").agg(F.avg("op").alias("b")).agg(
-                F.sum("b").alias("s")
-            ).collect()[0]
-            return float(row["s"] or 0.0)
-        if self.score == "copeland":
-            base = self._duel_table()
-            return float((base["above"] > base["below"]).sum())
-        cur = self._user_state().withColumn(
-            "contrib",
-            _contrib_expr(F.col("bhat"), F.col("others"), self.score, self.p, self.omega),
-        )
-        row = cur.agg(F.sum("contrib").alias("s")).collect()[0]
-        return float(row["s"] or 0.0)
-
-    def select(self, k: int) -> list[int]:
-        """Greedy top-k seeds by estimated marginal gain (Alg. 4).
-
-        Resumable: a second call with a larger ``k`` extends the already
-        selected prefix (greedy is incremental), reusing the truncated
-        walks from the earlier rounds.
-        """
-        seeds: list[int] = getattr(self, "seeds", [])
-        for rnd in range(len(seeds), k):
-            g = self.gains()
-            if seeds:
-                g = g.where(~F.col("v").isin([int(s) for s in seeds]))
-            row = g.orderBy(F.col("gain").desc(), F.col("v")).limit(1).collect()
-            if not row:  # no walk contains any remaining node
-                remaining = [v for v in range(self.graph.n) if v not in seeds]
-                seeds.append(int(remaining[0]))
-                continue
-            u = int(row[0]["v"])
-            seeds.append(u)
-            nxt = truncate_at(self.walks, u).persist()
-            nxt.count()
-            self.walks.unpersist()
-            self.walks = (
-                nxt.localCheckpoint(eager=True)
-                if (rnd + 1) % _CHECKPOINT_EVERY == 0
-                else nxt
-            )
-        self.seeds = seeds
-        return list(seeds)
-
-    def close(self) -> None:
-        """Release the persisted walks / others DataFrames."""
-        self.walks.unpersist()
-        if self.others_df is not None:
-            self.others_df.unpersist()

@@ -6,8 +6,8 @@ For the plurality variants (positional-p-approval and special cases):
   score restricted to the favorable users set; submodular, so greedy via
   the exact evaluator with a user mask.
 * UB(S) = ω[1] · |N_S^(t) ∪ V_q^(t)|           (Def. 4) — a coverage
-  function over t-hop forward-reachable sets; maximized by lazy greedy
-  max-coverage.
+  function over t-hop forward-reachable sets; maximized by greedy
+  max-coverage on the shared sketch engine (``core.sketch``).
 
 For Copeland:
 
@@ -30,6 +30,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.dm import ExactEvaluator, greedy_dm, others_at_horizon
+from repro.core.sketch import SketchSet
 from repro.graphs.graph import OpinionGraph
 from repro.opinion.fj import fj_diffuse_np
 from repro.voting.scores import rank_np
@@ -117,29 +118,19 @@ def reach_pairs(edges: DataFrame, t: int) -> DataFrame:
 def greedy_coverage(
     reach: list[np.ndarray], base_mask: np.ndarray, k: int
 ) -> tuple[list[int], int]:
-    """Lazy greedy max-coverage of |N_S ∪ base| (UB maximization).
+    """Greedy max-coverage of |N_S ∪ base| (UB maximization).
 
-    Returns (seeds, |N_S^(t) ∪ base| for the final S).  Lazy evaluation
-    is valid because coverage is submodular (Thm 6/7 part 3).
+    Returns (seeds, |N_S^(t) ∪ base| for the final S).  Runs the shared
+    sketch greedy (``core.sketch``) with one set per user outside ``base``
+    — the nodes whose reachable set covers it — so a node's gain is the
+    number of still-uncovered users it reaches.
     """
-    import heapq
-
-    n = len(reach)
-    covered = base_mask.copy()
-    gains = [int((reach[v] & ~covered).sum()) for v in range(n)]
-    heap = [(-g, v, 0) for v, g in enumerate(gains)]
-    heapq.heapify(heap)
-    seeds: list[int] = []
-    for rnd in range(1, k + 1):
-        while True:
-            negg, v, computed = heapq.heappop(heap)
-            if computed == rnd:
-                seeds.append(v)
-                covered |= reach[v]
-                break
-            g = int((reach[v] & ~covered).sum())
-            heapq.heappush(heap, (-g, v, rnd))
-    return seeds, int(covered.sum())
+    covers = np.array(reach)[:, ~base_mask].T  # (uncovered users, n)
+    _, nodes = np.nonzero(covers)
+    offsets = np.concatenate([[0], np.cumsum(covers.sum(axis=1))])
+    sketches = SketchSet(len(reach), nodes, offsets, np.zeros(len(covers)), retire=True)
+    seeds = sketches.select(k)
+    return seeds, int(ub_value(reach, base_mask, seeds, 1.0))
 
 
 # --------------------------------------------------------------------- #

@@ -153,7 +153,14 @@ class OpinionGraph:
         return len(self.src)
 
     def validate(self) -> None:
-        """Assert the column-stochastic invariant (used by tests)."""
+        """Assert the dst-sorted and column-stochastic invariants (tests).
+
+        Kernels rely on the sort: ``reduceat`` over ``dst_indptr`` segments,
+        and ``reverse_alias`` (hence walks and RR sets) reading
+        ``(dst_indptr, src, w)`` as the reverse CSR.
+        """
+        if (np.diff(self.dst) < 0).any():
+            raise AssertionError("edges are not sorted by dst")
         in_sum = np.zeros(self.n)
         np.add.at(in_sum, self.dst, self.w)
         if not np.allclose(in_sum, 1.0):
@@ -196,13 +203,11 @@ class OpinionGraph:
     def reverse_alias(self) -> AliasTable:
         """Alias tables over the reverse graph (cached)."""
         if self._rev_csr is None:
-            order = np.argsort(self.dst, kind="stable")
-            dsts = self.dst[order]
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.add.at(indptr, dsts + 1, 1)
-            indptr = np.cumsum(indptr)
-            indices = self.src[order].astype(np.int32)
-            ws = self.w[order]
+            # The edges are dst-sorted, so (dst_indptr, src, w) is the
+            # reverse CSR.
+            indptr = self.dst_indptr()
+            indices = self.src.astype(np.int32)
+            ws = self.w
             prob = np.empty(self.m)
             alias = np.empty(self.m, dtype=np.int32)
             for v in range(self.n):

@@ -9,8 +9,8 @@ the *initial* opinion of the end node (Thm 8: unbiased for ``b^(t)``).
 Post-Generation Truncation (§V-B): walks are generated **once** with the
 empty seed set; for a seed set ``S`` a walk is truncated at the first
 occurrence of a node in ``S`` and its estimate becomes 1 (Thm 9: still
-unbiased).  The greedy algorithms only ever rewrite the walks DataFrame —
-no regeneration.
+unbiased).  The greedy algorithms collect the walks to the driver once and
+truncate them there (``core.sketch``) — no regeneration.
 
 Spark layering: the graph (alias tables + stubbornness + initial opinions)
 is broadcast; the work list (one row per walk) is a DataFrame; the
@@ -23,7 +23,6 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.graphs.graph import AliasTable, OpinionGraph
@@ -148,28 +147,6 @@ def generate_walks(
             )
 
     return work.mapInPandas(gen, WALK_SCHEMA)
-
-
-def truncate_at(walks: DataFrame, seed_node: int) -> DataFrame:
-    """Truncate every walk at the first occurrence of ``seed_node``.
-
-    Post-Generation Truncation (Alg. 4 line 8): the path is cut at the
-    seed and the walk's estimate ``op`` becomes the seed's opinion 1.
-    """
-    pos = F.array_position(F.col("path"), F.lit(int(seed_node)))
-    return walks.select(
-        "walk_id",
-        "start",
-        F.when(pos > 0, F.slice(F.col("path"), 1, pos)).otherwise(F.col("path")).alias("path"),
-        F.when(pos > 0, F.lit(1.0)).otherwise(F.col("op")).alias("op"),
-    )
-
-
-def estimates(walks: DataFrame) -> DataFrame:
-    """Per-start estimated opinion ``b̂`` = mean of ``op`` over its walks."""
-    return walks.groupBy(F.col("start").alias("node")).agg(
-        F.avg("op").alias("bhat"), F.count("*").alias("nwalks")
-    )
 
 
 def truncated_estimate_np(

@@ -41,6 +41,14 @@ class TestConstruction:
         g = random_instance(50, seed=3)
         assert (np.diff(g.dst) >= 0).all()
 
+    def test_validate_rejects_unsorted_edges(self):
+        """reduceat segments and the reverse CSR both need dst-sorted edges."""
+        g = random_instance(30, seed=4)
+        rev = slice(None, None, -1)
+        bad = OpinionGraph(g.n, g.src[rev], g.dst[rev], g.w[rev], g.b0, g.d)
+        with pytest.raises(AssertionError, match="sorted by dst"):
+            bad.validate()
+
     @pytest.mark.parametrize("bad_b0", [[[1.5, 0, 0, 0]], [[-0.1, 0, 0, 0]]])
     def test_rejects_out_of_range_opinions(self, bad_b0):
         with pytest.raises(ValueError):

@@ -1,19 +1,31 @@
 """Tests for reverse random walks (§V): unbiasedness (Thms 8–9),
-truncation semantics, and the Spark generation/truncation pipeline."""
+truncation semantics, Spark generation, and truncation/estimation of the
+collected walks in the sketch engine."""
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
+from repro.core.sketch import SketchSet, collect_sketches
 from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import fj_diffuse_np
 from repro.opinion.walks import (
-    estimates,
     generate_walks,
     generate_walks_np,
-    truncate_at,
     truncated_estimate_np,
     walk_kernel,
 )
+
+
+def _walk_sketches(walks, n: int, lam: int):
+    """The walks DataFrame collected as RW units (λ walks per start)."""
+    table, nodes, offsets = collect_sketches(walks, "walk_id", "path")
+    return SketchSet(
+        n,
+        nodes,
+        offsets,
+        table.column("op").to_numpy(),
+        unit=table.column("start").to_numpy(),
+        per_unit=lam,
+    )
 
 
 class TestKernel:
@@ -143,36 +155,38 @@ class TestSparkPipeline:
         b = b.sort_values("walk_id").reset_index(drop=True)
         assert (a["path"].map(tuple) == b["path"].map(tuple)).all()
 
-    def test_truncate_at_matches_reference(self, spark):
+    def test_truncation_matches_reference(self, spark):
         g = random_instance(30, seed=12)
         w = generate_walks(spark, g, 0, 4, lam=4, seed=6)
-        got = truncate_at(w, 3).toPandas().sort_values("walk_id")
+        sk = _walk_sketches(w, g.n, 4)
+        sk.truncate(3)
         ref = w.toPandas().sort_values("walk_id")
         exp_op = [
             truncated_estimate_np(p, o, {3})
             for p, o in zip(ref["path"], ref["op"])
         ]
-        assert np.allclose(got["op"].to_numpy(), exp_op)
-        for pg, pr in zip(got["path"], ref["path"]):
+        assert np.allclose(sk.op, exp_op)
+        for j, pr in enumerate(ref["path"]):
+            pg = sk.nodes[sk.offsets[j] : sk.offsets[j] + sk.cut[j]].tolist()
             if 3 in list(pr):
-                assert list(pg) == list(pr)[: list(pr).index(3) + 1]
+                assert pg == list(pr)[: list(pr).index(3) + 1]
             else:
-                assert list(pg) == list(pr)
+                assert pg == list(pr)
 
     def test_estimates_aggregation(self, spark):
         g = random_instance(25, seed=13)
         w = generate_walks(spark, g, 0, 3, lam=6, seed=7)
-        est = estimates(w).toPandas().sort_values("node")
+        sk = _walk_sketches(w, g.n, 6)
         ref = (
             w.toPandas().groupby("start")["op"].mean().sort_index().to_numpy()
         )
-        assert np.allclose(est["bhat"].to_numpy(), ref)
-        assert (est["nwalks"] == 6).all()
+        assert np.allclose(sk.estimates(), ref)
+        assert (np.bincount(sk.unit) == 6).all()
 
     def test_spark_estimates_close_to_exact(self, spark):
         g = random_instance(20, seed=14, avg_deg=3.0)
         t = 3
         w = generate_walks(spark, g, 0, t, lam=400, seed=8)
-        est = estimates(w).toPandas().sort_values("node")["bhat"].to_numpy()
+        est = _walk_sketches(w, g.n, 400).estimates()
         exact = fj_diffuse_np(g, t)[0]
         assert np.abs(est - exact).max() < 0.08
