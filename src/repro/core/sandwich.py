@@ -17,9 +17,10 @@ For Copeland:
 Algorithm 3 then returns argmax_F over {S_U, S_L, S_F}; the empirical
 quality ratio F(S_U)/UB(S_U) (§IV-D) is reported alongside.
 
-Reachable sets are computed as a Spark iterative frontier-join BFS
-(`reach_pairs`), with a NumPy reference (`reach_sets_np`) used by the
-coverage greedy and the tests.
+Reachable sets for the coverage greedy come from `reach_sets_np`, the
+vectorized forward expansion over the graph's cached forward CSR that the
+exact evaluator's reach-local kernel also runs (`graphs.graph.forward_reach`).
+`reach_pairs` is the same expansion as an iterative Spark frontier join.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from pyspark.sql import functions as F
 
 from repro.core.dm import ExactEvaluator, greedy_dm, others_at_horizon
 from repro.core.sketch import SketchSet
-from repro.graphs.graph import OpinionGraph
+from repro.graphs.graph import OpinionGraph, forward_reach
 from repro.opinion.fj import fj_diffuse_np
 from repro.voting.scores import rank_np
 
@@ -55,33 +56,12 @@ def weakly_favorable_users_np(graph: OpinionGraph, target: int, t: int) -> np.nd
 # --------------------------------------------------------------------- #
 # Reachable sets (Def. 2)
 # --------------------------------------------------------------------- #
-def reach_sets_np(graph: OpinionGraph, t: int) -> list[np.ndarray]:
-    """For every node v, the boolean mask of N_{v}^(t) (≤ t forward hops).
+def reach_sets_np(graph: OpinionGraph, t: int) -> np.ndarray:
+    """(n, n) bool: row v is the mask of N_{v}^(t) (≤ t forward hops).
 
-    BFS per node over the forward adjacency (self-loops excluded); the
-    node itself is included (h = 0 in Eq. 22).  O(n·m) worst case — used
-    at sandwich-experiment scale only.
+    The node itself is included (h = 0 in Eq. 22).
     """
-    indptr, indices = graph.out_adjacency()
-    out: list[np.ndarray] = []
-    for v in range(graph.n):
-        mask = np.zeros(graph.n, dtype=bool)
-        mask[v] = True
-        frontier = np.array([v])
-        for _ in range(t):
-            nxt: list[int] = []
-            for u in frontier:
-                nxt.extend(indices[indptr[u] : indptr[u + 1]])
-            if not nxt:
-                break
-            nxt_arr = np.unique(np.array(nxt))
-            nxt_arr = nxt_arr[~mask[nxt_arr]]
-            if len(nxt_arr) == 0:
-                break
-            mask[nxt_arr] = True
-            frontier = nxt_arr
-        out.append(mask)
-    return out
+    return forward_reach(graph, np.arange(graph.n), t)
 
 
 def reach_pairs(edges: DataFrame, t: int) -> DataFrame:
@@ -116,7 +96,7 @@ def reach_pairs(edges: DataFrame, t: int) -> DataFrame:
 # Coverage greedy for the UB functions
 # --------------------------------------------------------------------- #
 def greedy_coverage(
-    reach: list[np.ndarray], base_mask: np.ndarray, k: int
+    reach: np.ndarray, base_mask: np.ndarray, k: int
 ) -> tuple[list[int], int]:
     """Greedy max-coverage of |N_S ∪ base| (UB maximization).
 
@@ -125,7 +105,7 @@ def greedy_coverage(
     — the nodes whose reachable set covers it — so a node's gain is the
     number of still-uncovered users it reaches.
     """
-    covers = np.array(reach)[:, ~base_mask].T  # (uncovered users, n)
+    covers = reach[:, ~base_mask].T  # (uncovered users, n)
     _, nodes = np.nonzero(covers)
     offsets = np.concatenate([[0], np.cumsum(covers.sum(axis=1))])
     sketches = SketchSet(len(reach), nodes, offsets, np.zeros(len(covers)), retire=True)
@@ -150,12 +130,10 @@ def lb_value(
 
 
 def ub_value(
-    reach: list[np.ndarray], base_mask: np.ndarray, seeds, coeff: float
+    reach: np.ndarray, base_mask: np.ndarray, seeds, coeff: float
 ) -> float:
     """UB(S) per Defs. 4/6: coeff · |N_S^(t) ∪ base|."""
-    covered = base_mask.copy()
-    for s in seeds:
-        covered = covered | reach[s]
+    covered = base_mask | reach[list(seeds)].any(axis=0)
     return coeff * float(covered.sum())
 
 

@@ -83,6 +83,9 @@ class OpinionGraph:
     d: np.ndarray  # (r, n) float64 in [0,1] — stubbornness per candidate
     candidates: list[str] = field(default_factory=list)
     _rev_csr: AliasTable | None = field(default=None, repr=False)
+    _fwd_csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False
+    )
 
     # ------------------------------------------------------------------ #
     # Construction & validation
@@ -155,9 +158,8 @@ class OpinionGraph:
     def validate(self) -> None:
         """Assert the dst-sorted and column-stochastic invariants (tests).
 
-        Kernels rely on the sort: ``reduceat`` over ``dst_indptr`` segments,
-        and ``reverse_alias`` (hence walks and RR sets) reading
-        ``(dst_indptr, src, w)`` as the reverse CSR.
+        ``reverse_alias`` (hence walks and RR sets) relies on the sort: it
+        reads ``(dst_indptr, src, w)`` as the reverse CSR.
         """
         if (np.diff(self.dst) < 0).any():
             raise AssertionError("edges are not sorted by dst")
@@ -182,14 +184,12 @@ class OpinionGraph:
         )
 
     def dst_indptr(self) -> np.ndarray:
-        """Segment boundaries of the dst-sorted edge arrays (for reduceat).
+        """Segment boundaries of the dst-sorted edge arrays (reverse CSR).
 
         Every node has ≥1 in-edge after self-loop normalization, so the
         segments enumerate all n nodes in order.
         """
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(indptr, self.dst + 1, 1)
-        return np.cumsum(indptr)
+        return _indptr(self.dst, self.n)
 
     def dense_w(self) -> np.ndarray:
         """Dense (n×n) influence matrix — BLAS path for small graphs."""
@@ -218,16 +218,19 @@ class OpinionGraph:
             self._rev_csr = AliasTable(indptr, indices, prob, alias)
         return self._rev_csr
 
-    def out_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """Forward-CSR (indptr, indices) over the *original* edge direction,
-        self-loops excluded — used for t-hop reachable sets (Def. 2)."""
-        keep = self.src != self.dst
-        src, dst = self.src[keep], self.dst[keep]
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        return np.cumsum(indptr), dst.astype(np.int32)
+    # ------------------------------------------------------------------ #
+    # Forward-graph structures (for reach-local FJ and reachable sets)
+    # ------------------------------------------------------------------ #
+    def forward_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(indptr, dst, w)`` with edges grouped by source (cached).
+
+        Self-loops are kept: the reach-local FJ kernel propagates along
+        them, and they add no node to a reachable set.
+        """
+        if self._fwd_csr is None:
+            order = np.argsort(self.src, kind="stable")
+            self._fwd_csr = (_indptr(self.src, self.n), self.dst[order], self.w[order])
+        return self._fwd_csr
 
     # ------------------------------------------------------------------ #
     # Spark exporters
@@ -293,17 +296,77 @@ class OpinionGraph:
         )
 
 
-def spmv_dst(graph: OpinionGraph, x: np.ndarray) -> np.ndarray:
-    """``y[j] = Σ_i x[i]·w[i,j]`` — one FJ aggregation, edges sorted by dst.
+def _indptr(keys: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers (n+1,) of an edge array grouped by ``keys``."""
+    return np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=n))])
 
-    Pure NumPy (no scipy in this container): contributions are segment-
-    reduced with ``np.add.reduceat`` over the dst-sorted COO arrays.
+
+def segment_sum(vals: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
+    """``out[..., j] = Σ_{e : index[e] = j} vals[..., e]`` for 1-D or 2-D+ ``vals``.
+
+    One ``np.bincount`` over the flattened (row, index) keys.  Each output
+    accumulates its terms in ``e`` order, as ``np.add.at`` does, so the two
+    give bit-identical sums.
     """
-    contrib = x[..., graph.src] * graph.w
-    if contrib.ndim == 1:
-        y = np.zeros(graph.n)
-        np.add.at(y, graph.dst, contrib)
-        return y
-    y = np.zeros(contrib.shape[:-1] + (graph.n,))
-    np.add.at(y.swapaxes(-1, 0), graph.dst, contrib.swapaxes(-1, 0))
-    return y
+    lead = vals.shape[:-1]
+    rows = int(np.prod(lead))
+    keys = (np.arange(rows)[:, None] * size + index).ravel()
+    out = np.bincount(keys, weights=vals.reshape(rows, -1).ravel(), minlength=rows * size)
+    return out.reshape(lead + (size,))
+
+
+def spmv_dst(graph: OpinionGraph, x: np.ndarray) -> np.ndarray:
+    """``y[j] = Σ_i x[i]·w[i,j]`` — one FJ aggregation over the COO edges.
+
+    ``x`` is (n,) or (..., n); pure NumPy, no scipy.
+    """
+    return segment_sum(x[..., graph.src] * graph.w, graph.dst, graph.n)
+
+
+# Out-edge entries one expansion hop may hold per root chunk (≈ 8 bytes
+# each in several temporaries), which bounds ``forward_reach``'s memory.
+_EXPAND_BUDGET = 1 << 20
+
+
+def out_edges(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All forward-CSR out-edges of ``nodes``: (index into ``nodes``, edge slot)."""
+    deg = indptr[nodes + 1] - indptr[nodes]
+    owner = np.repeat(np.arange(len(nodes)), deg)
+    slot = np.arange(owner.size) + np.repeat(indptr[nodes] - np.cumsum(deg) + deg, deg)
+    return owner, slot
+
+
+def forward_reach(
+    graph: OpinionGraph,
+    roots: np.ndarray,
+    t: int,
+    blocked: np.ndarray | None = None,
+) -> np.ndarray:
+    """(len(roots), n) bool: nodes within ``t`` forward hops of each root.
+
+    N_v^(t) of Def. 2 (h = 0 included).  A ``blocked`` node is never
+    entered, so paths through it are cut; a root is always in its own set.
+    Rows expand one hop at a time over deduplicated (row, node) frontier
+    pairs, in root chunks sized to ``_EXPAND_BUDGET`` out-edges.
+    """
+    indptr, nbr, _ = graph.forward_csr()
+    n = graph.n
+    roots = np.asarray(roots, dtype=np.int64)
+    seen = np.zeros((len(roots), n), dtype=bool)
+    step = max(1, _EXPAND_BUDGET // max(graph.m, 1))
+    for lo in range(0, len(roots), step):
+        rows = np.arange(lo, min(lo + step, len(roots)))
+        nodes = roots[rows]
+        seen[rows, nodes] = True
+        for _ in range(t):
+            owner, slot = out_edges(indptr, nodes)
+            rows, nodes = rows[owner], nbr[slot]
+            new = ~seen[rows, nodes]
+            if blocked is not None:
+                new &= ~blocked[nodes]
+            key = np.unique(rows[new] * n + nodes[new])
+            if not len(key):
+                break
+            rows, nodes = key // n, key % n
+            seen[rows, nodes] = True
+    return seen

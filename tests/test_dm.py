@@ -11,6 +11,7 @@ from repro.core.dm import (
     others_at_horizon,
 )
 from repro.graphs.generators import random_instance, running_example
+from repro.graphs.graph import OpinionGraph, forward_reach
 from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np
 from repro.voting.scores import score_np
 
@@ -143,6 +144,25 @@ class TestGreedy:
         seeds, _ = greedy_dm(ev, 2, celf=False, candidates=pool)
         assert set(seeds) <= {1, 2, 3}
 
+    @pytest.mark.parametrize("celf", [True, False])
+    def test_k_above_pool_raises(self, celf):
+        g = random_instance(20, seed=15)
+        ev = ExactEvaluator(None, g, 0, 3, "cumulative")
+        pool = np.array([1, 2, 3])
+        seeds, _ = greedy_dm(ev, 3, celf=celf, candidates=pool)
+        assert sorted(seeds) == [1, 2, 3]
+        with pytest.raises(ValueError, match="k=4"):
+            greedy_dm(ev, 4, celf=celf, candidates=pool)
+
+    def test_k_counts_init_seeds_toward_pool(self):
+        g = random_instance(20, seed=15)
+        ev = ExactEvaluator(None, g, 0, 3, "cumulative")
+        pool = np.array([1, 2, 3])
+        seeds, _ = greedy_dm(ev, 4, celf=False, candidates=pool, init=[7])
+        assert seeds[0] == 7 and sorted(seeds[1:]) == [1, 2, 3]
+        with pytest.raises(ValueError, match="k=5"):
+            greedy_dm(ev, 5, celf=False, candidates=pool, init=[7])
+
     def test_running_example_greedy_picks_node0_for_cumulative(self):
         # Table I: {1} (node 0) maximizes the cumulative score at t=1.
         g = running_example()
@@ -158,20 +178,72 @@ class TestGreedy:
         assert seeds == [2]
 
 
-class TestKernelPaths:
-    """The dense-BLAS and sparse-reduceat aggregation kernels agree."""
+_OMEGA = np.array([1.0, 0.6, 0.25, 0.1])
 
-    @pytest.mark.parametrize("score", ["cumulative", "plurality", "copeland"])
-    def test_sparse_path_matches_dense(self, monkeypatch, score):
+# Kernel cases: (score, batch_scores_np keywords) — all five scores, p = 2
+# and ω for the approval variants, and the LB's user mask.
+_KERNEL_CASES = {
+    "cumulative": ("cumulative", {}),
+    "cumulative_user_mask": ("cumulative", {"user_mask": np.arange(40) % 3 == 0}),
+    "plurality": ("plurality", {}),
+    "p_approval": ("p_approval", {"p": 2}),
+    "positional_p_approval": ("positional_p_approval", {"p": 2, "omega": _OMEGA}),
+    "copeland": ("copeland", {}),
+}
+
+
+class TestKernelPaths:
+    """The dense-BLAS and reach-local kernels agree."""
+
+    @pytest.mark.parametrize("case", list(_KERNEL_CASES))
+    def test_sparse_path_matches_dense(self, monkeypatch, case):
         import repro.core.dm as dm_mod
 
-        g = random_instance(40, r=3, seed=30)
-        others = None if score == "cumulative" else others_at_horizon(g, 0, 3)
-        cands = np.array([1, 5, 9, 22])
-        dense = batch_scores_np(g, 0, [2], cands, 3, score, others=others)
-        monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", 0)
-        sparse = batch_scores_np(g, 0, [2], cands, 3, score, others=others)
-        assert np.allclose(dense, sparse)
+        score, kw = _KERNEL_CASES[case]
+        g0 = random_instance(40, r=4, seed=30)
+        # Explicit self-loops on every 4th node carry δ from step to step.
+        loops = np.arange(0, g0.n, 4)
+        g = OpinionGraph.from_edges(
+            g0.n, np.r_[g0.src, loops], np.r_[g0.dst, loops],
+            np.r_[g0.w, np.full(len(loops), 0.5)], g0.b0, g0.d,
+        )
+        out_deg = np.bincount(g.src[g.src != g.dst], minlength=g.n)
+        hubs = np.argsort(-out_deg, kind="stable")[:3].tolist()
+        # Every candidate, so some are already in S; plus an empty batch.
+        batches = [np.arange(g.n), np.array([], dtype=np.int64)]
+        for t, seeds in itertools.product([0, 1, 3], [[], [2], hubs]):
+            others = None if score == "cumulative" else others_at_horizon(g, 0, t)
+            for cands in batches:
+                monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", g.n)
+                dense = batch_scores_np(g, 0, seeds, cands, t, score, others=others, **kw)
+                monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", 0)
+                local = batch_scores_np(g, 0, seeds, cands, t, score, others=others, **kw)
+                assert local.shape == (len(cands),)
+                np.testing.assert_allclose(local, dense, rtol=1e-12, atol=1e-12)
+        # The hub seeds do cut paths that the reach-local kernel must skip.
+        blocked = np.zeros(g.n, dtype=bool)
+        blocked[hubs] = True
+        cands = np.arange(g.n)
+        assert forward_reach(g, cands, 3, blocked).sum() < forward_reach(g, cands, 3).sum()
+
+    @pytest.mark.parametrize("score", ["cumulative", "plurality"])
+    def test_spark_path_runs_reach_local_kernel(self, spark, monkeypatch, score):
+        """Above DENSE_N_THRESHOLD the executors run the reach-local kernel.
+
+        The driver reference is forced dense by patching the threshold,
+        which the Spark Python workers do not see.
+        """
+        import repro.core.dm as dm_mod
+
+        g = random_instance(1600, r=3, seed=32, avg_deg=3.0)
+        assert g.n > dm_mod.DENSE_N_THRESHOLD
+        t, seeds = 4, [3, 10]
+        ev = ExactEvaluator(spark, g, 0, t, score, local_threshold=8, batch=16)
+        cands = np.arange(0, g.n, 25)
+        dist = ev(seeds, cands)
+        monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", g.n)
+        dense = batch_scores_np(g, 0, seeds, cands, t, score, others=ev.others)
+        np.testing.assert_allclose(dist, dense, rtol=1e-12, atol=1e-12)
 
     def test_positional_vectorization_matches_score_np(self):
         from repro.voting.scores import score_np as snp

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from repro.graphs.generators import random_instance, running_example
-from repro.graphs.graph import OpinionGraph, _build_alias_row, spmv_dst
+import repro.graphs.graph as graph_mod
+from repro.graphs.graph import OpinionGraph, _build_alias_row, forward_reach, spmv_dst
 
 
 def _tiny(b0=None, d=None):
@@ -42,7 +43,7 @@ class TestConstruction:
         assert (np.diff(g.dst) >= 0).all()
 
     def test_validate_rejects_unsorted_edges(self):
-        """reduceat segments and the reverse CSR both need dst-sorted edges."""
+        """The reverse CSR (dst_indptr, src, w) needs dst-sorted edges."""
         g = random_instance(30, seed=4)
         rev = slice(None, None, -1)
         bad = OpinionGraph(g.n, g.src[rev], g.dst[rev], g.w[rev], g.b0, g.d)
@@ -128,6 +129,15 @@ class TestSpmv:
         for i in range(4):
             assert np.allclose(batched[i], spmv_dst(g, X[i]))
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_bit_identical_to_add_at(self, shape):
+        """The bincount form sums in edge order, exactly as np.add.at does."""
+        g = random_instance(60, seed=5)
+        X = np.random.default_rng(1).random(shape + (g.n,))
+        ref = np.zeros(shape + (g.n,))
+        np.add.at(ref.reshape(-1, g.n).T, g.dst, (X[..., g.src] * g.w).reshape(-1, g.m).T)
+        assert np.array_equal(spmv_dst(g, X), ref)
+
     def test_stochasticity_preserves_ones(self):
         g = random_instance(25, seed=4)
         assert np.allclose(spmv_dst(g, np.ones(g.n)), 1.0)
@@ -159,17 +169,58 @@ class TestAlias:
         assert g.reverse_alias() is g.reverse_alias()
 
 
-class TestAdjacencyAndExport:
-    def test_out_adjacency_excludes_self_loops(self):
-        g = running_example()
-        indptr, indices = g.out_adjacency()
-        assert indptr[-1] == 3  # only the 3 real edges
+def _bfs_reach(g, v, t, blocked):
+    """Reference N_v^(t): per-node BFS over the edges, never entering ``blocked``."""
+    seen, frontier = {v}, {v}
+    for _ in range(t):
+        frontier = {
+            int(x) for u in frontier for x in g.dst[g.src == u]
+            if int(x) not in seen and not blocked[x]
+        }
+        seen |= frontier
+    mask = np.zeros(g.n, dtype=bool)
+    mask[list(seen)] = True
+    return mask
 
-    def test_out_adjacency_neighbors(self):
+
+class TestForwardReach:
+    @pytest.mark.parametrize("t", [0, 1, 3, 20])
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_matches_bfs_reference(self, monkeypatch, t, cut):
+        g = random_instance(50, seed=6, avg_deg=2.5)
+        blocked = np.zeros(g.n, dtype=bool)
+        if cut:
+            blocked[[1, 4, 9, 16]] = True
+        roots = np.arange(g.n)
+        exp = np.array([_bfs_reach(g, v, t, blocked) for v in roots])
+        assert np.array_equal(forward_reach(g, roots, t, blocked if cut else None), exp)
+        # Root chunks of a few rows each give the same masks.
+        monkeypatch.setattr(graph_mod, "_EXPAND_BUDGET", 3 * g.m)
+        assert np.array_equal(forward_reach(g, roots, t, blocked if cut else None), exp)
+
+    def test_blocked_root_keeps_itself(self):
         g = running_example()
-        indptr, indices = g.out_adjacency()
-        assert list(indices[indptr[0] : indptr[1]]) == [2]
-        assert list(indices[indptr[2] : indptr[3]]) == [3]
+        blocked = np.ones(g.n, dtype=bool)
+        assert forward_reach(g, np.array([0, 2]), 2, blocked).tolist() == [
+            [True, False, False, False],
+            [False, False, True, False],
+        ]
+
+
+class TestAdjacencyAndExport:
+    def test_forward_csr_keeps_self_loops(self):
+        g = running_example()
+        indptr, dst, w = g.forward_csr()
+        assert indptr[-1] == g.m == 5  # 3 real edges + 2 orphan self-loops
+        src = np.repeat(np.arange(g.n), np.diff(indptr))
+        assert sorted(zip(src, dst, w)) == sorted(zip(g.src, g.dst, g.w))
+
+    def test_forward_csr_neighbors(self):
+        g = running_example()
+        indptr, dst, _ = g.forward_csr()
+        assert list(dst[indptr[0] : indptr[1]]) == [0, 2]
+        assert list(dst[indptr[2] : indptr[3]]) == [3]
+        assert g.forward_csr() is g.forward_csr()
 
     def test_edges_pdf_roundtrip(self):
         g = running_example()
