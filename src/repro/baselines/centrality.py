@@ -9,39 +9,27 @@
   whose restart vector is proportional to the target candidate's initial
   opinions, biasing the ranking toward the target's support base.
 
-PageRank/RWR are iterative Spark DataFrame jobs (join-aggregate per
-round, persisted), each with a NumPy reference for testing.
+All three run on the driver: one NumPy score vector over the n nodes
+(``pagerank_np`` or a ``bincount`` of out-degrees), then ``top_k``.  Each
+keeps a leading ``spark`` argument, unused, so that every method in
+``experiments.tables`` is called the same way.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.graphs.graph import OpinionGraph
-
-_CHECKPOINT_EVERY = 5
+from repro.graphs.graph import OpinionGraph, segment_sum
 
 
-def degree_seeds(spark: SparkSession, graph: OpinionGraph, k: int) -> list[int]:
-    """Top-k out-degree nodes via a Spark aggregation."""
-    edges = graph.to_spark_edges(spark)
-    rows = (
-        edges.where(F.col("src") != F.col("dst"))
-        .groupBy(F.col("src").alias("v"))
-        .agg(F.count("*").alias("deg"))
-        .orderBy(F.col("deg").desc(), F.col("v"))
-        .limit(k)
-        .collect()
-    )
-    seeds = [int(r["v"]) for r in rows]
-    # Isolated nodes (no out-edges) rank last; pad deterministically.
-    i = 0
-    while len(seeds) < k:
-        if i not in seeds:
-            seeds.append(i)
-        i += 1
-    return seeds
+def top_k(score: np.ndarray, k: int) -> list[int]:
+    """The ``k`` nodes with the highest ``score``; ties go to the smallest id."""
+    return np.argsort(-score, kind="stable")[:k].tolist()
+
+
+def degree_seeds(spark, graph: OpinionGraph, k: int) -> list[int]:
+    """Top-k out-degree nodes; zero-degree nodes follow in id order."""
+    real = graph.src != graph.dst
+    return top_k(np.bincount(graph.src[real], minlength=graph.n), k)
 
 
 def _pr_edges(graph: OpinionGraph, reverse: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -50,8 +38,7 @@ def _pr_edges(graph: OpinionGraph, reverse: bool) -> tuple[np.ndarray, np.ndarra
     src, dst = graph.src[keep], graph.dst[keep]
     if reverse:
         src, dst = dst, src
-    deg = np.zeros(graph.n)
-    np.add.at(deg, src, 1.0)
+    deg = np.bincount(src, minlength=graph.n)
     w = 1.0 / deg[src]
     return src, dst, w
 
@@ -64,7 +51,7 @@ def pagerank_np(
     iters: int = 20,
     restart: np.ndarray | None = None,
 ) -> np.ndarray:
-    """NumPy PR/RWR reference: π ← c·πP + (1−c)·restart (dangling → restart)."""
+    """PR/RWR power iteration: π ← c·πP + (1−c)·restart (dangling → restart)."""
     n = graph.n
     src, dst, w = _pr_edges(graph, reverse)
     r = np.full(n, 1.0 / n) if restart is None else restart / restart.sum()
@@ -72,77 +59,14 @@ def pagerank_np(
     has_out = np.zeros(n, dtype=bool)
     has_out[src] = True
     for _ in range(iters):
-        out = np.zeros(n)
-        np.add.at(out, dst, pi[src] * w)
+        out = segment_sum(pi[src] * w, dst, n)
         dangling = pi[~has_out].sum()
         pi = damping * (out + dangling * r) + (1.0 - damping) * r
     return pi
 
 
-def _pagerank_df(
-    spark: SparkSession,
-    graph: OpinionGraph,
-    *,
-    reverse: bool,
-    damping: float,
-    iters: int,
-    restart: np.ndarray | None,
-) -> DataFrame:
-    """Iterative DataFrame PageRank — returns (v, pi)."""
-    import pandas as pd
-
-    n = graph.n
-    src, dst, w = _pr_edges(graph, reverse)
-    edges = spark.createDataFrame(
-        pd.DataFrame({"src": src.astype("int64"), "dst": dst.astype("int64"), "w": w})
-    )
-    r = np.full(n, 1.0 / n) if restart is None else restart / restart.sum()
-    has_out = np.zeros(n, dtype=bool)
-    has_out[src] = True
-    base = spark.createDataFrame(
-        pd.DataFrame(
-            {
-                "v": np.arange(n, dtype="int64"),
-                "restart": r,
-                "has_out": has_out,
-            }
-        )
-    ).persist()
-    pi = base.select("v", F.col("restart").alias("pi"))
-    for step in range(iters):
-        dangling = (
-            pi.join(base.select("v", "has_out"), on="v")
-            .where(~F.col("has_out"))
-            .agg(F.sum("pi"))
-            .collect()[0][0]
-            or 0.0
-        )
-        flow = (
-            edges.join(pi.withColumnRenamed("v", "src"), on="src")
-            .groupBy(F.col("dst").alias("v"))
-            .agg(F.sum(F.col("w") * F.col("pi")).alias("flow"))
-        )
-        pi = (
-            base.select("v", "restart")
-            .join(flow, on="v", how="left")
-            .select(
-                "v",
-                (
-                    F.lit(damping)
-                    * (F.coalesce(F.col("flow"), F.lit(0.0)) + F.lit(float(dangling)) * F.col("restart"))
-                    + F.lit(1.0 - damping) * F.col("restart")
-                ).alias("pi"),
-            )
-            .persist()
-        )
-        pi.count()
-        if (step + 1) % _CHECKPOINT_EVERY == 0:
-            pi = pi.localCheckpoint(eager=True)
-    return pi
-
-
 def pagerank_seeds(
-    spark: SparkSession,
+    spark,
     graph: OpinionGraph,
     k: int,
     *,
@@ -150,15 +74,11 @@ def pagerank_seeds(
     iters: int = 20,
 ) -> list[int]:
     """Top-k PageRank (reverse-graph) nodes."""
-    pi = _pagerank_df(
-        spark, graph, reverse=True, damping=damping, iters=iters, restart=None
-    )
-    rows = pi.orderBy(F.col("pi").desc(), F.col("v")).limit(k).collect()
-    return [int(r["v"]) for r in rows]
+    return top_k(pagerank_np(graph, damping=damping, iters=iters), k)
 
 
 def rwr_seeds(
-    spark: SparkSession,
+    spark,
     graph: OpinionGraph,
     k: int,
     target: int,
@@ -168,8 +88,5 @@ def rwr_seeds(
 ) -> list[int]:
     """Top-k Random-Walk-with-Restart nodes (restart ∝ target's b0)."""
     restart = graph.b0[target] + 1e-9
-    pi = _pagerank_df(
-        spark, graph, reverse=True, damping=damping, iters=iters, restart=restart
-    )
-    rows = pi.orderBy(F.col("pi").desc(), F.col("v")).limit(k).collect()
-    return [int(r["v"]) for r in rows]
+    pi = pagerank_np(graph, damping=damping, iters=iters, restart=restart)
+    return top_k(pi, k)

@@ -20,15 +20,15 @@ quality ratio F(S_U)/UB(S_U) (§IV-D) is reported alongside.
 Reachable sets for the coverage greedy come from `reach_sets_np`, the
 vectorized forward expansion over the graph's cached forward CSR that the
 exact evaluator's reach-local kernel also runs (`graphs.graph.forward_reach`).
-`reach_pairs` is the same expansion as an iterative Spark frontier join.
+The DuckDB oracle tests check it against t-hop reachability written as a
+recursive CTE.  Everything here runs on the driver; Spark enters only
+through the exact evaluator's candidate batches (``core.dm``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.dm import ExactEvaluator, greedy_dm, others_at_horizon
 from repro.core.sketch import SketchSet
@@ -62,34 +62,6 @@ def reach_sets_np(graph: OpinionGraph, t: int) -> np.ndarray:
     The node itself is included (h = 0 in Eq. 22).
     """
     return forward_reach(graph, np.arange(graph.n), t)
-
-
-def reach_pairs(edges: DataFrame, t: int) -> DataFrame:
-    """Spark BFS: all (root, node) pairs with node ≤ t hops from root.
-
-    ``edges`` is the forward edge DataFrame (src, dst, w); self-loops are
-    ignored.  Iterative frontier expansion with distinct + persist per
-    round (bounded lineage for small t).
-    """
-    fwd = edges.where(F.col("src") != F.col("dst")).select("src", "dst")
-    roots = edges.select(F.col("src").alias("root")).union(
-        edges.select(F.col("dst"))
-    ).distinct()
-    reached = roots.select("root", F.col("root").alias("node")).persist()
-    frontier = reached
-    for _ in range(t):
-        nxt = (
-            frontier.join(fwd, frontier["node"] == fwd["src"])
-            .select("root", F.col("dst").alias("node"))
-            .distinct()
-            .join(reached, on=["root", "node"], how="left_anti")
-            .persist()
-        )
-        if nxt.count() == 0:
-            break
-        reached = reached.union(nxt).persist()
-        frontier = nxt
-    return reached
 
 
 # --------------------------------------------------------------------- #

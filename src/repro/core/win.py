@@ -29,7 +29,12 @@ def target_wins(
     score: str,
     **score_kw,
 ) -> bool:
-    """Exact check: F(B^(t)[S], c_q) > max over competitors (Eq. 9)."""
+    """Exact check: F(B^(t)[S], c_q) > max over competitors (Eq. 9).
+
+    With no competitor (r = 1) the sole candidate wins.
+    """
+    if graph.r == 1:
+        return True
     b = fj_diffuse_np(graph.with_seeds(target, seeds), t)
     mine = score_np(b, target, score, **score_kw)
     best_other = max(

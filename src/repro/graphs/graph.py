@@ -7,10 +7,11 @@ node sum to 1), an initial-opinion matrix ``b0 ∈ [0,1]^{r×n}`` and a
 stubbornness matrix ``d ∈ [0,1]^{r×n}`` — one row per candidate.
 
 Storage is NumPy (edges as COO sorted by ``dst``) so that instances are
-deterministic, cheaply broadcastable to Spark executors, and usable by the
-pure-NumPy reference implementations.  ``to_spark_edges`` /
-``to_spark_state`` export the instance as DataFrames for the Spark SQL
-jobs; all distributed algorithms consume those DataFrames.
+deterministic and cheap to broadcast.  Every FJ, score, reachability and
+centrality kernel reads these arrays on the driver; the Spark jobs (walk,
+sketch and RR-set generation, exact candidate batches) broadcast them to
+``mapInPandas`` workers.  ``edges_pdf`` / ``state_pdf`` export the
+instance as pandas tables for the DuckDB oracle.
 
 Normalization convention: the paper states that users without in-neighbors
 retain their initial opinions (DeGroot); we realize this with an implicit
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass
@@ -233,43 +233,8 @@ class OpinionGraph:
         return self._fwd_csr
 
     # ------------------------------------------------------------------ #
-    # Spark exporters
+    # Oracle exporters
     # ------------------------------------------------------------------ #
-    def to_spark_edges(self, spark: SparkSession) -> DataFrame:
-        """Edges as a DataFrame ``(src, dst, w)`` with self-loops included."""
-        return spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "src": self.src.astype("int64"),
-                    "dst": self.dst.astype("int64"),
-                    "w": self.w,
-                }
-            )
-        )
-
-    def to_spark_state(
-        self, spark: SparkSession, cand: int | None = None
-    ) -> DataFrame:
-        """Opinion state as a long DataFrame ``(node, cand, b, b0, d)``.
-
-        ``b`` starts equal to ``b0``; diffusion jobs rewrite ``b``.  When
-        ``cand`` is given, only that candidate's row block is exported.
-        """
-        cands = range(self.r) if cand is None else [cand]
-        frames = [
-            pd.DataFrame(
-                {
-                    "node": np.arange(self.n, dtype="int64"),
-                    "cand": np.int32(q),
-                    "b": self.b0[q],
-                    "b0": self.b0[q],
-                    "d": self.d[q],
-                }
-            )
-            for q in cands
-        ]
-        return spark.createDataFrame(pd.concat(frames, ignore_index=True))
-
     def edges_pdf(self) -> pd.DataFrame:
         """Edges as pandas (for the DuckDB oracle)."""
         return pd.DataFrame(

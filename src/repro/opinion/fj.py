@@ -8,68 +8,16 @@ DeGroot is the special case d ≡ 0.  Nodes without in-neighbors carry an
 implicit self-loop (see ``OpinionGraph``), making W column-stochastic and
 the update uniform across all nodes.
 
-Two implementations:
-
-* ``fj_step`` / ``diffuse`` — Spark SQL jobs over the long state DataFrame
-  ``(node, cand, b, b0, d)`` joined with the edges DataFrame
-  ``(src, dst, w)``; the iterative loop persists each round and truncates
-  lineage with ``localCheckpoint`` every few steps.
-* ``fj_diffuse_np`` — exact NumPy reference used as a second oracle in
-  tests and as the broadcast kernel inside the exact (DM) evaluator.
+``fj_diffuse_np`` is the exact NumPy diffusion, one ``spmv_dst`` per step
+for all candidates at once.  The win check, the sandwich bounds, the
+exact evaluator's ``score_of`` and the tables run it, and the DuckDB
+oracle tests check it against t FJ steps written as SQL.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graphs.graph import OpinionGraph, spmv_dst
-
-_CHECKPOINT_EVERY = 5
-
-
-def fj_step(edges: DataFrame, state: DataFrame) -> DataFrame:
-    """One FJ update for every candidate in ``state``.
-
-    ``edges``: (src, dst, w) column-stochastic per dst, self-loops present.
-    ``state``: (node, cand, b, b0, d).
-    Returns a new state DataFrame with ``b`` advanced by one timestamp.
-    """
-    incoming = (
-        edges.join(
-            state.select(
-                F.col("node").alias("src"), "cand", F.col("b").alias("b_src")
-            ),
-            on="src",
-        )
-        .groupBy(F.col("dst").alias("node"), "cand")
-        .agg(F.sum(F.col("w") * F.col("b_src")).alias("agg"))
-    )
-    return state.join(incoming, on=["node", "cand"]).select(
-        "node",
-        "cand",
-        ((1.0 - F.col("d")) * F.col("agg") + F.col("d") * F.col("b0")).alias("b"),
-        "b0",
-        "d",
-    )
-
-
-def diffuse(edges: DataFrame, state: DataFrame, t: int) -> DataFrame:
-    """Advance ``state`` by ``t`` FJ steps as an iterative Spark dataflow.
-
-    Each round is persisted; lineage is truncated with ``localCheckpoint``
-    every few rounds so the plan stays bounded for large ``t``.
-    """
-    cur = state
-    for step in range(t):
-        nxt = fj_step(edges, cur).persist()
-        nxt.count()  # materialize before unpersisting the parent
-        if cur is not state:
-            cur.unpersist()
-        if (step + 1) % _CHECKPOINT_EVERY == 0:
-            nxt = nxt.localCheckpoint(eager=True)
-        cur = nxt
-    return cur
 
 
 def fj_diffuse_np(

@@ -1,19 +1,31 @@
 """DuckDB correctness oracle.
 
-``assert_equivalent(spark_df, sql, **tables)`` runs ``sql`` in DuckDB
-over ``tables`` and asserts the sorted rows match ``spark_df`` (the
-Spark result). This catches wrong results from a rewritten plan or a
-custom operator — "it ran" is not "it is correct".
+``assert_equivalent(got, sql, **tables)`` runs ``sql`` in DuckDB over the
+pandas ``tables`` and asserts that its sorted rows match ``got``, a pandas
+frame built from the NumPy kernel under test.  The SQL restates the
+paper's definition (an FJ step, a rank, a duel, a reachable set) without
+sharing any code with the kernel, so "it ran" is not taken for "it is
+correct".
 
-``tables`` may be Spark or pandas DataFrames; Spark inputs are
-collected via ``.toPandas()``. Alias every output column identically
-on both sides (Spark names ``count(*)`` as ``count(1)``, DuckDB as
-``count_star()``) and project to scalar columns — array/map/struct
-columns are not orderable so cannot be compared here.
+Alias every SQL output column with the name ``got`` uses and project to
+scalar columns: array/map/struct columns are not orderable, so they cannot
+be compared here.  Floats are compared after rounding to 6 decimals.
 """
 import duckdb
+import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+
+
+def opinions_pdf(b: np.ndarray) -> pd.DataFrame:
+    """An (r, n) opinion matrix as the long table ``(node, cand, b)``."""
+    r, n = b.shape
+    return pd.DataFrame(
+        {
+            "node": np.tile(np.arange(n, dtype="int64"), r),
+            "cand": np.repeat(np.arange(r, dtype="int64"), n),
+            "b": b.ravel(),
+        }
+    )
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -25,15 +37,14 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 
-def assert_equivalent(spark_df: DataFrame, sql: str, **tables) -> None:
+def assert_equivalent(got: pd.DataFrame, sql: str, **tables: pd.DataFrame) -> None:
     con = duckdb.connect()
     try:
         for name, t in tables.items():
-            con.register(name, t.toPandas() if isinstance(t, DataFrame) else t)
+            con.register(name, t)
         expected = con.execute(sql).fetchdf()
     finally:
         con.close()
-    got = spark_df.toPandas()
     assert set(expected.columns) == set(got.columns), (
         f"column mismatch: {sorted(got.columns)} vs {sorted(expected.columns)} "
         "— alias every output column identically on both sides"

@@ -1,12 +1,8 @@
 """Voting-based scores (paper §II-B, Eqs. 3–7).
 
-All five scores are computed two ways:
-
-* ``score_df`` — Spark SQL over the long opinion DataFrame
-  ``(node, cand, b)`` at the time horizon; ranks use a per-node aggregate
-  (``β(b_qv) = #{c_x : b_xv ≥ b_qv}``, ties counted as in the paper's
-  definition).  These aggregations are oracle-checked against DuckDB.
-* ``*_np`` — NumPy references over the dense ``(r, n)`` opinion matrix.
+All five scores are NumPy functions over the dense ``(r, n)`` opinion
+matrix at the time horizon.  The DuckDB oracle tests check the rank,
+duel and contribution rules below against the same rules written as SQL.
 
 Conventions: ``plurality = p_approval(p=1)``;
 ``p_approval = positional_p_approval`` with ω ≡ 1; the Copeland win rule is
@@ -21,15 +17,10 @@ NumPy scores, the exact batch evaluator (``core.dm``) and the sketch greedy
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 SCORES = ("cumulative", "plurality", "p_approval", "positional_p_approval", "copeland")
 
 
-# --------------------------------------------------------------------- #
-# NumPy references
-# --------------------------------------------------------------------- #
 def rank_np(b: np.ndarray, q: int) -> np.ndarray:
     """β(b_qv) per user v: number of candidates with b_xv ≥ b_qv (incl. q)."""
     return (b >= b[q][None, :]).sum(axis=0)
@@ -128,71 +119,3 @@ def winner_np(b: np.ndarray, score: str, **kw) -> int:
     vals = [score_np(b, q, score, **kw) for q in range(b.shape[0])]
     return int(np.argmax(vals))
 
-
-# --------------------------------------------------------------------- #
-# Spark SQL
-# --------------------------------------------------------------------- #
-def ranks_df(opinions: DataFrame) -> DataFrame:
-    """Per (node, cand): β rank = #{x : b_x ≥ b_cand} via a self-aggregate."""
-    other = opinions.select("node", F.col("b").alias("b_other"))
-    return (
-        opinions.join(other, on="node")
-        .groupBy("node", "cand", "b")
-        .agg(F.sum(F.when(F.col("b_other") >= F.col("b"), 1).otherwise(0)).alias("beta"))
-    )
-
-
-def score_df(
-    opinions: DataFrame,
-    q: int,
-    score: str,
-    *,
-    p: int = 1,
-    omega: list[float] | None = None,
-) -> float:
-    """One voting score for candidate ``q`` as a Spark SQL aggregation.
-
-    ``opinions``: (node, cand, b) at the horizon, all candidates present.
-    Returns the scalar score (driver-side collect of a 1-row aggregate).
-    """
-    if score == "cumulative":
-        row = (
-            opinions.where(F.col("cand") == q)
-            .agg(F.sum("b").alias("s"))
-            .collect()[0]
-        )
-        return float(row["s"])
-
-    if score in ("plurality", "p_approval", "positional_p_approval"):
-        pp = 1 if score == "plurality" else p
-        ranks = ranks_df(opinions).where(F.col("cand") == q)
-        if score == "positional_p_approval" and omega is not None:
-            omega_arr = F.array(*[F.lit(float(x)) for x in omega])
-            contrib = F.when(
-                F.col("beta") <= pp,
-                F.element_at(omega_arr, F.col("beta").cast("int")),
-            ).otherwise(0.0)
-        else:
-            contrib = F.when(F.col("beta") <= pp, 1.0).otherwise(0.0)
-        row = ranks.agg(F.sum(contrib).alias("s")).collect()[0]
-        return float(row["s"] or 0.0)
-
-    if score == "copeland":
-        mine = opinions.where(F.col("cand") == q).select(
-            "node", F.col("b").alias("b_q")
-        )
-        duel = (
-            opinions.where(F.col("cand") != q)
-            .join(mine, on="node")
-            .groupBy("cand")
-            .agg(
-                F.sum(F.when(F.col("b_q") > F.col("b"), 1).otherwise(0)).alias("above"),
-                F.sum(F.when(F.col("b_q") < F.col("b"), 1).otherwise(0)).alias("below"),
-            )
-        )
-        row = duel.agg(
-            F.sum(F.when(F.col("above") > F.col("below"), 1).otherwise(0)).alias("s")
-        ).collect()[0]
-        return float(row["s"] or 0.0)
-
-    raise ValueError(f"unknown score: {score}")

@@ -1,7 +1,7 @@
 """Tests for the baseline seeders (§VIII-A): IC/LT RR sets, PR, RWR, DC, GED-T."""
 import numpy as np
+import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.baselines.centrality import (
     degree_seeds,
@@ -18,6 +18,7 @@ from repro.baselines.im import (
 )
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.graphs.generators import random_instance, running_example
+from repro.graphs.graph import OpinionGraph
 from repro.oracle import assert_equivalent
 
 
@@ -104,34 +105,38 @@ class TestCentrality:
         kth = np.sort(deg)[-5]
         assert all(deg[s] >= kth for s in seeds)
 
-    def test_degree_seeds_oracle(self, spark):
-        g = random_instance(40, seed=10)
-        edges = g.to_spark_edges(spark)
-        got = (
-            edges.where(F.col("src") != F.col("dst"))
-            .groupBy(F.col("src").alias("v"))
-            .agg(F.count("*").alias("deg"))
+    def test_degree_seeds_oracle(self):
+        """DC ≡ SQL ``ORDER BY deg DESC, v LIMIT k`` over all nodes, so
+        zero-degree nodes pad in id order (sparse graph, k = n)."""
+        sparse = OpinionGraph.from_edges(
+            5, np.array([3, 3, 1]), np.array([0, 4, 2]), np.ones(3),
+            [[0.1, 0.2, 0.3, 0.4, 0.5]], [[0.5] * 5],
         )
-        assert_equivalent(
-            got,
-            "SELECT src AS v, COUNT(*) AS deg FROM edges WHERE src <> dst GROUP BY src",
-            edges=g.edges_pdf(),
-        )
+        rand = random_instance(40, seed=10)
+        for g, k in [(rand, 5), (rand, 40), (sparse, 3), (sparse, 5)]:
+            sql = f"""
+                SELECT pos, v FROM (
+                    SELECT v, ROW_NUMBER() OVER (ORDER BY deg DESC, v) AS pos
+                    FROM (
+                        SELECT n.v AS v, COUNT(e.src) AS deg
+                        FROM nodes n LEFT JOIN edges e
+                          ON e.src = n.v AND e.src <> e.dst
+                        GROUP BY n.v
+                    )
+                ) WHERE pos <= {k}
+            """
+            seeds = degree_seeds(None, g, k)
+            assert_equivalent(
+                pd.DataFrame({"pos": np.arange(1, len(seeds) + 1), "v": seeds}),
+                sql,
+                nodes=pd.DataFrame({"v": np.arange(g.n)}),
+                edges=g.edges_pdf(),
+            )
 
     def test_pagerank_np_is_distribution(self):
         g = random_instance(60, seed=11)
         pi = pagerank_np(g)
         assert pi.min() >= 0 and np.isclose(pi.sum(), 1.0, atol=1e-6)
-
-    def test_pagerank_spark_matches_numpy(self, spark):
-        g = random_instance(40, seed=12, avg_deg=3.0)
-        from repro.baselines.centrality import _pagerank_df
-
-        pi_df = _pagerank_df(
-            spark, g, reverse=True, damping=0.85, iters=8, restart=None
-        ).toPandas().sort_values("v")
-        pi_np = pagerank_np(g, iters=8)
-        assert np.allclose(pi_df["pi"].to_numpy(), pi_np, atol=1e-9)
 
     def test_pagerank_seeds_are_top(self, spark):
         g = random_instance(40, seed=13)

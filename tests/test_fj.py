@@ -1,22 +1,32 @@
-"""Tests for FJ/DeGroot diffusion — NumPy reference, Spark job, DuckDB oracle."""
+"""Tests for FJ/DeGroot diffusion — NumPy kernel and DuckDB oracle."""
 import numpy as np
 import pytest
 
 from repro.graphs.generators import random_instance, running_example
-from repro.opinion.fj import diffuse, fj_diffuse_np, fj_step, opinions_at_horizon_np
-from repro.oracle import assert_equivalent
+from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np
+from repro.oracle import assert_equivalent, opinions_pdf
 
-# One FJ step as SQL (DuckDB oracle side); identical aliases to fj_step.
-_FJ_STEP_SQL = """
-SELECT s.node AS node, s.cand AS cand,
-       (1 - s.d) * agg.a + s.d * s.b0 AS b
-FROM state s
-JOIN (
-    SELECT e.dst AS node, st.cand AS cand, SUM(e.w * st.b) AS a
-    FROM edges e JOIN state st ON e.src = st.node
-    GROUP BY e.dst, st.cand
-) agg ON s.node = agg.node AND s.cand = agg.cand
-"""
+
+def _fj_sql(t: int) -> str:
+    """t FJ steps as SQL over ``edges`` and ``s0`` (the initial state).
+
+    Step i+1 blends the in-edge aggregate of step i with the anchor b0,
+    as in Eq. 2; a node without in-edges keeps only its anchor term.
+    """
+    steps = [
+        f"""s{i + 1} AS (
+            SELECT s.node, s.cand,
+                   (1 - s.d) * COALESCE(a.agg, 0) + s.d * s.b0 AS b, s.b0, s.d
+            FROM s{i} s LEFT JOIN (
+                SELECT e.dst AS node, p.cand, SUM(e.w * p.b) AS agg
+                FROM edges e JOIN s{i} p ON e.src = p.node
+                GROUP BY e.dst, p.cand
+            ) a USING (node, cand)
+        )"""
+        for i in range(t)
+    ]
+    head = f"WITH {', '.join(steps)} " if steps else ""
+    return head + f"SELECT node, cand, b FROM s{t}"
 
 
 class TestNumpyReference:
@@ -89,29 +99,13 @@ class TestNumpyReference:
         assert (b <= 1 + 1e-12).all() and (b >= g.b0.min() - 1e-12).all()
 
 
-@pytest.mark.parametrize("n,r,t,seed", [(40, 2, 1, 0), (40, 2, 3, 1), (80, 3, 4, 2)])
-def test_spark_diffuse_matches_numpy(spark, n, r, t, seed):
-    g = random_instance(n, r=r, seed=seed)
-    out = diffuse(g.to_spark_edges(spark), g.to_spark_state(spark), t)
-    pdf = out.toPandas().sort_values(["cand", "node"])
-    got = pdf["b"].to_numpy().reshape(r, n)
-    assert np.allclose(got, fj_diffuse_np(g, t))
-
-
-def test_spark_fj_step_oracle(spark):
-    """One FJ step: Spark job ≡ DuckDB SQL over the same tables."""
+def test_fj_t_step_oracle():
+    """t = 3 FJ steps: NumPy kernel ≡ DuckDB SQL, without and with seeds."""
     g = random_instance(50, r=2, seed=8)
-    edges = g.to_spark_edges(spark)
-    state = g.to_spark_state(spark)
-    stepped = fj_step(edges, state).select("node", "cand", "b")
-    assert_equivalent(
-        stepped, _FJ_STEP_SQL, edges=g.edges_pdf(), state=g.state_pdf()
-    )
-
-
-def test_spark_diffuse_long_horizon_checkpointing(spark):
-    """t crosses the localCheckpoint boundary; result still exact."""
-    g = random_instance(30, seed=9)
-    out = diffuse(g.to_spark_edges(spark), g.to_spark_state(spark), 7)
-    pdf = out.toPandas().sort_values(["cand", "node"])
-    assert np.allclose(pdf["b"].to_numpy(), fj_diffuse_np(g, 7).ravel())
+    for inst in (g, g.with_seeds(0, [3, 17, 41])):
+        assert_equivalent(
+            opinions_pdf(fj_diffuse_np(inst, 3)),
+            _fj_sql(3),
+            edges=inst.edges_pdf(),
+            s0=inst.state_pdf(),
+        )

@@ -237,15 +237,3 @@ class TestAdjacencyAndExport:
         g = running_example()
         pdf = g.state_pdf(cand=1)
         assert (pdf["cand"] == 1).all() and len(pdf) == g.n
-
-    def test_to_spark_edges_schema(self, spark):
-        g = running_example()
-        df = g.to_spark_edges(spark)
-        assert set(df.columns) == {"src", "dst", "w"}
-        assert df.count() == g.m
-
-    def test_to_spark_state_matches_pdf(self, spark):
-        g = running_example()
-        got = g.to_spark_state(spark).toPandas().sort_values(["cand", "node"])
-        exp = g.state_pdf().sort_values(["cand", "node"])
-        assert np.allclose(got["b"].to_numpy(), exp["b"].to_numpy())

@@ -1,0 +1,39 @@
+"""Layering guard: which modules of ``src/repro`` may import pyspark."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+# Spark stays where it partitions real work: walk, sketch and RR-set
+# generation, and exact candidate batches.  Everything else is NumPy on the
+# driver, so a new Spark dependency has to be added here on purpose.
+SPARK_MODULES = {
+    "opinion/walks.py",
+    "baselines/im.py",
+    "core/dm.py",
+    "core/sketch.py",
+    "core/rw.py",
+    "core/rs.py",
+    "baselines/ged_t.py",
+}
+
+
+def _imports_pyspark(path: Path) -> bool:
+    """Whether any import statement in ``path``, at any depth, names pyspark."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(n == "pyspark" or n.startswith("pyspark.") for n in names):
+            return True
+    return False
+
+
+def test_only_allowed_modules_import_pyspark():
+    found = {
+        p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py") if _imports_pyspark(p)
+    }
+    assert found == SPARK_MODULES

@@ -1,20 +1,20 @@
 """Tests for the sandwich approximation machinery (§IV, Thms 5–7)."""
 import numpy as np
+import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.dm import ExactEvaluator
 from repro.core.sandwich import (
     favorable_users_np,
     greedy_coverage,
     lb_value,
-    reach_pairs,
     reach_sets_np,
     sandwich_select,
     ub_value,
     weakly_favorable_users_np,
 )
 from repro.graphs.generators import random_instance, running_example
+from repro.graphs.graph import forward_reach
 from repro.opinion.fj import fj_diffuse_np
 from repro.oracle import assert_equivalent
 from repro.voting.scores import rank_np
@@ -62,31 +62,33 @@ class TestReachability:
         for a, b in zip(r1, r3):
             assert not (a & ~b).any()
 
-    def test_reach_pairs_matches_numpy(self, spark):
-        g = random_instance(30, seed=5, avg_deg=2.0)
-        t = 2
-        pairs = reach_pairs(g.to_spark_edges(spark), t).toPandas()
-        ref = reach_sets_np(g, t)
-        got = {(int(r.root), int(r.node)) for r in pairs.itertuples()}
-        exp = {
-            (v, u) for v in range(g.n) for u in np.flatnonzero(ref[v])
-        }
-        assert got == exp
-
-    def test_reach_pairs_one_hop_oracle(self, spark):
-        """1-hop reachability ≡ DuckDB SQL (self ∪ direct successors)."""
-        g = random_instance(25, seed=6, avg_deg=2.0)
-        pairs = reach_pairs(g.to_spark_edges(spark), 1).select("root", "node")
-        sql = """
-            SELECT DISTINCT root, node FROM (
-                SELECT src AS root, dst AS node FROM edges WHERE src <> dst
-                UNION ALL
-                SELECT v AS root, v AS node FROM (
-                    SELECT src AS v FROM edges UNION SELECT dst AS v FROM edges
-                )
+    def test_reach_t_hop_oracle(self):
+        """t = 3 reachability ≡ a DuckDB recursive CTE, without and with
+        blocked nodes (never entered; a blocked root keeps itself)."""
+        g = random_instance(40, seed=6, avg_deg=2.0)
+        t = 3
+        sql = f"""
+            WITH RECURSIVE reach(root, node, h) AS (
+                SELECT v, v, 0 FROM nodes
+                UNION
+                SELECT r.root, e.dst, r.h + 1
+                FROM reach r JOIN edges e ON e.src = r.node
+                WHERE r.h < {t} AND e.dst NOT IN (SELECT v FROM blocked)
             )
+            SELECT DISTINCT root, node FROM reach
         """
-        assert_equivalent(pairs, sql, edges=g.edges_pdf())
+        nodes = pd.DataFrame({"v": np.arange(g.n)})
+        for cut in ([], [0, 5, 11, 23]):
+            blocked = np.zeros(g.n, dtype=bool)
+            blocked[cut] = True
+            root, node = np.nonzero(forward_reach(g, np.arange(g.n), t, blocked))
+            assert_equivalent(
+                pd.DataFrame({"root": root, "node": node}),
+                sql,
+                nodes=nodes,
+                edges=g.edges_pdf(),
+                blocked=pd.DataFrame({"v": np.asarray(cut, dtype="int64")}),
+            )
 
 
 class TestCoverageGreedy:

@@ -1,21 +1,22 @@
-"""Tests for the five voting scores — NumPy, Spark SQL, DuckDB oracle,
-and the exact reproduction of paper Table I."""
+"""Tests for the five voting scores — NumPy, the DuckDB oracle, and the
+exact reproduction of paper Table I."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np
-from repro.oracle import assert_equivalent
+from repro.oracle import assert_equivalent, opinions_pdf
 from repro.voting.scores import (
     copeland_np,
     cumulative_np,
+    duels,
     p_approval_np,
     plurality_np,
     positional_p_approval_np,
     rank_np,
-    score_df,
     score_np,
+    unit_contribution,
     winner_np,
 )
 
@@ -160,93 +161,82 @@ class TestNumpyScores:
 
 
 # ------------------------------------------------------------------ #
-# Spark SQL vs NumPy and vs the DuckDB oracle
+# NumPy rules vs the DuckDB oracle
 # ------------------------------------------------------------------ #
-def _opinions_df(spark, g, t):
-    b = fj_diffuse_np(g, t)
-    pdf = pd.concat(
-        [
-            pd.DataFrame(
-                {"node": np.arange(g.n, dtype="int64"), "cand": np.int32(q), "b": b[q]}
-            )
-            for q in range(g.r)
-        ],
-        ignore_index=True,
-    )
-    return spark.createDataFrame(pdf), pdf, b
+def _opinion_cases(n, r, seed):
+    """Opinions at t = 2, as computed and rounded to 1 decimal (many ties)."""
+    b = fj_diffuse_np(random_instance(n, r=r, seed=seed), 2)
+    return b, np.round(b, 1)
 
 
-@pytest.mark.parametrize("score", ["cumulative", "plurality", "copeland"])
-def test_score_df_matches_numpy(spark, score):
-    g = random_instance(60, r=3, seed=8)
-    df, _, b = _opinions_df(spark, g, 3)
-    assert np.isclose(score_df(df, 1, score), score_np(b, 1, score))
+def test_cumulative_oracle():
+    for b in _opinion_cases(50, 2, 11):
+        assert_equivalent(
+            pd.DataFrame({"s": [cumulative_np(b, 0)]}),
+            "SELECT SUM(b) AS s FROM ops WHERE cand = 0",
+            ops=opinions_pdf(b),
+        )
 
 
-def test_p_approval_df_matches_numpy(spark):
-    g = random_instance(60, r=4, seed=9)
-    df, _, b = _opinions_df(spark, g, 2)
-    assert np.isclose(score_df(df, 0, "p_approval", p=2), p_approval_np(b, 0, 2))
-
-
-def test_positional_df_matches_numpy(spark):
-    g = random_instance(60, r=3, seed=10)
-    df, _, b = _opinions_df(spark, g, 2)
-    om = [1.0, 0.4, 0.0]
-    assert np.isclose(
-        score_df(df, 0, "positional_p_approval", p=2, omega=om),
-        positional_p_approval_np(b, 0, 2, np.array(om)),
-    )
-
-
-def test_cumulative_oracle(spark):
-    g = random_instance(50, r=2, seed=11)
-    df, pdf, _ = _opinions_df(spark, g, 2)
-    from pyspark.sql import functions as F
-
-    agg = df.where(F.col("cand") == 0).agg(F.sum("b").alias("s"))
-    assert_equivalent(agg, "SELECT SUM(b) AS s FROM ops WHERE cand = 0", ops=pdf)
-
-
-def test_rank_aggregate_oracle(spark):
-    """The β-rank self-aggregate (basis of the plurality variants)."""
-    from repro.voting.scores import ranks_df
-
-    g = random_instance(40, r=3, seed=12)
-    df, pdf, _ = _opinions_df(spark, g, 2)
-    got = ranks_df(df).select("node", "cand", "beta")
+def test_rank_aggregate_oracle():
+    """The β-rank self-join (basis of the plurality variants) ≡ rank_np."""
     sql = """
         SELECT o.node AS node, o.cand AS cand,
                SUM(CASE WHEN x.b >= o.b THEN 1 ELSE 0 END) AS beta
         FROM ops o JOIN ops x ON o.node = x.node
         GROUP BY o.node, o.cand
     """
-    assert_equivalent(got, sql, ops=pdf)
+    for b in _opinion_cases(40, 3, 12):
+        ranks = np.array([rank_np(b, q) for q in range(len(b))])
+        got = opinions_pdf(ranks).rename(columns={"b": "beta"})
+        assert_equivalent(got, sql, ops=opinions_pdf(b))
 
 
-def test_copeland_duel_oracle(spark):
-    from pyspark.sql import functions as F
-
-    g = random_instance(40, r=4, seed=13)
-    df, pdf, _ = _opinions_df(spark, g, 2)
+def test_copeland_duel_oracle():
+    """Per-opponent above/below counts ≡ ``duels`` summed over users."""
     q = 0
-    mine = df.where(F.col("cand") == q).select("node", F.col("b").alias("b_q"))
-    duel = (
-        df.where(F.col("cand") != q)
-        .join(mine, on="node")
-        .groupBy("cand")
-        .agg(
-            F.sum(F.when(F.col("b_q") > F.col("b"), 1).otherwise(0)).alias("above"),
-            F.sum(F.when(F.col("b_q") < F.col("b"), 1).otherwise(0)).alias("below"),
-        )
-    )
-    sql = """
+    sql = f"""
         SELECT x.cand AS cand,
                SUM(CASE WHEN q.b > x.b THEN 1 ELSE 0 END) AS above,
                SUM(CASE WHEN q.b < x.b THEN 1 ELSE 0 END) AS below
-        FROM ops x JOIN (SELECT node, b FROM ops WHERE cand = 0) q
+        FROM ops x JOIN (SELECT node, b FROM ops WHERE cand = {q}) q
           ON x.node = q.node
-        WHERE x.cand <> 0
+        WHERE x.cand <> {q}
         GROUP BY x.cand
     """
-    assert_equivalent(duel, sql, ops=pdf)
+    for b in _opinion_cases(40, 4, 13):
+        above, below = duels(b[q], np.delete(b, q, axis=0))
+        got = pd.DataFrame(
+            {
+                "cand": np.delete(np.arange(len(b)), q),
+                "above": above.sum(axis=-1),
+                "below": below.sum(axis=-1),
+            }
+        )
+        assert_equivalent(got, sql, ops=opinions_pdf(b))
+
+
+def test_positional_p_approval_oracle():
+    """Per-user ω[β]·1[β ≤ p] at p = 2 ≡ ``unit_contribution``."""
+    q, p = 1, 2
+    omega = np.array([1.0, 0.6, 0.3, 0.0])
+    sql = f"""
+        SELECT r.node AS node, COALESCE(w.w, 0.0) AS contrib
+        FROM (
+            SELECT o.node, SUM(CASE WHEN x.b >= o.b THEN 1 ELSE 0 END) AS beta
+            FROM ops o JOIN ops x ON o.node = x.node
+            WHERE o.cand = {q}
+            GROUP BY o.node
+        ) r LEFT JOIN omega w ON w.pos = r.beta AND r.beta <= {p}
+    """
+    for b in _opinion_cases(60, 4, 10):
+        contrib = unit_contribution(
+            b[q], np.delete(b, q, axis=0), "positional_p_approval", p=p, omega=omega
+        )
+        got = pd.DataFrame({"node": np.arange(b.shape[1]), "contrib": contrib})
+        assert_equivalent(
+            got,
+            sql,
+            ops=opinions_pdf(b),
+            omega=pd.DataFrame({"pos": np.arange(1, len(omega) + 1), "w": omega}),
+        )

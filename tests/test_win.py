@@ -5,8 +5,15 @@ import pytest
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.core.win import min_seeds_to_win, min_seeds_to_win_fast, target_wins
 from repro.graphs.generators import random_instance, running_example
+from repro.graphs.graph import OpinionGraph
 from repro.opinion.fj import opinions_at_horizon_np
-from repro.voting.scores import score_np
+from repro.voting.scores import SCORES, score_np
+
+
+def _sole_candidate():
+    """running_example() with only the target's row of b0 and d (r = 1)."""
+    g = running_example()
+    return OpinionGraph.from_edges(g.n, g.src, g.dst, g.w, g.b0[:1], g.d[:1])
 
 
 def _greedy_seq(g, target, t, score, k):
@@ -16,6 +23,13 @@ def _greedy_seq(g, target, t, score, k):
 
 
 class TestTargetWins:
+    @pytest.mark.parametrize("score", SCORES)
+    def test_sole_candidate_wins(self, score):
+        # r = 1: no competitor to beat, with or without seeds.
+        g = _sole_candidate()
+        assert target_wins(g, 0, 1, [], score, p=2)
+        assert target_wins(g, 0, 3, [2], score, p=2)
+
     def test_running_example_plurality(self):
         g = running_example()
         # Table I: no seeds → 2 vs 2 (tie → not a strict win).
@@ -85,6 +99,17 @@ class TestMinSeeds:
         # Flip target to c2 (already ahead at t=1 on cumulative).
         assert min_seeds_to_win_fast(g, 1, 1, "cumulative", [0, 1, 2, 3])[0] == 0
         assert min_seeds_to_win(g, 1, 1, "cumulative", lambda k: list(range(k)))[0] == 0
+
+    def test_sole_candidate_needs_zero(self):
+        def selector(k):
+            raise AssertionError("a sole candidate needs no seeds")
+
+        g = _sole_candidate()
+        assert min_seeds_to_win(g, 0, 1, "plurality", selector) == (0, [])
+
+    def test_sole_candidate_fast_needs_zero(self):
+        g = _sole_candidate()
+        assert min_seeds_to_win_fast(g, 0, 1, "plurality", [0, 1, 2, 3]) == (0, [])
 
     def test_unwinnable_returns_none(self):
         g = running_example()
