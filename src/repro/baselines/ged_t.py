@@ -7,18 +7,17 @@ cumulative score but **without CELF** (the paper reports GED-T ≡ DM in
 accuracy for the cumulative score, and ~2 orders of magnitude slower
 than RS).  When used as a seeder for the rank-based scores it still
 optimizes the cumulative objective, which is why it underperforms there
-(paper §VIII-C).
+(paper §VIII-C).  The leading ``spark`` argument is unused, as in
+``baselines.centrality``.
 """
 from __future__ import annotations
-
-from pyspark.sql import SparkSession
 
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.graphs.graph import OpinionGraph
 
 
 def ged_t_seeds(
-    spark: SparkSession | None,
+    spark,
     graph: OpinionGraph,
     target: int,
     t: int,

@@ -29,7 +29,6 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core.sketch import SketchSet, collect_sketches
@@ -139,8 +138,9 @@ def expected_influence_spread(
 ) -> float:
     """EIS(S) ≈ n/θ · #{RR sets intersecting S} (§VIII-C)."""
     rr = generate_rr_sets(spark, graph, model, theta, seed=seed)
-    seed_list = [int(s) for s in seeds]
-    hit = rr.where(
-        F.size(F.array_intersect(F.col("nodes"), F.array(*[F.lit(s) for s in seed_list]))) > 0
-    ).count()
+    _, nodes, offsets = collect_sketches(rr, "sketch_id", "nodes")
+    in_s = np.zeros(graph.n, dtype=bool)
+    in_s[np.asarray(list(seeds), dtype=np.int64)] = True
+    set_of = np.repeat(np.arange(theta), np.diff(offsets))
+    hit = len(np.unique(set_of[in_s[nodes]]))
     return graph.n * hit / float(theta)

@@ -5,11 +5,9 @@ recomputing exact opinions at the horizon (t FJ steps) with the candidate
 added to the current seed set, and picks the max marginal gain.  CELF [49]
 is layered on top for the (submodular) cumulative score.
 
-Distributed layering: the candidate-seed list is a DataFrame partitioned
-across executors; the graph (COO edges + b0/d + the non-target
-candidates' exact horizon opinions) is broadcast; each partition scores
-its candidates in batches via ``mapInPandas``.  A batch is scored by one
-of two exact kernels, chosen by graph size:
+Everything runs on the driver, as in the paper's single-process DM.  Each
+batch of candidates is scored by one of two exact kernels, chosen by graph
+size:
 
 * up to ``DENSE_N_THRESHOLD`` nodes, a dense ``(batch × n)`` opinion
   matrix advanced jointly with BLAS, each row's own seed column pinned
@@ -20,19 +18,15 @@ of two exact kernels, chosen by graph size:
   N_v^(t) (Def. 2), so F(S ∪ {v}) = F(S) + the change in each reached
   user's contribution.
 
-Both are exact (they differ only in float rounding).  This is the natural
-Spark port of the paper's single-core DM (see DESIGN.md §2).
+Both are exact (they differ only in float rounding); see DESIGN.md §2.
 """
 from __future__ import annotations
 
 import heapq
 from functools import partial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import types as T
 
 from repro.graphs.graph import (
     OpinionGraph,
@@ -49,11 +43,6 @@ from repro.voting.scores import duels, score_np, unit_contribution
 # kernel.  Dense graphs stay dense: on yelp-lite a candidate reaches 94 % of
 # the nodes in t = 20 hops, where BLAS is ~10× faster than the pair kernel.
 DENSE_N_THRESHOLD = 1500
-
-_EVAL_SCHEMA = T.StructType(
-    [T.StructField("cand_seed", T.LongType()), T.StructField("fscore", T.DoubleType())]
-)
-
 
 def batch_scores_np(
     graph: OpinionGraph,
@@ -168,17 +157,20 @@ def others_at_horizon(graph: OpinionGraph, target: int, t: int) -> np.ndarray:
 
 
 class ExactEvaluator:
-    """Batched exact F(S ∪ {v}) evaluation, Spark-distributed.
+    """Exact F(S ∪ {v}) for a batch of candidates v, on the driver.
 
     ``__call__(seeds, cand_seeds)`` returns a NumPy array of scores
-    aligned with ``cand_seeds``.  Small work lists (< ``local_threshold``)
-    are evaluated driver-side to avoid job overhead; larger ones are
-    partitioned and evaluated with the broadcast graph.
+    aligned with ``cand_seeds``.  The leading ``spark`` argument is
+    unused; it keeps every selector in ``experiments.tables`` called the
+    same way.
     """
+
+    # No batch runs on Spark; perfbench's TimedEvaluator reads this.
+    spark = None
 
     def __init__(
         self,
-        spark: SparkSession | None,
+        spark,
         graph: OpinionGraph,
         target: int,
         t: int,
@@ -187,10 +179,7 @@ class ExactEvaluator:
         p: int = 1,
         omega: np.ndarray | None = None,
         user_mask: np.ndarray | None = None,
-        local_threshold: int = 256,
-        batch: int = 512,
     ):
-        self.spark = spark
         self.graph = graph
         self.target = target
         self.t = t
@@ -198,54 +187,23 @@ class ExactEvaluator:
         self.p = p
         self.omega = omega
         self.user_mask = user_mask
-        self.local_threshold = local_threshold
-        self.batch = batch
         self.others = (
             None if score == "cumulative" else others_at_horizon(graph, target, t)
         )
-        self._bc = None
-        if spark is not None:
-            self._bc = spark.sparkContext.broadcast(
-                (graph, target, t, score, self.others, p, omega, user_mask)
-            )
 
     def __call__(self, seeds: Sequence[int], cand_seeds: Sequence[int]) -> np.ndarray:
-        cand_seeds = np.asarray(list(cand_seeds), dtype=np.int64)
-        if self.spark is None or len(cand_seeds) <= self.local_threshold:
-            return batch_scores_np(
-                self.graph,
-                self.target,
-                seeds,
-                cand_seeds,
-                self.t,
-                self.score,
-                others=self.others,
-                p=self.p,
-                omega=self.omega,
-                user_mask=self.user_mask,
-            )
-        bc, batch, seeds = self._bc, self.batch, list(seeds)
-        work = self.spark.createDataFrame(pd.DataFrame({"cand_seed": cand_seeds}))
-        nparts = max(1, len(cand_seeds) // batch)
-        work = work.repartition(min(nparts, self.spark.sparkContext.defaultParallelism * 4))
-
-        def ev(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            graph, target, t, score, others, p, omega, mask = bc.value
-            for pdf in pdfs:
-                if len(pdf) == 0:
-                    continue
-                cs = pdf["cand_seed"].to_numpy()
-                for lo in range(0, len(cs), batch):
-                    chunk = cs[lo : lo + batch]
-                    vals = batch_scores_np(
-                        graph, target, seeds, chunk, t, score,
-                        others=others, p=p, omega=omega, user_mask=mask,
-                    )
-                    yield pd.DataFrame({"cand_seed": chunk, "fscore": vals})
-
-        res = work.mapInPandas(ev, _EVAL_SCHEMA).toPandas()
-        res = res.set_index("cand_seed").loc[cand_seeds, "fscore"]
-        return res.to_numpy()
+        return batch_scores_np(
+            self.graph,
+            self.target,
+            seeds,
+            np.asarray(list(cand_seeds), dtype=np.int64),
+            self.t,
+            self.score,
+            others=self.others,
+            p=self.p,
+            omega=self.omega,
+            user_mask=self.user_mask,
+        )
 
     def score_of(self, seeds: Sequence[int]) -> float:
         """Exact F(S) (no extra candidate)."""

@@ -21,8 +21,8 @@ Reachable sets for the coverage greedy come from `reach_sets_np`, the
 vectorized forward expansion over the graph's cached forward CSR that the
 exact evaluator's reach-local kernel also runs (`graphs.graph.forward_reach`).
 The DuckDB oracle tests check it against t-hop reachability written as a
-recursive CTE.  Everything here runs on the driver; Spark enters only
-through the exact evaluator's candidate batches (``core.dm``).
+recursive CTE.  Everything here runs on the driver; the leading ``spark``
+argument of ``sandwich_select`` is unused, as in ``core.dm``.
 """
 from __future__ import annotations
 
@@ -47,10 +47,13 @@ def favorable_users_np(graph: OpinionGraph, target: int, t: int, p: int) -> np.n
 
 
 def weakly_favorable_users_np(graph: OpinionGraph, target: int, t: int) -> np.ndarray:
-    """Boolean mask of U_q^(t): b_qv^(t) > min over other candidates."""
+    """Boolean mask of U_q^(t): b_qv^(t) > min over other candidates.
+
+    With no other candidate (r = 1) the minimum is +inf, so U_q^(t) is empty.
+    """
     b = fj_diffuse_np(graph, t)
     others = np.delete(b, target, axis=0)
-    return b[target] > others.min(axis=0)
+    return b[target] > others.min(axis=0, initial=np.inf)
 
 
 # --------------------------------------------------------------------- #
@@ -163,17 +166,16 @@ def sandwich_select(
         )
         s_l, _ = greedy_dm(ev_lb, k, celf=True)
 
-    # S_F: feasible greedy on F itself.
+    # S_F: feasible greedy on F itself; the same evaluator scores all three.
+    ev_f = ExactEvaluator(spark, graph, target, t, score, p=pp, omega=omega_arr)
     if selector is not None:
         s_f = selector(k)
     else:
-        ev_f = ExactEvaluator(spark, graph, target, t, score, p=pp, omega=omega_arr)
         s_f, _ = greedy_dm(ev_f, k, celf=False)
 
-    ev_exact = ExactEvaluator(None, graph, target, t, score, p=pp, omega=omega_arr)
-    f_su = ev_exact.score_of(s_u)
-    f_sf = ev_exact.score_of(s_f)
-    f_sl = ev_exact.score_of(s_l) if s_l is not None else None
+    f_su = ev_f.score_of(s_u)
+    f_sf = ev_f.score_of(s_f)
+    f_sl = ev_f.score_of(s_l) if s_l is not None else None
 
     options = {"S_U": (s_u, f_su), "S_F": (s_f, f_sf)}
     if s_l is not None:

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from repro.baselines.centrality import degree_seeds
 from repro.graphs.graph import OpinionGraph
 from repro.opinion.fj import fj_diffuse_np
 from repro.voting.scores import score_np
@@ -96,13 +97,12 @@ def opt_lower_bound(
 ) -> float:
     """A valid lower bound on OPT: the exact score of a feasible probe set.
 
-    Probe = top-k out-degree nodes (cheap, deterministic).  Any feasible
-    set's score ≤ OPT, so this is always sound; for cumulative it is also
-    ≥ k (each seed contributes its own opinion of 1).
+    Probe = the DC baseline's top-k out-degree nodes (``degree_seeds``:
+    cheap, deterministic, ties to the smallest id).  Any feasible set's
+    score ≤ OPT, so this is always sound; for cumulative it is also ≥ k
+    (each seed contributes its own opinion of 1).
     """
-    deg = np.zeros(graph.n)
-    np.add.at(deg, graph.src[graph.src != graph.dst], 1.0)
-    probe = np.argsort(-deg)[:k].tolist()
+    probe = degree_seeds(None, graph, k)
     b = fj_diffuse_np(graph.with_seeds(target, probe), t)
     val = score_np(b, target, score, **score_kw)
     if score == "cumulative":

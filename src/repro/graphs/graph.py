@@ -7,9 +7,9 @@ node sum to 1), an initial-opinion matrix ``b0 ∈ [0,1]^{r×n}`` and a
 stubbornness matrix ``d ∈ [0,1]^{r×n}`` — one row per candidate.
 
 Storage is NumPy (edges as COO sorted by ``dst``) so that instances are
-deterministic and cheap to broadcast.  Every FJ, score, reachability and
-centrality kernel reads these arrays on the driver; the Spark jobs (walk,
-sketch and RR-set generation, exact candidate batches) broadcast them to
+deterministic and cheap to broadcast.  Every FJ, score, reachability,
+exact-evaluation and centrality kernel reads these arrays on the driver;
+the Spark jobs (walk, sketch and RR-set generation) broadcast them to
 ``mapInPandas`` workers.  ``edges_pdf`` / ``state_pdf`` export the
 instance as pandas tables for the DuckDB oracle.
 

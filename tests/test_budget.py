@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.baselines.centrality import degree_seeds
 from repro.core.walk_budget import (
     estimate_gamma,
     heuristic_theta,
@@ -107,6 +108,19 @@ class TestOptLowerBound:
             for S in itertools.combinations(range(10), k)
         )
         assert lb <= opt + 1e-9
+
+    @pytest.mark.parametrize("score", ["cumulative", "plurality"])
+    def test_probe_is_degree_seeds(self, score):
+        """The probe is DC's top-k; a degree tie straddles the cut here, so
+        the tie rule (smallest id) decides it."""
+        g = random_instance(20, seed=0, avg_deg=3.0)
+        t, k = 2, 5
+        probe = degree_seeds(None, g, k)
+        deg = np.bincount(g.src[g.src != g.dst], minlength=g.n)
+        tied = np.flatnonzero(deg == deg[probe[-1]])
+        assert not np.isin(tied, probe).all()
+        exact = score_np(opinions_at_horizon_np(g, t, 0, probe), 0, score)
+        assert opt_lower_bound(g, 0, t, k, score) == pytest.approx(exact, rel=1e-12)
 
     def test_cumulative_at_least_k(self):
         g = random_instance(20, seed=5)

@@ -72,14 +72,6 @@ class TestEvaluator:
         for v, c in zip(vals, [0, 2, 3]):
             assert np.isclose(v, _exact_score(g, 0, 3, [1, int(c)], "cumulative"))
 
-    def test_spark_path_matches_local(self, spark):
-        g = random_instance(60, seed=6)
-        ev = ExactEvaluator(spark, g, 0, 3, "cumulative", local_threshold=8, batch=16)
-        cands = np.arange(60)
-        dist = ev([], cands)
-        loc = batch_scores_np(g, 0, [], cands, 3, "cumulative")
-        assert np.allclose(dist, loc)
-
     def test_score_of_matches_reference(self):
         g = random_instance(30, r=3, seed=7)
         for score in ["cumulative", "plurality", "copeland"]:
@@ -227,23 +219,28 @@ class TestKernelPaths:
         assert forward_reach(g, cands, 3, blocked).sum() < forward_reach(g, cands, 3).sum()
 
     @pytest.mark.parametrize("score", ["cumulative", "plurality"])
-    def test_spark_path_runs_reach_local_kernel(self, spark, monkeypatch, score):
-        """Above DENSE_N_THRESHOLD the executors run the reach-local kernel.
-
-        The driver reference is forced dense by patching the threshold,
-        which the Spark Python workers do not see.
-        """
+    def test_evaluator_runs_reach_local_kernel_above_threshold(self, monkeypatch, score):
+        """Above DENSE_N_THRESHOLD the evaluator dispatches to the reach-local
+        kernel; the reference is the dense kernel, forced by raising the
+        threshold."""
         import repro.core.dm as dm_mod
 
         g = random_instance(1600, r=3, seed=32, avg_deg=3.0)
         assert g.n > dm_mod.DENSE_N_THRESHOLD
         t, seeds = 4, [3, 10]
-        ev = ExactEvaluator(spark, g, 0, t, score, local_threshold=8, batch=16)
+        ran = []
+        reach_local = dm_mod._reach_local_scores
+        monkeypatch.setattr(
+            dm_mod, "_reach_local_scores", lambda *a: ran.append(a) or reach_local(*a)
+        )
+        ev = ExactEvaluator(None, g, 0, t, score)
         cands = np.arange(0, g.n, 25)
-        dist = ev(seeds, cands)
+        got = ev(seeds, cands)
+        assert len(ran) == 1
         monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", g.n)
         dense = batch_scores_np(g, 0, seeds, cands, t, score, others=ev.others)
-        np.testing.assert_allclose(dist, dense, rtol=1e-12, atol=1e-12)
+        assert len(ran) == 1
+        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
 
     def test_positional_vectorization_matches_score_np(self):
         from repro.voting.scores import score_np as snp

@@ -5,16 +5,14 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 # Spark stays where it partitions real work: walk, sketch and RR-set
-# generation, and exact candidate batches.  Everything else is NumPy on the
-# driver, so a new Spark dependency has to be added here on purpose.
+# generation.  Everything else, exact DM evaluation included, is NumPy on
+# the driver, so a new Spark dependency has to be added here on purpose.
 SPARK_MODULES = {
     "opinion/walks.py",
     "baselines/im.py",
-    "core/dm.py",
     "core/sketch.py",
     "core/rw.py",
     "core/rs.py",
-    "baselines/ged_t.py",
 }
 
 

@@ -180,6 +180,17 @@ class TestSandwichSelect:
         assert len(res.seeds) == 2
         assert res.source in {"S_U", "S_L", "S_F"}
 
+    @pytest.mark.parametrize("score, f", [("plurality", 20.0), ("copeland", 0.0)])
+    def test_single_candidate(self, score, f):
+        """r = 1: every user votes for the target, who wins no duel.  U_q^(t)
+        is empty and the Copeland UB coefficient is 0, so the ratio is 1."""
+        g = random_instance(20, r=1, seed=25)
+        assert not weakly_favorable_users_np(g, 0, 2).any()
+        res = sandwich_select(None, g, 0, 2, 2, score)
+        assert len(set(res.seeds)) == 2
+        assert res.f_su == res.f_sf == f
+        assert res.ratio == 1.0
+
     def test_result_at_least_feasible_greedy(self, spark):
         g = random_instance(30, r=2, seed=24, avg_deg=2.5)
         res = sandwich_select(spark, g, 0, 2, 2, "plurality")
