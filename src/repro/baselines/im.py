@@ -10,6 +10,10 @@ implement the reverse-reachable (RR) set machinery:
   with probability equal to its edge weight (in-weights sum to 1), stop on
   a revisit.  (Our graphs carry a self-loop on in-degree-0 nodes, which
   simply ends the path.)
+* Generation: ``rr_sets`` builds a batch of sets by frontier expansion
+  over all of them at once; every coin is keyed by (seed, set id, …) as
+  in ``opinion.walks``, so set ``i`` is the same on the driver and in any
+  Spark partition (``generate_rr_sets``, one ``mapInArrow`` job).
 * Seed selection: greedy max-coverage over θ_im RR sets, collected once to
   the driver and run by the shared sketch greedy (``core.sketch``): with
   every RR set's ``op`` at 0, a node's cumulative gain is the number of
@@ -24,15 +28,23 @@ n/θ · #RR sets hit by S.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
 from repro.core.sketch import SketchSet, collect_sketches
-from repro.graphs.graph import OpinionGraph
+from repro.graphs.graph import AliasTable, OpinionGraph, out_edges
+from repro.opinion.walks import (
+    ACCEPT,
+    COIN,
+    SLOT,
+    flatten_paths,
+    list_array,
+    map_id_range,
+    stream_keys,
+    uniform_nodes,
+    uniforms,
+)
 
 _RR_SCHEMA = T.StructType(
     [
@@ -42,41 +54,76 @@ _RR_SCHEMA = T.StructType(
 )
 
 
-def rr_sets_np(
-    graph: OpinionGraph, model: str, roots: np.ndarray, rng: np.random.Generator
-) -> list[list[int]]:
-    """RR sets for the given roots (reference kernel, also used per-partition)."""
-    alias = graph.reverse_alias()
-    indptr, indices, wts = alias.indptr, alias.indices, graph.w
-    out: list[list[int]] = []
-    for root in roots:
-        if model == "ic":
-            visited = {int(root)}
-            frontier = [int(root)]
-            while frontier:
-                nxt: list[int] = []
-                for v in frontier:
-                    lo, hi = indptr[v], indptr[v + 1]
-                    live = rng.random(hi - lo) < wts[lo:hi]
-                    for u in indices[lo:hi][live]:
-                        if int(u) not in visited:
-                            visited.add(int(u))
-                            nxt.append(int(u))
-                frontier = nxt
-            out.append(sorted(visited))
-        elif model == "lt":
-            visited = {int(root)}
-            cur = int(root)
-            while True:
-                nxt = int(alias.sample(np.array([cur]), rng)[0])
-                if nxt in visited:
-                    break
-                visited.add(nxt)
-                cur = nxt
-            out.append(sorted(visited))
-        else:
-            raise ValueError(f"unknown IM model: {model}")
-    return out
+def _member(seen: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(pos, hit)``: insertion points of ``keys`` in sorted ``seen`` and
+    whether each key is already there."""
+    pos = np.searchsorted(seen, keys)
+    return pos, seen[np.minimum(pos, len(seen) - 1)] == keys
+
+
+def _ic_sets(alias: AliasTable, w: np.ndarray, keys: np.ndarray, roots: np.ndarray):
+    """IC RR sets, one reverse BFS level for all sets at a time.
+
+    The coin of reverse-CSR edge slot ``e`` in set ``j`` is uniform
+    ``(e, COIN)`` of the set's stream, so the set is the root's reverse
+    reachable set in that live-edge graph whatever the visiting order.
+    Nodes come out sorted within each set.
+    """
+    n = len(alias.indptr) - 1
+    rows = np.arange(len(roots))
+    seen = rows * n + roots  # sorted (set, node) keys
+    nodes = roots
+    while len(rows):
+        owner, slot = out_edges(alias.indptr, nodes)
+        live = uniforms(keys[rows[owner]], slot, COIN) < w[slot]
+        reached = np.unique(rows[owner[live]] * n + alias.indices[slot[live]])
+        pos, hit = _member(seen, reached)
+        reached = reached[~hit]
+        seen = np.insert(seen, pos[~hit], reached)
+        rows, nodes = np.divmod(reached, n)
+    rows, nodes = np.divmod(seen, n)
+    offsets = np.zeros(len(roots) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(roots)), out=offsets[1:])
+    return nodes.astype(np.int32), offsets
+
+
+def _lt_paths(alias: AliasTable, keys: np.ndarray, roots: np.ndarray):
+    """LT RR paths: each step draws one in-neighbor by weight (the alias
+    draw of step ``s`` reads lanes ``SLOT``/``ACCEPT``) and the path stops
+    before its first revisit.  Nodes come out in path order."""
+    n = len(alias.indptr) - 1
+    rows = np.arange(len(roots))
+    seen = rows * n + roots
+    cur = roots
+    steps = [(rows, cur)]
+    for step in range(n):  # a path of distinct nodes has at most n
+        k = keys[rows]
+        cur = alias.sample(cur, uniforms(k, step, SLOT), uniforms(k, step, ACCEPT))
+        pos, hit = _member(seen, rows * n + cur)
+        rows, cur, pos = rows[~hit], cur[~hit], pos[~hit]
+        if not len(rows):
+            break
+        seen = np.insert(seen, pos, rows * n + cur)
+        steps.append((rows, cur))
+    return flatten_paths(len(roots), steps)
+
+
+def rr_sets(
+    alias: AliasTable, w: np.ndarray, model: str, seed: int, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """RR sets ``ids`` of ``model`` as flat ``(nodes, offsets)``.
+
+    Set ``ids[j]`` is ``nodes[offsets[j]:offsets[j + 1]]``; its root, drawn
+    uniformly from the reserved start lane, is always in it.  ``w`` is the
+    edge weight in reverse-CSR (dst-sorted) order.
+    """
+    if model not in ("ic", "lt"):
+        raise ValueError(f"unknown IM model: {model}")
+    keys = stream_keys(seed, ids)
+    roots = uniform_nodes(keys, len(alias.indptr) - 1)
+    if model == "ic":
+        return _ic_sets(alias, w, keys, roots)
+    return _lt_paths(alias, keys, roots)
 
 
 def generate_rr_sets(
@@ -87,29 +134,16 @@ def generate_rr_sets(
     *,
     seed: int = 0,
 ) -> DataFrame:
-    """θ RR sets as a DataFrame (sketch_id, nodes) — broadcast graph,
-    distributed roots, per-partition vectorized kernel."""
-    rng0 = np.random.default_rng(seed)
-    roots = rng0.integers(0, graph.n, size=theta)
-    bc = spark.sparkContext.broadcast(graph)
-    work = spark.createDataFrame(
-        pd.DataFrame({"sketch_id": np.arange(theta, dtype=np.int64), "root": roots})
-    ).repartition(min(spark.sparkContext.defaultParallelism * 2, max(1, theta // 512)))
+    """θ RR sets as a DataFrame ``(sketch_id, nodes)``: set ``i`` is
+    ``rr_sets`` at id ``i``, whatever the partitioning."""
+    if model not in ("ic", "lt"):
+        raise ValueError(f"unknown IM model: {model}")
+    alias, w = graph.reverse_alias(), graph.w
 
-    def gen(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        g = bc.value
-        for pdf in pdfs:
-            if len(pdf) == 0:
-                continue
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, int(pdf["sketch_id"].iloc[0])])
-            )
-            sets = rr_sets_np(g, model, pdf["root"].to_numpy(), rng)
-            yield pd.DataFrame(
-                {"sketch_id": pdf["sketch_id"].to_numpy(), "nodes": sets}
-            )
+    def kernel(ids):
+        return [ids, list_array(*rr_sets(alias, w, model, seed, ids))]
 
-    return work.mapInPandas(gen, _RR_SCHEMA)
+    return map_id_range(spark, theta, kernel, _RR_SCHEMA)
 
 
 def select_seeds_im(

@@ -10,13 +10,13 @@ Estimators (Eqs. 35, 42, 47):
 * plurality variants:  F̂(S) = (n/θ) Σ_j ω[β(op_j)]·1[β(op_j) ≤ p]
 * Copeland: pairwise duel counts over the θ samples.
 
-Spark generates the sketches; the greedy runs on the driver in
+Spark generates the sketches (``generate_walks(theta=...)``, each start
+drawn from its walk's own counter stream); the greedy runs on the driver in
 ``core.sketch`` with every sketch its own unit, ranked against the
 non-target opinions of its start user.
 """
 from __future__ import annotations
 
-import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.dm import others_at_horizon
@@ -41,10 +41,8 @@ class RSSelector(SketchSelector):
         omega=None,
         seed: int = 0,
     ):
-        rng = np.random.default_rng(seed)
-        starts = rng.choice(graph.n, size=theta, replace=True)
         self.scale = float(graph.n) / float(theta)
-        self.walks = generate_walks(spark, graph, target, t, starts=starts, seed=seed + 1)
+        self.walks = generate_walks(spark, graph, target, t, theta=theta, seed=seed)
         table, nodes, offsets = collect_sketches(self.walks, "walk_id", "path")
         others = None
         if score != "cumulative":

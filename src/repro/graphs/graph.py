@@ -9,8 +9,8 @@ stubbornness matrix ``d ∈ [0,1]^{r×n}`` — one row per candidate.
 Storage is NumPy (edges as COO sorted by ``dst``) so that instances are
 deterministic and cheap to broadcast.  Every FJ, score, reachability,
 exact-evaluation and centrality kernel reads these arrays on the driver;
-the Spark jobs (walk, sketch and RR-set generation) broadcast them to
-``mapInPandas`` workers.  ``edges_pdf`` / ``state_pdf`` export the
+the Spark jobs (walk, sketch and RR-set generation) ship them to
+``mapInArrow`` workers.  ``edges_pdf`` / ``state_pdf`` export the
 instance as pandas tables for the DuckDB oracle.
 
 Normalization convention: the paper states that users without in-neighbors
@@ -40,15 +40,19 @@ class AliasTable:
     prob: np.ndarray  # (nnz,) float64 — alias acceptance probabilities
     alias: np.ndarray  # (nnz,) int32 — alias slot (local index within row)
 
-    def sample(self, nodes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized draw of one in-neighbor for each node in ``nodes``."""
-        deg = self.indptr[nodes + 1] - self.indptr[nodes]
+    def sample(
+        self, nodes: np.ndarray, u_slot: np.ndarray, u_accept: np.ndarray
+    ) -> np.ndarray:
+        """One in-neighbor for each node in ``nodes``, from two uniforms each.
+
+        ``u_slot`` picks the alias slot and ``u_accept`` decides between the
+        slot and its alias.
+        """
+        lo = self.indptr[nodes]
         # Every node has >=1 in-edge after self-loop normalization.
-        slot = (rng.random(len(nodes)) * deg).astype(np.int64)
-        base = self.indptr[nodes] + slot
-        accept = rng.random(len(nodes)) < self.prob[base]
-        local = np.where(accept, slot, self.alias[base])
-        return self.indices[self.indptr[nodes] + local]
+        slot = (u_slot * (self.indptr[nodes + 1] - lo)).astype(np.int64)
+        local = np.where(u_accept < self.prob[lo + slot], slot, self.alias[lo + slot])
+        return self.indices[lo + local]
 
 
 def _build_alias_row(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +298,10 @@ _EXPAND_BUDGET = 1 << 20
 
 
 def out_edges(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All forward-CSR out-edges of ``nodes``: (index into ``nodes``, edge slot)."""
+    """All CSR edges of ``nodes``: (index into ``nodes``, edge slot).
+
+    On the forward CSR these are out-edges; on the reverse CSR, in-edges.
+    """
     deg = indptr[nodes + 1] - indptr[nodes]
     owner = np.repeat(np.arange(len(nodes)), deg)
     slot = np.arange(owner.size) + np.repeat(indptr[nodes] - np.cumsum(deg) + deg, deg)

@@ -12,16 +12,33 @@ occurrence of a node in ``S`` and its estimate becomes 1 (Thm 9: still
 unbiased).  The greedy algorithms collect the walks to the driver once and
 truncate them there (``core.sketch``) — no regeneration.
 
-Spark layering: the graph (alias tables + stubbornness + initial opinions)
-is broadcast; the work list (one row per walk) is a DataFrame; the
-vectorized NumPy kernel runs per partition via ``mapInPandas``.
+RNG contract (counter-based; Salmon et al., SC 2011; SplitMix64 of Steele,
+Lea & Flood, OOPSLA 2014).  Every random number of sketch ``id`` is a pure
+function of ``(seed, id, step, lane)``:
+
+* the sketch's stream key is output ``id`` of SplitMix64 seeded with
+  ``seed``;
+* uniform ``(step, lane)`` is output ``LANES·step + lane`` of SplitMix64
+  seeded with that key, its top 53 bits scaled to [0, 1).
+
+A walk step reads lane ``COIN`` (stubbornness coin), then ``SLOT`` and
+``ACCEPT`` (the alias draw); an IC RR set reads lane ``COIN`` with the
+reverse-CSR edge slot as its step.  Lane ``START`` at step 0 is reserved for a
+uniformly drawn start node (RS sketches, IM roots).  A sketch therefore
+does not depend on which other ids share its batch, partition or core.
+
+Spark layering: ``spark.range(N)`` spreads the sketch ids over
+``defaultParallelism`` partitions and ``mapInArrow`` runs the vectorized
+frontier kernel (``reverse_walks``) on each Arrow batch of ids, emitting
+flat node arrays as one Arrow list column.  The driver calls the same
+kernel on one id range.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
@@ -36,61 +53,114 @@ WALK_SCHEMA = T.StructType(
     ]
 )
 
+LANES = 4
+COIN, SLOT, ACCEPT, START = range(LANES)
 
-def walk_kernel(
-    starts: np.ndarray,
-    t: int,
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+
+
+def _splitmix64(state, i) -> np.ndarray:
+    """Output ``i`` (0-based) of SplitMix64 seeded with ``state`` (uint64)."""
+    with np.errstate(over="ignore"):
+        z = state + (np.asarray(i, dtype=np.uint64) + np.uint64(1)) * _GAMMA
+        z = (z ^ (z >> np.uint64(30))) * _M1
+        z = (z ^ (z >> np.uint64(27))) * _M2
+    return z ^ (z >> np.uint64(31))
+
+
+def stream_keys(seed: int, ids: np.ndarray) -> np.ndarray:
+    """One uint64 stream key per sketch id."""
+    return _splitmix64(np.uint64(seed % (1 << 64)), np.asarray(ids, dtype=np.int64))
+
+
+def uniforms(keys: np.ndarray, step, lane: int) -> np.ndarray:
+    """Uniform [0, 1) number ``(step, lane)`` of each key's stream."""
+    counter = np.asarray(step, dtype=np.uint64) * np.uint64(LANES) + np.uint64(lane)
+    return (_splitmix64(keys, counter) >> np.uint64(11)) * 2.0**-53
+
+
+def uniform_nodes(keys: np.ndarray, n: int) -> np.ndarray:
+    """One node drawn uniformly from ``range(n)`` per key (lane ``START``)."""
+    return (uniforms(keys, 0, START) * n).astype(np.int64)
+
+
+def flatten_paths(count: int, steps: list[tuple[np.ndarray, np.ndarray]]):
+    """Flat ``(nodes, offsets)`` of ``count`` paths grown one step at a time.
+
+    ``steps[s] = (idx, node)`` lists the paths still growing at step ``s``
+    and the node each appends; a path grows at every step until it stops.
+    """
+    lengths = np.bincount(np.concatenate([idx for idx, _ in steps]), minlength=count)
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    nodes = np.empty(offsets[-1], dtype=np.int32)
+    for s, (idx, node) in enumerate(steps):
+        nodes[offsets[idx] + s] = node
+    return nodes, offsets
+
+
+def reverse_walks(
     alias: AliasTable,
     d: np.ndarray,
-    rng: np.random.Generator,
-) -> list[list[int]]:
-    """Vectorized generation of one t-step reverse walk per start node.
-
-    Returns the node sequences (start included at position 0).  A walk
-    that terminates early (stubbornness draw) simply stops extending.
-    """
-    nw = len(starts)
-    paths: list[list[int]] = [[int(s)] for s in starts]
-    cur = starts.astype(np.int64).copy()
-    alive = np.ones(nw, dtype=bool)
-    for _ in range(t):
-        idx = np.flatnonzero(alive)
-        if len(idx) == 0:
-            break
-        stop = rng.random(len(idx)) < d[cur[idx]]
-        alive[idx[stop]] = False
-        move = idx[~stop]
-        if len(move) == 0:
-            continue
-        nxt = alias.sample(cur[move], rng)
-        cur[move] = nxt
-        for i, v in zip(move, nxt):
-            paths[i].append(int(v))
-    return paths
-
-
-def generate_walks_np(
-    graph: OpinionGraph,
-    cand: int,
-    starts: np.ndarray,
+    seed: int,
+    ids: np.ndarray,
     t: int,
     *,
-    seed: int,
-) -> pd.DataFrame:
-    """Reference generator (driver-side) — one walk per entry of ``starts``."""
-    rng = np.random.default_rng(seed)
-    paths = walk_kernel(
-        np.asarray(starts, dtype=np.int64), t, graph.reverse_alias(), graph.d[cand], rng
-    )
-    ends = np.array([p[-1] for p in paths], dtype=np.int64)
-    return pd.DataFrame(
-        {
-            "walk_id": np.arange(len(paths), dtype=np.int64),
-            "start": np.asarray(starts, dtype=np.int64),
-            "path": paths,
-            "op": graph.b0[cand, ends],
-        }
-    )
+    lam: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One t-step reverse walk per sketch id: ``(nodes, offsets, ends)``.
+
+    Walk ``ids[j]`` is ``nodes[offsets[j]:offsets[j + 1]]``, start included
+    at position 0, and ``ends[j]`` is its last node.  It starts at
+    ``id // lam`` (RW: λ walks per node) or, with ``lam=None``, at a
+    uniformly drawn node (RS).  All walks advance together, one frontier
+    step at a time; a walk that stops on its stubbornness coin leaves the
+    frontier.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    keys = stream_keys(seed, ids)
+    cur = ids // lam if lam else uniform_nodes(keys, len(alias.indptr) - 1)
+    idx = np.arange(len(ids))
+    steps = [(idx, cur)]
+    for step in range(t):
+        k = keys[idx]
+        move = uniforms(k, step, COIN) >= d[cur]
+        idx, cur, k = idx[move], cur[move], k[move]
+        if not len(idx):
+            break
+        cur = alias.sample(cur, uniforms(k, step, SLOT), uniforms(k, step, ACCEPT))
+        steps.append((idx, cur))
+    nodes, offsets = flatten_paths(len(ids), steps)
+    return nodes, offsets, nodes[offsets[1:] - 1]
+
+
+def map_id_range(
+    spark: SparkSession,
+    count: int,
+    kernel: Callable[[np.ndarray], list[pa.Array]],
+    schema: T.StructType,
+) -> DataFrame:
+    """``kernel`` over ids ``0..count-1``, one Arrow batch of ids at a time.
+
+    The ids come from ``spark.range`` in ``defaultParallelism``
+    partitions; ``kernel(ids)`` returns the output columns of ``schema``.
+    """
+    names = schema.fieldNames()
+
+    def gen(batches):
+        for batch in batches:
+            ids = batch.column(0).to_numpy()
+            yield pa.RecordBatch.from_arrays(kernel(ids), names=names)
+
+    parts = spark.sparkContext.defaultParallelism
+    return spark.range(count, numPartitions=parts).mapInArrow(gen, schema)
+
+
+def list_array(nodes: np.ndarray, offsets: np.ndarray) -> pa.ListArray:
+    """Arrow ``list<int32>`` column of the flat paths."""
+    return pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), pa.array(nodes))
 
 
 def generate_walks(
@@ -100,53 +170,27 @@ def generate_walks(
     t: int,
     *,
     lam: int | None = None,
-    starts: np.ndarray | None = None,
+    theta: int | None = None,
     seed: int = 0,
-    partitions: int | None = None,
 ) -> DataFrame:
     """Walks DataFrame ``(walk_id, start, path, op)``.
 
-    Either ``lam`` walks from *every* node (RW, Alg. 4) or exactly one walk
-    per entry of ``starts`` (RS sketches, Alg. 5).  The alias tables /
-    stubbornness / initial opinions are broadcast once; each partition runs
-    the vectorized kernel with an independent RNG stream derived from
-    ``seed`` and the partition's first walk id (deterministic).
+    Either ``lam`` walks from *every* node (RW, Alg. 4; walk ``i`` starts
+    at ``i // lam``) or ``theta`` walks from uniformly drawn nodes (RS
+    sketches, Alg. 5).  ``op`` is the target's initial opinion of the end
+    node.  Walk ``i`` is ``reverse_walks`` at id ``i``, whatever the
+    partitioning.
     """
-    if (lam is None) == (starts is None):
-        raise ValueError("pass exactly one of lam= or starts=")
-    if starts is None:
-        starts = np.repeat(np.arange(graph.n, dtype=np.int64), lam)
-    else:
-        starts = np.asarray(starts, dtype=np.int64)
-    sc = spark.sparkContext
-    bc = sc.broadcast(
-        (graph.reverse_alias(), graph.d[cand].copy(), graph.b0[cand].copy())
-    )
-    nparts = partitions or min(sc.defaultParallelism * 2, max(1, len(starts) // 256))
-    work = spark.createDataFrame(
-        pd.DataFrame({"walk_id": np.arange(len(starts), dtype=np.int64), "start": starts})
-    ).repartition(nparts)
+    if (lam is None) == (theta is None):
+        raise ValueError("pass exactly one of lam= or theta=")
+    alias, d, b0 = graph.reverse_alias(), graph.d[cand].copy(), graph.b0[cand].copy()
 
-    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        alias, d, b0 = bc.value
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, int(pdf["walk_id"].iloc[0])])
-            )
-            paths = walk_kernel(pdf["start"].to_numpy(), t, alias, d, rng)
-            ends = np.array([p[-1] for p in paths], dtype=np.int64)
-            yield pd.DataFrame(
-                {
-                    "walk_id": pdf["walk_id"].to_numpy(),
-                    "start": pdf["start"].to_numpy(),
-                    "path": paths,
-                    "op": b0[ends],
-                }
-            )
+    def kernel(ids):
+        nodes, offsets, ends = reverse_walks(alias, d, seed, ids, t, lam=lam)
+        starts = nodes[offsets[:-1]].astype(np.int64)
+        return [ids, starts, list_array(nodes, offsets), b0[ends]]
 
-    return work.mapInPandas(gen, WALK_SCHEMA)
+    return map_id_range(spark, graph.n * lam if lam else theta, kernel, WALK_SCHEMA)
 
 
 def truncated_estimate_np(

@@ -13,54 +13,90 @@ from repro.baselines.ged_t import ged_t_seeds
 from repro.baselines.im import (
     expected_influence_spread,
     generate_rr_sets,
-    rr_sets_np,
+    rr_sets,
     select_seeds_im,
 )
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.graphs.generators import random_instance, running_example
 from repro.graphs.graph import OpinionGraph
+from repro.opinion.walks import ACCEPT, COIN, SLOT, stream_keys, uniform_nodes, uniforms
 from repro.oracle import assert_equivalent
+
+
+def _rr(g, model, seed, count):
+    """Driver-side RR sets 0..count-1: (sets as lists, roots)."""
+    ids = np.arange(count)
+    nodes, offsets = rr_sets(g.reverse_alias(), g.w, model, seed, ids)
+    sets = [nodes[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
+    return sets, uniform_nodes(stream_keys(seed, ids), g.n)
+
+
+def _bfs_rr_set(g, seed, set_id, root):
+    """Reference IC RR set: a plain reverse BFS from ``root`` that flips the
+    coin of each in-edge slot it examines with the kernel's counter."""
+    alias = g.reverse_alias()
+    key = stream_keys(seed, np.array([set_id]))
+    visited, frontier = {int(root)}, [int(root)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for e in range(alias.indptr[v], alias.indptr[v + 1]):
+                u = int(alias.indices[e])
+                if uniforms(key, e, COIN)[0] < g.w[e] and u not in visited:
+                    visited.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(visited)
 
 
 class TestRRSets:
     def test_ic_root_always_included(self):
         g = random_instance(30, seed=0)
-        rng = np.random.default_rng(0)
-        sets = rr_sets_np(g, "ic", np.arange(30), rng)
-        for root, s in zip(range(30), sets):
+        sets, roots = _rr(g, "ic", 0, 300)
+        for root, s in zip(roots, sets):
             assert root in s
 
+    def test_ic_matches_reference_bfs(self):
+        g = random_instance(40, seed=11, avg_deg=4.0)
+        sets, roots = _rr(g, "ic", 6, 300)
+        assert max(map(len, sets)) > 5  # the BFS goes past the root's neighbours
+        for j, (root, s) in enumerate(zip(roots, sets)):
+            assert s == _bfs_rr_set(g, 6, j, root)
+
     def test_lt_is_a_path_of_distinct_nodes(self):
+        """Each LT set is a reverse path of distinct nodes that starts at
+        its root (so the root is in its set), drawn with the walk's alias
+        lanes; the draw after its last node is the first revisit."""
         g = random_instance(30, seed=1)
-        rng = np.random.default_rng(1)
-        sets = rr_sets_np(g, "lt", np.arange(30), rng)
-        for s in sets:
-            assert len(s) == len(set(s))
+        alias = g.reverse_alias()
+        sets, roots = _rr(g, "lt", 1, 300)
+        for j, (root, s) in enumerate(zip(roots, sets)):
+            assert s[0] == root and len(s) == len(set(s))
+            key = stream_keys(1, np.array([j]))
+            draws = [
+                alias.sample(np.array([v]), uniforms(key, i, SLOT), uniforms(key, i, ACCEPT))[0]
+                for i, v in enumerate(s)
+            ]
+            assert draws[:-1] == s[1:]
+            assert draws[-1] in s
 
     def test_ic_respects_reverse_reachability(self):
         g = running_example()
-        rng = np.random.default_rng(2)
-        sets = rr_sets_np(g, "ic", np.full(50, 0), rng)
-        for s in sets:  # node 0 has no real in-edges: RR set = {0}
-            assert s == [0]
+        closure = {0: {0}, 1: {1}, 2: {0, 1, 2}, 3: {0, 1, 2, 3}}
+        sets, roots = _rr(g, "ic", 2, 200)
+        assert set(roots) == {0, 1, 2, 3}
+        for root, s in zip(roots, sets):
+            assert set(s) <= closure[root]  # node 0 has no real in-edges: {0}
 
     def test_unknown_model_raises(self):
         g = random_instance(10, seed=2)
         with pytest.raises(ValueError):
-            rr_sets_np(g, "xx", np.array([0]), np.random.default_rng(0))
+            rr_sets(g.reverse_alias(), g.w, "xx", 0, np.array([0]))
 
     def test_spark_generation_counts(self, spark):
         g = random_instance(40, seed=3)
         rr = generate_rr_sets(spark, g, "ic", 200, seed=0)
         assert rr.count() == 200
-
-    def test_spark_generation_deterministic(self, spark):
-        g = random_instance(30, seed=4)
-        a = generate_rr_sets(spark, g, "lt", 100, seed=5).toPandas()
-        b = generate_rr_sets(spark, g, "lt", 100, seed=5).toPandas()
-        a = a.sort_values("sketch_id").reset_index(drop=True)
-        b = b.sort_values("sketch_id").reset_index(drop=True)
-        assert (a["nodes"].map(tuple) == b["nodes"].map(tuple)).all()
 
 
 class TestIMSeedSelection:

@@ -160,7 +160,8 @@ class TestAlias:
         g = running_example()
         at = g.reverse_alias()
         rng = np.random.default_rng(2)
-        draws = at.sample(np.full(100_000, 2), rng)  # node 2 has in {0,1}
+        u_slot, u_accept = rng.random((2, 100_000))
+        draws = at.sample(np.full(100_000, 2), u_slot, u_accept)  # node 2 has in {0,1}
         freq = np.bincount(draws, minlength=4) / 100_000
         assert np.allclose(freq[[0, 1]], [0.5, 0.5], atol=0.01)
 

@@ -10,6 +10,8 @@ from repro.experiments.tables import (
     table3,
     table6,
 )
+from repro.core.sandwich import sandwich_select
+from repro.experiments.datasets import TARGETS, load
 from repro.graphs.generators import random_instance
 
 
@@ -88,3 +90,38 @@ class TestComparisonHarness:
 
 def test_methods_tuple_matches_paper_list():
     assert METHODS == ("DM", "RW", "RS", "IC", "LT", "GED-T", "PR", "RWR", "DC")
+
+
+class TestDegenerateInputs:
+    """t = 0 and k ∈ {0, 1, n} on a 30-node yelp-lite: every method, each
+    score family and the sandwich return k distinct in-range nodes."""
+
+    SCORES = ("cumulative", "plurality", "copeland")
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return load("yelp-lite", nodes=30)
+
+    def _check(self, g, pick):
+        for t in (0, 3):
+            for k in (0, 1, g.n):
+                seeds = pick(t, k)
+                assert len(seeds) == k and len(set(seeds)) == k, (t, k, seeds)
+                assert all(0 <= s < g.n for s in seeds), (t, k, seeds)
+
+    @pytest.mark.parametrize("score", SCORES)
+    @pytest.mark.parametrize("method", METHODS)
+    def test_method_returns_k_distinct_nodes(self, spark, small, method, score):
+        target = TARGETS["yelp-lite"]
+        self._check(
+            small,
+            lambda t, k: select_with_method(spark, small, method, target, t, k, score),
+        )
+
+    @pytest.mark.parametrize("score", ["plurality", "copeland"])
+    def test_sandwich_returns_k_distinct_nodes(self, spark, small, score):
+        target = TARGETS["yelp-lite"]
+        self._check(
+            small,
+            lambda t, k: sandwich_select(spark, small, target, t, k, score).seeds,
+        )

@@ -1,18 +1,14 @@
-"""Tests for reverse random walks (§V): unbiasedness (Thms 8–9),
-truncation semantics, Spark generation, and truncation/estimation of the
-collected walks in the sketch engine."""
+"""Tests for reverse random walks (§V): the driver kernel, unbiasedness
+(Thms 8–9), truncation semantics, Spark generation, and
+truncation/estimation of the collected walks in the sketch engine.
+Spark ≡ driver exactness is in ``test_generation.py``."""
 import numpy as np
 import pytest
 
 from repro.core.sketch import SketchSet, collect_sketches
 from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import fj_diffuse_np
-from repro.opinion.walks import (
-    generate_walks,
-    generate_walks_np,
-    truncated_estimate_np,
-    walk_kernel,
-)
+from repro.opinion.walks import generate_walks, reverse_walks, truncated_estimate_np
 
 
 def _walk_sketches(walks, n: int, lam: int):
@@ -28,42 +24,57 @@ def _walk_sketches(walks, n: int, lam: int):
     )
 
 
+def _walks(g, t, seed, *, lam=None, count=None, cand=0):
+    """Driver-side walks: (paths as lists, starts, op) for ids 0..N-1."""
+    ids = np.arange(g.n * lam if lam else count)
+    nodes, offsets, ends = reverse_walks(g.reverse_alias(), g.d[cand], seed, ids, t, lam=lam)
+    paths = [nodes[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
+    return paths, nodes[offsets[:-1]], g.b0[cand, ends]
+
+
 class TestKernel:
     def test_path_starts_at_start_node(self):
         g = running_example()
-        rng = np.random.default_rng(0)
-        paths = walk_kernel(np.array([2, 3]), 3, g.reverse_alias(), g.d[0], rng)
-        assert paths[0][0] == 2 and paths[1][0] == 3
+        paths, starts, _ = _walks(g, 3, 0, lam=2)
+        assert [p[0] for p in paths] == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert starts.tolist() == [0, 0, 1, 1, 2, 2, 3, 3]
 
     @pytest.mark.parametrize("t", [0, 1, 4])
     def test_path_length_bounded(self, t):
         g = random_instance(50, seed=1)
-        rng = np.random.default_rng(1)
-        paths = walk_kernel(np.arange(50), t, g.reverse_alias(), g.d[0], rng)
+        paths, _, _ = _walks(g, t, 1, lam=1)
         assert all(1 <= len(p) <= t + 1 for p in paths)
 
     def test_fully_stubborn_walks_stop_immediately(self):
         g = random_instance(30, seed=2)
         g.d[:] = 1.0
-        rng = np.random.default_rng(2)
-        paths = walk_kernel(np.arange(30), 5, g.reverse_alias(), g.d[0], rng)
+        paths, _, _ = _walks(g, 5, 2, lam=1)
         assert all(len(p) == 1 for p in paths)
 
     def test_non_stubborn_walks_run_full_length(self):
         g = random_instance(30, seed=3)
         g.d[:] = 0.0
-        rng = np.random.default_rng(3)
-        paths = walk_kernel(np.arange(30), 5, g.reverse_alias(), g.d[0], rng)
+        paths, _, _ = _walks(g, 5, 3, lam=1)
         assert all(len(p) == 6 for p in paths)
 
     def test_steps_follow_reverse_edges(self):
         g = running_example()
-        rng = np.random.default_rng(4)
         in_nbrs = {0: {0}, 1: {1}, 2: {0, 1}, 3: {2}}
-        paths = walk_kernel(np.full(200, 3), 2, g.reverse_alias(), g.d[0], rng)
+        paths, _, _ = _walks(g, 2, 4, lam=50)
         for p in paths:
             for a, b in zip(p, p[1:]):
                 assert b in in_nbrs[a]
+
+    def test_rs_starts_are_uniform_draws(self):
+        g = random_instance(30, seed=4)
+        _, starts, _ = _walks(g, 2, 5, count=30_000)
+        assert starts.min() >= 0 and starts.max() < g.n
+        freq = np.bincount(starts, minlength=g.n) / len(starts)
+        assert np.abs(freq - 1 / g.n).max() < 0.005
+
+
+def _unit_means(starts, vals, n):
+    return np.bincount(starts, weights=vals, minlength=n) / np.bincount(starts, minlength=n)
 
 
 class TestUnbiasedness:
@@ -72,9 +83,8 @@ class TestUnbiasedness:
         """Thm 8: E[X] = b^(t).  20k walks/node → Hoeffding bound at 6σ."""
         g = running_example()
         exact = fj_diffuse_np(g, t)[0]
-        starts = np.repeat(np.arange(4), 20_000)
-        wdf = generate_walks_np(g, 0, starts, t, seed=11)
-        est = wdf.groupby("start")["op"].mean().to_numpy()
+        _, starts, op = _walks(g, t, 11, lam=20_000)
+        est = _unit_means(starts, op, g.n)
         assert np.abs(est - exact).max() < 0.02
 
     def test_truncation_unbiased(self):
@@ -82,12 +92,9 @@ class TestUnbiasedness:
         g = running_example()
         S = {2}
         exact = fj_diffuse_np(g.with_seeds(0, list(S)), 2)[0]
-        starts = np.repeat(np.arange(4), 20_000)
-        wdf = generate_walks_np(g, 0, starts, 2, seed=12)
-        wdf["op2"] = [
-            truncated_estimate_np(p, o, S) for p, o in zip(wdf["path"], wdf["op"])
-        ]
-        est = wdf.groupby("start")["op2"].mean().to_numpy()
+        paths, starts, op = _walks(g, 2, 12, lam=20_000)
+        op2 = [truncated_estimate_np(p, o, S) for p, o in zip(paths, op)]
+        est = _unit_means(starts, op2, g.n)
         assert np.abs(est - exact).max() < 0.02
 
     def test_truncation_on_random_graph(self):
@@ -95,12 +102,9 @@ class TestUnbiasedness:
         S = {3, 8}
         t = 3
         exact = fj_diffuse_np(g.with_seeds(0, list(S)), t)[0]
-        starts = np.repeat(np.arange(g.n), 4000)
-        wdf = generate_walks_np(g, 0, starts, t, seed=13)
-        wdf["op2"] = [
-            truncated_estimate_np(p, o, S) for p, o in zip(wdf["path"], wdf["op"])
-        ]
-        est = wdf.groupby("start")["op2"].mean().to_numpy()
+        paths, starts, op = _walks(g, t, 13, lam=4000)
+        op2 = [truncated_estimate_np(p, o, S) for p, o in zip(paths, op)]
+        est = _unit_means(starts, op2, g.n)
         assert np.abs(est - exact).max() < 0.05
 
 
@@ -130,14 +134,14 @@ class TestSparkPipeline:
 
     def test_starts_mode(self, spark):
         g = random_instance(30, seed=8)
-        starts = np.array([0, 0, 5, 7])
-        w = generate_walks(spark, g, 0, 2, starts=starts, seed=3).toPandas()
-        assert sorted(w["start"].tolist()) == [0, 0, 5, 7]
+        w = generate_walks(spark, g, 0, 2, theta=50, seed=3).toPandas()
+        _, starts, _ = _walks(g, 2, 3, count=50)
+        assert w.sort_values("walk_id")["start"].tolist() == starts.tolist()
 
     def test_requires_exactly_one_mode(self, spark):
         g = random_instance(10, seed=9)
         with pytest.raises(ValueError):
-            generate_walks(spark, g, 0, 2, lam=3, starts=np.array([0]))
+            generate_walks(spark, g, 0, 2, lam=3, theta=4)
         with pytest.raises(ValueError):
             generate_walks(spark, g, 0, 2)
 
@@ -146,14 +150,6 @@ class TestSparkPipeline:
         pdf = generate_walks(spark, g, 0, 3, lam=3, seed=4).toPandas()
         ends = pdf["path"].map(lambda p: p[-1]).to_numpy()
         assert np.allclose(pdf["op"].to_numpy(), g.b0[0, ends])
-
-    def test_deterministic_in_seed(self, spark):
-        g = random_instance(20, seed=11)
-        a = generate_walks(spark, g, 0, 3, lam=3, seed=5).toPandas()
-        b = generate_walks(spark, g, 0, 3, lam=3, seed=5).toPandas()
-        a = a.sort_values("walk_id").reset_index(drop=True)
-        b = b.sort_values("walk_id").reset_index(drop=True)
-        assert (a["path"].map(tuple) == b["path"].map(tuple)).all()
 
     def test_truncation_matches_reference(self, spark):
         g = random_instance(30, seed=12)
@@ -182,11 +178,3 @@ class TestSparkPipeline:
         )
         assert np.allclose(sk.estimates(), ref)
         assert (np.bincount(sk.unit) == 6).all()
-
-    def test_spark_estimates_close_to_exact(self, spark):
-        g = random_instance(20, seed=14, avg_deg=3.0)
-        t = 3
-        w = generate_walks(spark, g, 0, t, lam=400, seed=8)
-        est = _walk_sketches(w, g.n, 400).estimates()
-        exact = fj_diffuse_np(g, t)[0]
-        assert np.abs(est - exact).max() < 0.08
