@@ -19,11 +19,13 @@ size:
   user's contribution.
 
 Both are exact (they differ only in float rounding); see DESIGN.md §2.
+F comes from ``voting.scores.score_rows``; the reach-local change is a
+plain Σδ for the cumulative score and ``voting.scores.score_change`` (one
+group per candidate row, one unit per reached node) for the rank scores.
 """
 from __future__ import annotations
 
 import heapq
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +38,7 @@ from repro.graphs.graph import (
     spmv_dst,
 )
 from repro.opinion.fj import fj_diffuse_np
-from repro.voting.scores import duels, score_np, unit_contribution
+from repro.voting.scores import score_change, score_rows
 
 # At or below this node count the batched FJ iteration uses a dense W
 # (BLAS) over the full (batch × n) opinion matrix; above it, the reach-local
@@ -66,6 +68,7 @@ def batch_scores_np(
     """
     if score != "cumulative":
         assert others is not None, "rank-based scores need the others matrix"
+        assert user_mask is None, "a user mask applies to the cumulative score only"
     cand_seeds = np.asarray(cand_seeds, dtype=np.int64)
     kernel = _dense_scores if graph.n <= DENSE_N_THRESHOLD else _reach_local_scores
     return kernel(graph, target, seeds, cand_seeds, t, score, others, p, omega, user_mask)
@@ -83,14 +86,7 @@ def _dense_scores(graph, target, seeds, cand_seeds, t, score, others, p, omega, 
     for _ in range(t):
         M = (1.0 - d) * (M @ W) + d * b0
         M[rows, cand_seeds] = 1.0  # seed row: d=1, b0=1 ⇒ stays 1
-    if score == "cumulative":
-        if user_mask is not None:
-            return M[:, user_mask].sum(axis=1)
-        return M.sum(axis=1)
-    if score == "copeland":
-        above, below = duels(M, others)
-        return (above.sum(axis=-1) > below.sum(axis=-1)).sum(axis=0).astype(np.float64)
-    return unit_contribution(M, others, score, p=p, omega=omega).sum(axis=1)
+    return score_rows(M, others, score, p=p, omega=omega, user_mask=user_mask)
 
 
 def _reach_local_scores(graph, target, seeds, cand_seeds, t, score, others, p, omega, user_mask):
@@ -132,22 +128,13 @@ def _reach_local_scores(graph, target, seeds, cand_seeds, t, score, others, p, o
         delta = keep * segment_sum(delta[esrc] * ew, etgt, len(keys))
         delta[roots] = 1.0 - root_b[s]
 
-    if score == "cumulative":
-        if user_mask is not None:
-            return b[user_mask].sum() + segment_sum(delta * user_mask[pnode], prow, nb)
-        return b.sum() + segment_sum(delta, prow, nb)
-    old = b[pnode]
-    new = old + delta
+    base = score_rows(b, others, score, p=p, omega=omega, user_mask=user_mask)
+    if score == "cumulative":  # linear: F rises by Σδ over the reached users
+        lift = delta if user_mask is None else delta * user_mask[pnode]
+        return base + segment_sum(lift, prow, nb)
+    new = b[pnode] + delta
     new[roots] = 1.0  # the seed's opinion, exactly (ranks compare it)
-    opp = others[:, pnode]
-    if score == "copeland":
-        above, below = (x.sum(axis=-1)[:, None] for x in duels(b, others))
-        (na, nbl), (oa, obl) = duels(new, opp), duels(old, opp)
-        above = above + segment_sum(na.astype(np.int64) - oa, prow, nb)
-        below = below + segment_sum(nbl.astype(np.int64) - obl, prow, nb)
-        return (above > below).sum(axis=0).astype(np.float64)
-    contrib = partial(unit_contribution, score=score, p=p, omega=omega)
-    return contrib(b, others).sum() + segment_sum(contrib(new, opp) - contrib(old, opp), prow, nb)
+    return base + score_change(b, others, score, prow, pnode, new, nb, p=p, omega=omega)
 
 
 def others_at_horizon(graph: OpinionGraph, target: int, t: int) -> np.ndarray:
@@ -209,12 +196,8 @@ class ExactEvaluator:
         """Exact F(S) (no extra candidate)."""
         g = self.graph.with_seeds(self.target, seeds)
         bq = fj_diffuse_np(g, self.t, cand=self.target)
-        if self.score == "cumulative":
-            if self.user_mask is not None:
-                return float(bq[self.user_mask].sum())
-            return float(bq.sum())
-        stacked = np.vstack([bq[None, :], self.others])
-        return score_np(stacked, 0, self.score, p=self.p, omega=self.omega)
+        kw = dict(p=self.p, omega=self.omega, user_mask=self.user_mask)
+        return float(score_rows(bq, self.others, self.score, **kw))
 
 
 def greedy_dm(
@@ -222,7 +205,6 @@ def greedy_dm(
     k: int,
     *,
     celf: bool = True,
-    candidates: np.ndarray | None = None,
     init: list[int] | None = None,
 ) -> tuple[list[int], list[float]]:
     """Alg. 1 (greedy) with optional CELF lazy evaluation.
@@ -232,19 +214,18 @@ def greedy_dm(
     non-submodular scores pass ``celf=False`` (plain greedy), matching the
     paper's use of CELF for cumulative only.  ``init`` resumes a plain
     greedy run from an already-selected prefix (greedy is incremental).
-    Raises ``ValueError`` when k exceeds the pool plus ``init``.
+    Raises ``ValueError`` when k exceeds the n nodes (``init`` included).
     """
     n = evaluator.graph.n
-    pool = np.arange(n) if candidates is None else np.asarray(candidates)
     seeds: list[int] = list(init or [])
-    if k > len(np.union1d(pool, seeds)):
-        raise ValueError(f"cannot select k={k} seeds from a pool of {len(pool)} nodes")
+    if k > n:
+        raise ValueError(f"cannot select k={k} seeds from {n} nodes")
     trace: list[float] = []
     base = evaluator.score_of(seeds)
 
     if not celf:
         for _ in range(len(seeds), k):
-            cands = np.array([v for v in pool if v not in seeds])
+            cands = np.setdiff1d(np.arange(n), seeds)
             vals = evaluator(seeds, cands)
             best = int(cands[np.argmax(vals)])
             seeds.append(best)
@@ -255,8 +236,8 @@ def greedy_dm(
     if seeds:
         raise ValueError("init resume is only supported with celf=False")
     # CELF: heap of (-gain, node, round_computed)
-    vals = evaluator(seeds, pool)
-    heap = [(-(v - base), int(c), 0) for v, c in zip(vals, pool)]
+    vals = evaluator(seeds, np.arange(n))
+    heap = [(-(v - base), c, 0) for c, v in enumerate(vals)]
     heapq.heapify(heap)
     for rnd in range(1, k + 1):
         while True:

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.dm import ExactEvaluator, greedy_dm, others_at_horizon
+from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.core.sketch import SketchSet
 from repro.graphs.graph import OpinionGraph, forward_reach
 from repro.opinion.fj import fj_diffuse_np
-from repro.voting.scores import rank_np
+from repro.voting.scores import rank
 
 
 # --------------------------------------------------------------------- #
@@ -43,7 +43,7 @@ from repro.voting.scores import rank_np
 def favorable_users_np(graph: OpinionGraph, target: int, t: int, p: int) -> np.ndarray:
     """Boolean mask of V_q^(t): β(b_qv^(t)) ≤ p without any target seeds."""
     b = fj_diffuse_np(graph, t)
-    return rank_np(b, target) <= p
+    return rank(b[target], np.delete(b, target, axis=0)) <= p
 
 
 def weakly_favorable_users_np(graph: OpinionGraph, target: int, t: int) -> np.ndarray:
@@ -91,19 +91,6 @@ def greedy_coverage(
 # --------------------------------------------------------------------- #
 # Bound values
 # --------------------------------------------------------------------- #
-def lb_value(
-    graph: OpinionGraph,
-    target: int,
-    t: int,
-    seeds,
-    fav_mask: np.ndarray,
-    omega_p: float = 1.0,
-) -> float:
-    """LB(S) per Def. 3 (exact)."""
-    bq = fj_diffuse_np(graph.with_seeds(target, seeds), t, cand=target)
-    return omega_p * float(bq[fav_mask].sum())
-
-
 def ub_value(
     reach: np.ndarray, base_mask: np.ndarray, seeds, coeff: float
 ) -> float:

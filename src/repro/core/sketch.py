@@ -19,6 +19,11 @@ Sketches are grouped into *units*, the things the score counts:
 * Sandwich UB — one set per uncovered user (the nodes reaching it within t
   hops), again with ``op = 0``.
 
+A cumulative gain is a ``bincount`` of each sketch's lift 1 − op.  A rank
+gain is ``voting.scores.score_change`` with one group per candidate node and
+one unit per RW user or RS sketch, and F̂ is ``voting.scores.score_rows``.
+The n/θ scale applies to the scores that sum over users, never to Copeland.
+
 Greedy rule: the pick is the maximum gain, ties broken by the smallest node
 id, among the unselected nodes that occur in a live sketch prefix; when no
 such node is left, the pick is the smallest unselected id.
@@ -28,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import DataFrame
 
-from repro.voting.scores import duels, unit_contribution
+from repro.voting.scores import USER_SUMS, score_change, score_rows
 
 
 def collect_sketches(df: DataFrame, order: str, column: str):
@@ -82,7 +87,7 @@ class SketchSet:
         self.unit = np.arange(nsk) if unit is None else np.asarray(unit, dtype=np.int64)
         self.per_unit = per_unit
         self.score, self.others, self.p, self.omega = score, others, p, omega
-        self.scale = scale
+        self.scale = scale if score in USER_SUMS else 1.0  # Copeland counts duels
         self.retire = retire
         self.seeds: list[int] = []
         self._sketch = np.repeat(np.arange(nsk), self.cut)
@@ -103,14 +108,8 @@ class SketchSet:
 
     def estimated_score(self) -> float:
         """F̂ for the current (already-truncated) sketches."""
-        b = self.estimates()
-        if self.score == "cumulative":
-            return float(b.sum()) * self.scale
-        if self.score == "copeland":
-            above, below = duels(b, self.others)
-            return float((above.sum(axis=-1) > below.sum(axis=-1)).sum())
-        contrib = unit_contribution(b, self.others, self.score, p=self.p, omega=self.omega)
-        return float(contrib.sum()) * self.scale
+        f = score_rows(self.estimates(), self.others, self.score, p=self.p, omega=self.omega)
+        return float(f) * self.scale
 
     def gains(self) -> tuple[np.ndarray, np.ndarray]:
         """``(gain, cand)`` over all n nodes.
@@ -129,23 +128,11 @@ class SketchSet:
         pairs, inv = np.unique(self.unit[j] * self.n + v, return_inverse=True)
         u, pv = np.divmod(pairs, self.n)
         b = self.estimates()
-        bhat = b[u]
-        bnew = np.minimum(bhat + np.bincount(inv, weights=lift), 1.0)
-        others = self.others[:, u]
-        if self.score == "copeland":
-            above, below = (d.sum(axis=-1) for d in duels(b, self.others))
-            a_new, b_new = duels(bnew, others)
-            a_old, b_old = duels(bhat, others)
-            wins = np.zeros(self.n)
-            for x in range(len(others)):
-                d_above = np.bincount(pv, weights=a_new[x] * 1.0 - a_old[x], minlength=self.n)
-                d_below = np.bincount(pv, weights=b_new[x] * 1.0 - b_old[x], minlength=self.n)
-                wins += above[x] + d_above > below[x] + d_below
-            return wins - (above > below).sum(), cand
-        rise = unit_contribution(
-            bnew, others, self.score, p=self.p, omega=self.omega
-        ) - unit_contribution(bhat, others, self.score, p=self.p, omega=self.omega)
-        return np.bincount(pv, weights=rise, minlength=self.n) * self.scale, cand
+        new = np.minimum(b[u] + np.bincount(inv, weights=lift), 1.0)
+        change = score_change(
+            b, self.others, self.score, pv, u, new, self.n, p=self.p, omega=self.omega
+        )
+        return change * self.scale, cand
 
     def truncate(self, seed: int) -> None:
         """Truncate every live sketch at its first occurrence of ``seed``."""

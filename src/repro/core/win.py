@@ -1,20 +1,18 @@
 """FJ-Vote-Win: minimum seed set for the target to win (paper Prob. 2, Alg. 2).
 
-``min_seeds_to_win`` is the faithful Algorithm 2: binary search on k with
-a fresh greedy run per probe.  ``min_seeds_to_win_fast`` exploits that
-greedy selection is *incremental* (greedy(k') is a prefix of greedy(k))
-and that the win predicate is monotone along nested seed sets — the
-target's score is non-decreasing in S while every competitor's score is
-non-increasing (cumulative: unchanged; rank-based: target seeds can only
+Algorithm 2 binary-searches k with a fresh greedy run per probe (the tests
+keep that faithful form as a reference).  ``min_seeds_to_win_fast``
+exploits that greedy selection is *incremental* (greedy(k') is a prefix of
+greedy(k)) and that the win predicate is monotone along nested seed sets —
+the target's score is non-decreasing in S while every competitor's score
+is non-increasing (cumulative: unchanged; rank-based: target seeds can only
 demote competitors) — so the answer is the shortest winning prefix of one
-greedy sequence.  Both paths verify the win with *exact* opinions, as
-Algorithm 2 line 5 does.
+greedy sequence.  It verifies the win with *exact* opinions, as Algorithm 2
+line 5 does.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.graphs.graph import OpinionGraph
 from repro.opinion.fj import fj_diffuse_np
@@ -41,37 +39,6 @@ def target_wins(
         score_np(b, x, score, **score_kw) for x in range(graph.r) if x != target
     )
     return mine > best_other
-
-
-def min_seeds_to_win(
-    graph: OpinionGraph,
-    target: int,
-    t: int,
-    score: str,
-    selector: Callable[[int], list[int]],
-    *,
-    k_max: int | None = None,
-    **score_kw,
-) -> tuple[int, list[int]] | tuple[None, None]:
-    """Algorithm 2: binary search l=0, u=n; selector(k) per probe.
-
-    Returns (k*, S*) or (None, None) if the target cannot win even with
-    ``k_max`` (default n) seeds under the given selector.
-    """
-    if target_wins(graph, target, t, [], score, **score_kw):
-        return 0, []
-    lo, hi = 0, k_max if k_max is not None else graph.n
-    best = selector(hi)
-    if not target_wins(graph, target, t, best, score, **score_kw):
-        return None, None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        s = selector(mid)
-        if target_wins(graph, target, t, s, score, **score_kw):
-            hi, best = mid, s
-        else:
-            lo = mid
-    return hi, best
 
 
 def min_seeds_to_win_fast(

@@ -280,7 +280,8 @@ def segment_sum(vals: np.ndarray, index: np.ndarray, size: int) -> np.ndarray:
     lead = vals.shape[:-1]
     rows = int(np.prod(lead))
     keys = (np.arange(rows)[:, None] * size + index).ravel()
-    out = np.bincount(keys, weights=vals.reshape(rows, -1).ravel(), minlength=rows * size)
+    weights = vals.reshape(rows, vals.shape[-1]).ravel()
+    out = np.bincount(keys, weights=weights, minlength=rows * size)
     return out.reshape(lead + (size,))
 
 

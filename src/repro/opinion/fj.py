@@ -20,25 +20,16 @@ import numpy as np
 from repro.graphs.graph import OpinionGraph, spmv_dst
 
 
-def fj_diffuse_np(
-    graph: OpinionGraph,
-    t: int,
-    *,
-    cand: int | None = None,
-    b_init: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact opinions at horizon ``t`` (NumPy reference).
+def fj_diffuse_np(graph: OpinionGraph, t: int, *, cand: int | None = None) -> np.ndarray:
+    """Exact opinions at horizon ``t`` from ``graph.b0`` (NumPy reference).
 
-    Returns ``(r, n)`` (or ``(n,)`` when ``cand`` is given).  ``b_init``
-    overrides the starting opinions (defaults to ``graph.b0``); the
-    stubbornness anchor is always ``graph.b0`` per Eq. 2.
+    Returns ``(r, n)`` (or ``(n,)`` when ``cand`` is given).
     """
     if cand is None:
-        b = (graph.b0 if b_init is None else np.atleast_2d(b_init)).copy()
         b0, d = graph.b0, graph.d
     else:
-        b = (graph.b0[cand] if b_init is None else np.asarray(b_init)).copy()
         b0, d = graph.b0[cand], graph.d[cand]
+    b = b0.copy()
     for _ in range(t):
         b = (1.0 - d) * spmv_dst(graph, b) + d * b0
     return b

@@ -193,9 +193,7 @@ def generate_walks(
     return map_id_range(spark, graph.n * lam if lam else theta, kernel, WALK_SCHEMA)
 
 
-def truncated_estimate_np(
-    path: list[int], op: float, seeds: set[int], b0_end_is_op: bool = True
-) -> float:
+def truncated_estimate_np(path: list[int], op: float, seeds: set[int]) -> float:
     """Reference truncation for one walk (tests): first seed hit → 1."""
     for v in path:
         if v in seeds:

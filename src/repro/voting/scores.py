@@ -1,29 +1,33 @@
 """Voting-based scores (paper §II-B, Eqs. 3–7).
 
-All five scores are NumPy functions over the dense ``(r, n)`` opinion
-matrix at the time horizon.  The DuckDB oracle tests check the rank,
-duel and contribution rules below against the same rules written as SQL.
+One rule scores opinions for every caller.  ``score_rows`` gives F for each
+row of target opinions against the non-target opinions ``others``;
+``score_change`` gives the change in F when some users' target opinions
+move.  The NumPy scores (``score_np``), the exact evaluator (``core.dm``)
+and the sketch greedy (``core.sketch``) all call these two, and only they
+call the per-user rules below.  The DuckDB oracle tests check the rank,
+duel and contribution rules against the same rules written as SQL.
 
-Conventions: ``plurality = p_approval(p=1)``;
-``p_approval = positional_p_approval`` with ω ≡ 1; the Copeland win rule is
-strict (``>`` of win counts, Eq. 7).
+* β (``rank``) = 1 + #{x ≠ q : b_x ≥ b_q} per user (Eq. 4).
+* Cumulative, plurality, p-approval and positional-p-approval sum a
+  per-user term (``unit_contribution``): the opinion itself, or
+  ω[β]·1[β ≤ p].  ``plurality = p_approval(p=1)``; ``p_approval`` is
+  ``positional_p_approval`` with ω ≡ 1.
+* Copeland counts the opponents q beats in pairwise duels (``duels``); the
+  win rule is strict (``>`` of win counts, Eq. 7).
 
-The per-user rules — a user's contribution ω[β]·1[β ≤ p] to a
-plurality-variant score (``unit_contribution``) and Copeland's per-opponent
-above/below duels (``duels``) — are defined once here and shared by the
-NumPy scores, the exact batch evaluator (``core.dm``) and the sketch greedy
-(``core.sketch``).
+An unknown score name raises ``ValueError``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-SCORES = ("cumulative", "plurality", "p_approval", "positional_p_approval", "copeland")
+from repro.graphs.graph import segment_sum
 
-
-def rank_np(b: np.ndarray, q: int) -> np.ndarray:
-    """β(b_qv) per user v: number of candidates with b_xv ≥ b_qv (incl. q)."""
-    return (b >= b[q][None, :]).sum(axis=0)
+# Every score but Copeland is a sum of per-user terms, so a uniform sample of
+# users estimates it scaled by n / #samples; Copeland counts won duels.
+USER_SUMS = ("cumulative", "plurality", "p_approval", "positional_p_approval")
+SCORES = USER_SUMS + ("copeland",)
 
 
 def _against(others: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -32,21 +36,32 @@ def _against(others: np.ndarray, b: np.ndarray) -> np.ndarray:
     return others.reshape(others.shape[:1] + (1,) * (np.ndim(b) - 1) + others.shape[1:])
 
 
+def rank(b: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """β per user at target opinion ``b`` (..., m): 1 + #{x ≠ q : b_x ≥ b}.
+
+    ``others`` (r-1, m) are the non-target opinions; q's own term is the 1.
+    """
+    return 1 + (_against(others, b) >= b).sum(axis=0)
+
+
 def unit_contribution(
     b: np.ndarray,
-    others: np.ndarray,
+    others: np.ndarray | None,
     score: str,
     *,
     p: int = 1,
     omega: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Contribution ω[β]·1[β ≤ p] of each user at opinion ``b`` (..., m).
+    """Each user's term of a per-user score at target opinion ``b`` (..., m).
 
-    β = 1 + #{x ≠ q : b_x ≥ b} against the non-target opinions ``others``
-    (r-1, m) — the paper's rank (Eq. 4: q's own term contributes 1).
-    Plurality is p = 1; plurality and p-approval use ω ≡ 1.
+    Cumulative: the opinion itself.  Plurality variants: ω[β]·1[β ≤ p],
+    with plurality at p = 1 and ω ≡ 1 unless positional weights are given.
     """
-    beta = 1 + (_against(others, b) >= b).sum(axis=0)
+    if score == "cumulative":
+        return b
+    if score not in USER_SUMS:
+        raise ValueError(f"unknown score: {score!r}")
+    beta = rank(b, others)
     pp = 1 if score == "plurality" else p
     if score == "positional_p_approval" and omega is not None:
         om = np.asarray(omega, dtype=np.float64)
@@ -65,31 +80,60 @@ def duels(b: np.ndarray, others: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return b > o, b < o
 
 
-def cumulative_np(b: np.ndarray, q: int) -> float:
-    return float(b[q].sum())
+def score_rows(
+    b: np.ndarray,
+    others: np.ndarray | None,
+    score: str,
+    *,
+    p: int = 1,
+    omega: np.ndarray | None = None,
+    user_mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """F for each row of target opinions ``b`` (..., m) against ``others`` (r-1, m).
+
+    ``user_mask`` restricts F to a subset of the m users (the sandwich LB,
+    Def. 3).  Cumulative ignores ``others``.
+    """
+    if user_mask is not None:
+        b = b[..., user_mask]
+        others = None if others is None else others[:, user_mask]
+    if score == "copeland":
+        above, below = duels(b, others)
+        return (above.sum(axis=-1) > below.sum(axis=-1)).sum(axis=0).astype(np.float64)
+    return unit_contribution(b, others, score, p=p, omega=omega).sum(axis=-1)
 
 
-def positional_p_approval_np(
-    b: np.ndarray, q: int, p: int, omega: np.ndarray | None = None
-) -> float:
-    contrib = unit_contribution(
-        b[q], np.delete(b, q, axis=0), "positional_p_approval", p=p, omega=omega
+def score_change(
+    b: np.ndarray,
+    others: np.ndarray,
+    score: str,
+    group: np.ndarray,
+    unit: np.ndarray,
+    new: np.ndarray,
+    size: int,
+    *,
+    p: int = 1,
+    omega: np.ndarray | None = None,
+) -> np.ndarray:
+    """Change in a rank-based F when ``b[unit[i]]`` becomes ``new[i]``.
+
+    ``b`` (m,) are the current target opinions and ``others`` (r-1, m) the
+    non-target ones.  Pair i belongs to group ``group[i]`` < ``size``; the
+    pairs of a group change together (a unit appears at most once per
+    group), and groups are independent.  Returns one change per group.
+    """
+    old, opp = b[unit], others[:, unit]
+    if score == "copeland":
+        above, below = (x.sum(axis=-1, keepdims=True) for x in duels(b, others))
+        (new_above, new_below), (old_above, old_below) = duels(new, opp), duels(old, opp)
+        wins = above + segment_sum(new_above * 1.0 - old_above, group, size) > (
+            below + segment_sum(new_below * 1.0 - old_below, group, size)
+        )
+        return wins.sum(axis=0) - (above > below).sum()
+    rise = unit_contribution(new, opp, score, p=p, omega=omega) - unit_contribution(
+        old, opp, score, p=p, omega=omega
     )
-    return float(contrib.sum())
-
-
-def p_approval_np(b: np.ndarray, q: int, p: int) -> float:
-    return positional_p_approval_np(b, q, p)
-
-
-def plurality_np(b: np.ndarray, q: int) -> float:
-    """#users with b_qv strictly above every other candidate (Eq. 4: β ≤ 1)."""
-    return p_approval_np(b, q, 1)
-
-
-def copeland_np(b: np.ndarray, q: int) -> float:
-    above, below = duels(b[q], np.delete(b, q, axis=0))
-    return float((above.sum(axis=-1) > below.sum(axis=-1)).sum())
+    return segment_sum(rise, group, size)
 
 
 def score_np(
@@ -100,22 +144,5 @@ def score_np(
     p: int = 1,
     omega: np.ndarray | None = None,
 ) -> float:
-    """Dispatch one of the five scores on a dense (r, n) opinion matrix."""
-    if score == "cumulative":
-        return cumulative_np(b, q)
-    if score == "plurality":
-        return plurality_np(b, q)
-    if score == "p_approval":
-        return p_approval_np(b, q, p)
-    if score == "positional_p_approval":
-        return positional_p_approval_np(b, q, p, omega)
-    if score == "copeland":
-        return copeland_np(b, q)
-    raise ValueError(f"unknown score: {score}")
-
-
-def winner_np(b: np.ndarray, score: str, **kw) -> int:
-    """Index of the candidate with the maximum score (first on ties)."""
-    vals = [score_np(b, q, score, **kw) for q in range(b.shape[0])]
-    return int(np.argmax(vals))
-
+    """F of candidate ``q`` on a dense (r, n) opinion matrix."""
+    return float(score_rows(b[q], np.delete(b, q, axis=0), score, p=p, omega=omega))

@@ -129,31 +129,22 @@ class TestGreedy:
         assert len(seeds) == 2 and len(set(seeds)) == 2
         assert trace == sorted(trace)  # scores non-decreasing in seeds
 
-    def test_candidate_pool_restriction(self):
-        g = random_instance(30, seed=14)
-        ev = ExactEvaluator(None, g, 0, 3, "cumulative")
-        pool = np.array([1, 2, 3])
-        seeds, _ = greedy_dm(ev, 2, celf=False, candidates=pool)
-        assert set(seeds) <= {1, 2, 3}
-
     @pytest.mark.parametrize("celf", [True, False])
     def test_k_above_pool_raises(self, celf):
-        g = random_instance(20, seed=15)
+        g = random_instance(6, seed=15)
         ev = ExactEvaluator(None, g, 0, 3, "cumulative")
-        pool = np.array([1, 2, 3])
-        seeds, _ = greedy_dm(ev, 3, celf=celf, candidates=pool)
-        assert sorted(seeds) == [1, 2, 3]
-        with pytest.raises(ValueError, match="k=4"):
-            greedy_dm(ev, 4, celf=celf, candidates=pool)
+        seeds, _ = greedy_dm(ev, 6, celf=celf)
+        assert sorted(seeds) == list(range(6))
+        with pytest.raises(ValueError, match="k=7"):
+            greedy_dm(ev, 7, celf=celf)
 
     def test_k_counts_init_seeds_toward_pool(self):
-        g = random_instance(20, seed=15)
+        g = random_instance(6, seed=15)
         ev = ExactEvaluator(None, g, 0, 3, "cumulative")
-        pool = np.array([1, 2, 3])
-        seeds, _ = greedy_dm(ev, 4, celf=False, candidates=pool, init=[7])
-        assert seeds[0] == 7 and sorted(seeds[1:]) == [1, 2, 3]
-        with pytest.raises(ValueError, match="k=5"):
-            greedy_dm(ev, 5, celf=False, candidates=pool, init=[7])
+        seeds, _ = greedy_dm(ev, 6, celf=False, init=[4])
+        assert seeds[0] == 4 and sorted(seeds) == list(range(6))
+        with pytest.raises(ValueError, match="k=7"):
+            greedy_dm(ev, 7, celf=False, init=[4])
 
     def test_running_example_greedy_picks_node0_for_cumulative(self):
         # Table I: {1} (node 0) maximizes the cumulative score at t=1.
@@ -217,6 +208,21 @@ class TestKernelPaths:
         blocked[hubs] = True
         cands = np.arange(g.n)
         assert forward_reach(g, cands, 3, blocked).sum() < forward_reach(g, cands, 3).sum()
+
+    @pytest.mark.parametrize("score", ["plurality", "copeland"])
+    def test_sole_candidate_kernels_agree(self, monkeypatch, score):
+        """r = 1: no opponent, so every user ranks the target first and it
+        wins no duel; both kernels say so."""
+        import repro.core.dm as dm_mod
+
+        g0 = random_instance(30, r=2, seed=33)
+        g = OpinionGraph.from_edges(g0.n, g0.src, g0.dst, g0.w, g0.b0[:1], g0.d[:1])
+        ev = ExactEvaluator(None, g, 0, 3, score)
+        assert ev.others.shape == (0, g.n)
+        want = np.full(g.n, g.n if score == "plurality" else 0.0)
+        for threshold in (g.n, 0):
+            monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", threshold)
+            np.testing.assert_array_equal(ev([4], np.arange(g.n)), want)
 
     @pytest.mark.parametrize("score", ["cumulative", "plurality"])
     def test_evaluator_runs_reach_local_kernel_above_threshold(self, monkeypatch, score):

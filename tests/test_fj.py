@@ -91,13 +91,6 @@ class TestNumpyReference:
         seeded = opinions_at_horizon_np(g, t, 0, [0, 5, 9])[0]
         assert (seeded >= base - 1e-12).all()
 
-    def test_b_init_override(self):
-        g = random_instance(30, seed=7)
-        ones = np.ones((g.r, g.n))
-        b = fj_diffuse_np(g, 3, b_init=ones)
-        # Aggregation of 1s is 1; stubbornness mixes back toward b0 ≤ 1.
-        assert (b <= 1 + 1e-12).all() and (b >= g.b0.min() - 1e-12).all()
-
 
 def test_fj_t_step_oracle():
     """t = 3 FJ steps: NumPy kernel ≡ DuckDB SQL, without and with seeds."""

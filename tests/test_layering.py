@@ -35,3 +35,26 @@ def test_only_allowed_modules_import_pyspark():
         p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py") if _imports_pyspark(p)
     }
     assert found == SPARK_MODULES
+
+
+# The score rule lives in voting/scores.py: every other module scores
+# opinions through score_rows / score_change / score_np, never through the
+# per-user primitives.
+RULE_PRIMITIVES = {"duels", "unit_contribution"}
+
+
+def _calls(path: Path) -> set[str]:
+    """Names of the functions ``path`` calls, as ``f(...)`` or ``mod.f(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            names.add(fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None))
+    return names
+
+
+def test_only_scores_calls_the_rule_primitives():
+    found = {
+        p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py") if _calls(p) & RULE_PRIMITIVES
+    }
+    assert found == {"voting/scores.py"}

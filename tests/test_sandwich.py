@@ -7,7 +7,6 @@ from repro.core.dm import ExactEvaluator
 from repro.core.sandwich import (
     favorable_users_np,
     greedy_coverage,
-    lb_value,
     reach_sets_np,
     sandwich_select,
     ub_value,
@@ -17,7 +16,7 @@ from repro.graphs.generators import random_instance, running_example
 from repro.graphs.graph import forward_reach
 from repro.opinion.fj import fj_diffuse_np
 from repro.oracle import assert_equivalent
-from repro.voting.scores import rank_np
+from repro.voting.scores import rank
 
 
 class TestFavorableSets:
@@ -26,7 +25,7 @@ class TestFavorableSets:
         t, p = 3, 2
         mask = favorable_users_np(g, 0, t, p)
         b = fj_diffuse_np(g, t)
-        assert np.array_equal(mask, rank_np(b, 0) <= p)
+        assert np.array_equal(mask, rank(b[0], b[1:]) <= p)
 
     def test_weakly_favorable_definition(self):
         g = random_instance(40, r=4, seed=1)
@@ -131,7 +130,7 @@ class TestBounds:
         reach = reach_sets_np(g, t)
         ev = ExactEvaluator(None, g, 0, t, "plurality")
         f = ev.score_of(S)
-        lb = lb_value(g, 0, t, S, fav)
+        lb = ExactEvaluator(None, g, 0, t, "cumulative", user_mask=fav).score_of(S)
         ub = ub_value(reach, fav, S, 1.0)
         assert lb <= f + 1e-9 <= ub + 1e-9, (lb, f, ub)
 
@@ -152,8 +151,9 @@ class TestBounds:
     def test_lb_monotone_in_seeds(self):
         g = random_instance(30, r=2, seed=20)
         fav = favorable_users_np(g, 0, 2, 1)
-        v1 = lb_value(g, 0, 2, [3], fav)
-        v2 = lb_value(g, 0, 2, [3, 7], fav)
+        lb = ExactEvaluator(None, g, 0, 2, "cumulative", user_mask=fav)
+        v1 = lb.score_of([3])
+        v2 = lb.score_of([3, 7])
         assert v2 >= v1 - 1e-12
 
     def test_ub_submodular_sampled(self):

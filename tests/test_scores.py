@@ -8,16 +8,12 @@ from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np
 from repro.oracle import assert_equivalent, opinions_pdf
 from repro.voting.scores import (
-    copeland_np,
-    cumulative_np,
     duels,
-    p_approval_np,
-    plurality_np,
-    positional_p_approval_np,
-    rank_np,
+    rank,
+    score_change,
     score_np,
+    score_rows,
     unit_contribution,
-    winner_np,
 )
 
 # ------------------------------------------------------------------ #
@@ -42,15 +38,15 @@ class TestTable1:
 
     def test_cumulative(self, seed_set):
         b = opinions_at_horizon_np(running_example(), 1, 0, seed_set)
-        assert np.isclose(cumulative_np(b, 0), TABLE1[seed_set][1])
+        assert np.isclose(score_np(b, 0, "cumulative"), TABLE1[seed_set][1])
 
     def test_plurality(self, seed_set):
         b = opinions_at_horizon_np(running_example(), 1, 0, seed_set)
-        assert plurality_np(b, 0) == TABLE1[seed_set][2]
+        assert score_np(b, 0, "plurality") == TABLE1[seed_set][2]
 
     def test_copeland(self, seed_set):
         b = opinions_at_horizon_np(running_example(), 1, 0, seed_set)
-        assert copeland_np(b, 0) == TABLE1[seed_set][3]
+        assert score_np(b, 0, "copeland") == TABLE1[seed_set][3]
 
 
 def test_table1_competitor_opinions_at_t1():
@@ -66,67 +62,64 @@ class TestNumpyScores:
     def test_rank_counts_ties_as_at_least(self):
         b = np.array([[0.5, 0.3], [0.5, 0.6], [0.2, 0.1]])
         # User 0: b_q=0.5 tied with candidate 1 → β = 2.
-        assert rank_np(b, 0).tolist() == [2, 2]
+        assert rank(b[0], b[1:]).tolist() == [2, 2]
 
     def test_plurality_requires_strict_top(self):
         b = np.array([[0.5], [0.5]])
-        assert plurality_np(b, 0) == 0  # tie is not a win (β = 2 > 1)
+        assert score_np(b, 0, "plurality") == 0  # tie is not a win (β = 2 > 1)
 
     def test_p_approval_generalizes_plurality(self):
         g = random_instance(50, r=4, seed=0)
         b = fj_diffuse_np(g, 3)
-        assert plurality_np(b, 1) == p_approval_np(b, 1, 1)
+        assert score_np(b, 1, "plurality") == score_np(b, 1, "p_approval", p=1)
 
     def test_p_approval_monotone_in_p(self):
         g = random_instance(50, r=4, seed=1)
         b = fj_diffuse_np(g, 3)
-        vals = [p_approval_np(b, 0, p) for p in range(1, 5)]
+        vals = [score_np(b, 0, "p_approval", p=p) for p in range(1, 5)]
         assert vals == sorted(vals)
 
     def test_p_approval_at_r_counts_everyone(self):
         g = random_instance(50, r=3, seed=2)
         b = fj_diffuse_np(g, 2)
-        assert p_approval_np(b, 0, 3) == g.n
+        assert score_np(b, 0, "p_approval", p=3) == g.n
 
     def test_positional_weights_reduce_score(self):
         g = random_instance(50, r=3, seed=3)
         b = fj_diffuse_np(g, 2)
-        full = p_approval_np(b, 0, 2)
-        weighted = positional_p_approval_np(b, 0, 2, np.array([1.0, 0.5, 0.0]))
+        full = score_np(b, 0, "p_approval", p=2)
+        weighted = score_np(
+            b, 0, "positional_p_approval", p=2, omega=np.array([1.0, 0.5, 0.0])
+        )
         assert weighted <= full
 
     def test_positional_omega_zero_tail_equals_lower_p(self):
         g = random_instance(60, r=3, seed=4)
         b = fj_diffuse_np(g, 2)
         # ω = [1, 0, ...] with p=2 ≡ 1-approval (paper §VIII-C: ω[p]=0).
-        assert positional_p_approval_np(
-            b, 0, 2, np.array([1.0, 0.0, 0.0])
-        ) == p_approval_np(b, 0, 1)
+        assert score_np(
+            b, 0, "positional_p_approval", p=2, omega=np.array([1.0, 0.0, 0.0])
+        ) == score_np(b, 0, "p_approval", p=1)
 
     def test_copeland_bounded_by_r_minus_1(self):
         g = random_instance(50, r=5, seed=5)
         b = fj_diffuse_np(g, 2)
         for q in range(5):
-            assert 0 <= copeland_np(b, q) <= 4
+            assert 0 <= score_np(b, q, "copeland") <= 4
 
     def test_copeland_condorcet_winner(self):
         b = np.array([[0.9, 0.9, 0.9], [0.1, 0.5, 0.2], [0.2, 0.1, 0.3]])
-        assert copeland_np(b, 0) == 2  # beats everyone → Condorcet winner
+        assert score_np(b, 0, "copeland") == 2  # beats everyone → Condorcet winner
 
     def test_copeland_strict_majority_needed(self):
         # 1 user above, 1 below → no win (Eq. 7 uses strict >).
         b = np.array([[0.9, 0.1], [0.1, 0.9]])
-        assert copeland_np(b, 0) == 0
+        assert score_np(b, 0, "copeland") == 0
 
     def test_cumulative_is_row_sum(self):
         g = random_instance(40, seed=6)
         b = fj_diffuse_np(g, 2)
-        assert np.isclose(cumulative_np(b, 1), b[1].sum())
-
-    def test_winner_np_picks_max(self):
-        b = np.array([[0.9, 0.9], [0.1, 0.2]])
-        assert winner_np(b, "plurality") == 0
-        assert winner_np(b, "cumulative") == 0
+        assert np.isclose(score_np(b, 1, "cumulative"), b[1].sum())
 
     def test_score_np_dispatch_unknown(self):
         with pytest.raises(ValueError):
@@ -161,6 +154,80 @@ class TestNumpyScores:
 
 
 # ------------------------------------------------------------------ #
+# Unknown score names
+# ------------------------------------------------------------------ #
+@pytest.mark.parametrize("name", ["borda", "Plurality"])
+class TestUnknownScore:
+    """A name outside SCORES raises instead of being scored as plurality."""
+
+    def test_score_np(self, name):
+        b = fj_diffuse_np(random_instance(20, r=3, seed=9), 2)
+        with pytest.raises(ValueError, match="unknown score"):
+            score_np(b, 0, name)
+
+    @pytest.mark.parametrize("threshold", [0, 10**9], ids=["reach_local", "dense"])
+    def test_exact_evaluator(self, monkeypatch, name, threshold):
+        import repro.core.dm as dm_mod
+
+        monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", threshold)
+        ev = dm_mod.ExactEvaluator(None, random_instance(20, r=3, seed=9), 0, 2, name)
+        with pytest.raises(ValueError, match="unknown score"):
+            ev([], [0, 1, 2])
+
+    def test_sketch_select(self, name):
+        from repro.core.sketch import SketchSet
+
+        sk = SketchSet(
+            5, [3, 2, 4], [0, 2, 3], [0.5, 0.0], score=name, others=np.full((1, 2), 0.3)
+        )
+        with pytest.raises(ValueError, match="unknown score"):
+            sk.select(1)
+
+
+# ------------------------------------------------------------------ #
+# score_change ≡ score_rows after − score_rows before
+# ------------------------------------------------------------------ #
+@pytest.mark.parametrize(
+    "score, kw",
+    [
+        ("plurality", {}),
+        ("p_approval", {"p": 2}),
+        ("positional_p_approval", {"p": 3, "omega": np.array([1.0, 0.6, 0.3, 0.0])}),
+        ("copeland", {}),
+    ],
+    ids=["plurality", "p_approval", "positional_p_approval", "copeland"],
+)
+def test_score_change_is_difference_of_scores(score, kw):
+    """Per group, the change equals F after all of the group's units move
+    minus F before.  Opinions are rounded to 1 decimal (ties everywhere),
+    the last opponent ties the target on every user (a drawn duel), one
+    unit per group moves to exactly 1.0, and group 5 has no pairs."""
+    b_all = np.round(fj_diffuse_np(random_instance(40, r=4, seed=21), 2), 1)
+    b, others = b_all[0], np.vstack([b_all[1:], b_all[0]])
+    rng = np.random.default_rng(21)
+    ngroups, per_group = 6, 8
+    group = np.repeat(np.arange(ngroups - 1), per_group)
+    unit = np.concatenate(
+        [rng.choice(len(b), per_group, replace=False) for _ in range(ngroups - 1)]
+    )
+    new = np.round(rng.uniform(0.0, 1.0, len(unit)), 1)
+    new[::per_group] = 1.0
+    order = rng.permutation(len(unit))  # pairs need not be sorted by group
+    group, unit, new = group[order], unit[order], new[order]
+
+    got = score_change(b, others, score, group, unit, new, ngroups, **kw)
+    assert got.shape == (ngroups,)
+    before = score_rows(b, others, score, **kw)
+    for grp in range(ngroups):
+        after = b.copy()
+        hit = group == grp
+        after[unit[hit]] = new[hit]
+        want = score_rows(after, others, score, **kw) - before
+        assert got[grp] == pytest.approx(want, abs=1e-12), grp
+    assert got[ngroups - 1] == 0
+
+
+# ------------------------------------------------------------------ #
 # NumPy rules vs the DuckDB oracle
 # ------------------------------------------------------------------ #
 def _opinion_cases(n, r, seed):
@@ -172,14 +239,14 @@ def _opinion_cases(n, r, seed):
 def test_cumulative_oracle():
     for b in _opinion_cases(50, 2, 11):
         assert_equivalent(
-            pd.DataFrame({"s": [cumulative_np(b, 0)]}),
+            pd.DataFrame({"s": [score_np(b, 0, "cumulative")]}),
             "SELECT SUM(b) AS s FROM ops WHERE cand = 0",
             ops=opinions_pdf(b),
         )
 
 
 def test_rank_aggregate_oracle():
-    """The β-rank self-join (basis of the plurality variants) ≡ rank_np."""
+    """The β-rank self-join (basis of the plurality variants) ≡ ``rank``."""
     sql = """
         SELECT o.node AS node, o.cand AS cand,
                SUM(CASE WHEN x.b >= o.b THEN 1 ELSE 0 END) AS beta
@@ -187,7 +254,7 @@ def test_rank_aggregate_oracle():
         GROUP BY o.node, o.cand
     """
     for b in _opinion_cases(40, 3, 12):
-        ranks = np.array([rank_np(b, q) for q in range(len(b))])
+        ranks = np.array([rank(b[q], np.delete(b, q, axis=0)) for q in range(len(b))])
         got = opinions_pdf(ranks).rename(columns={"b": "beta"})
         assert_equivalent(got, sql, ops=opinions_pdf(b))
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.dm import ExactEvaluator, greedy_dm
-from repro.core.win import min_seeds_to_win, min_seeds_to_win_fast, target_wins
+from repro.core.win import min_seeds_to_win_fast, target_wins
 from repro.graphs.generators import random_instance, running_example
 from repro.graphs.graph import OpinionGraph
 from repro.opinion.fj import opinions_at_horizon_np
@@ -14,6 +14,28 @@ def _sole_candidate():
     """running_example() with only the target's row of b0 and d (r = 1)."""
     g = running_example()
     return OpinionGraph.from_edges(g.n, g.src, g.dst, g.w, g.b0[:1], g.d[:1])
+
+
+def min_seeds_to_win(graph, target, t, score, selector, *, k_max=None):
+    """Algorithm 2 as written: binary search l = 0, u = n, selector(k) per probe.
+
+    The reference for ``min_seeds_to_win_fast``.  Returns (k*, S*), or
+    (None, None) if the target cannot win with ``k_max`` (default n) seeds.
+    """
+    if target_wins(graph, target, t, [], score):
+        return 0, []
+    lo, hi = 0, k_max if k_max is not None else graph.n
+    best = selector(hi)
+    if not target_wins(graph, target, t, best, score):
+        return None, None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s = selector(mid)
+        if target_wins(graph, target, t, s, score):
+            hi, best = mid, s
+        else:
+            lo = mid
+    return hi, best
 
 
 def _greedy_seq(g, target, t, score, k):
