@@ -1,13 +1,14 @@
 """Shared SparkSession builder for the job entrypoints.
 
-Mirrors the conftest fixture's configuration.  ``spark.driver.memory``
-must be set before the JVM launches, so it goes into
-``PYSPARK_SUBMIT_ARGS`` at import time (same mechanism as conftest.py).
-The driver JVM only runs sketch generation and collects its Arrow output;
-greedy rounds and exact evaluation run in Python.  The largest jobs here
-(``run_scores.py`` on dblp-lite, and on twitter-sd-lite with ``--ks 10 40
---theta 13000``) peak at ~320 MB of used heap and ~730 MB resident on a
-4-core host, so the default is 2g.  Override with ``SPARK_DRIVER_MEM``.
+``spark.driver.memory`` must be set before the JVM launches, so it goes
+into ``PYSPARK_SUBMIT_ARGS`` at import time.  The jobs only run sketch
+generation (``spark.range(...).mapInArrow``) and collect its output with
+``toArrow``: nothing shuffles, joins or converts through pandas, so the
+session needs no SQL settings.  Greedy rounds and exact evaluation run in
+Python.  The largest jobs here (``run_scores.py`` on dblp-lite, and on
+twitter-sd-lite with ``--ks 10 40 --theta 13000``) peak at ~320 MB of used
+heap and ~730 MB resident on a 4-core host, so the default is 2g.
+Override with ``SPARK_DRIVER_MEM``.
 """
 import os
 
@@ -24,13 +25,4 @@ from pyspark.sql import SparkSession  # noqa: E402
 
 
 def get_spark(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"),
-        )
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    return SparkSession.builder.appName(app).getOrCreate()

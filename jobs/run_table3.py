@@ -1,13 +1,10 @@
 """Table III: dataset characteristics — paper vs lite analogues."""
-from _session import get_spark
 from repro.experiments.tables import table3
 
 
 def main() -> None:
-    spark = get_spark("table3")
     print("Table III — datasets (paper vs synthetic lite analogues)")
     print(table3().to_string(index=False))
-    spark.stop()
 
 
 if __name__ == "__main__":

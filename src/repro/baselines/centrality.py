@@ -32,12 +32,15 @@ def degree_seeds(spark, graph: OpinionGraph, k: int) -> list[int]:
     return top_k(np.bincount(graph.src[real], minlength=graph.n), k)
 
 
-def _pr_edges(graph: OpinionGraph, reverse: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-stochastic transition edges for PR (uniform over out-edges)."""
+# PR/RWR damping factor c (the probability of following an edge).
+DAMPING = 0.85
+
+
+def _pr_edges(graph: OpinionGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-stochastic transition edges of the reverse graph (uniform over
+    each node's in-edges), self-loops excluded."""
     keep = graph.src != graph.dst
-    src, dst = graph.src[keep], graph.dst[keep]
-    if reverse:
-        src, dst = dst, src
+    src, dst = graph.dst[keep], graph.src[keep]
     deg = np.bincount(src, minlength=graph.n)
     w = 1.0 / deg[src]
     return src, dst, w
@@ -46,14 +49,13 @@ def _pr_edges(graph: OpinionGraph, reverse: bool) -> tuple[np.ndarray, np.ndarra
 def pagerank_np(
     graph: OpinionGraph,
     *,
-    reverse: bool = True,
-    damping: float = 0.85,
     iters: int = 20,
     restart: np.ndarray | None = None,
 ) -> np.ndarray:
-    """PR/RWR power iteration: π ← c·πP + (1−c)·restart (dangling → restart)."""
+    """PR/RWR power iteration on the reverse graph:
+    π ← c·πP + (1−c)·restart (dangling → restart)."""
     n = graph.n
-    src, dst, w = _pr_edges(graph, reverse)
+    src, dst, w = _pr_edges(graph)
     r = np.full(n, 1.0 / n) if restart is None else restart / restart.sum()
     pi = r.copy()
     has_out = np.zeros(n, dtype=bool)
@@ -61,32 +63,18 @@ def pagerank_np(
     for _ in range(iters):
         out = segment_sum(pi[src] * w, dst, n)
         dangling = pi[~has_out].sum()
-        pi = damping * (out + dangling * r) + (1.0 - damping) * r
+        pi = DAMPING * (out + dangling * r) + (1.0 - DAMPING) * r
     return pi
 
 
-def pagerank_seeds(
-    spark,
-    graph: OpinionGraph,
-    k: int,
-    *,
-    damping: float = 0.85,
-    iters: int = 20,
-) -> list[int]:
+def pagerank_seeds(spark, graph: OpinionGraph, k: int, *, iters: int = 20) -> list[int]:
     """Top-k PageRank (reverse-graph) nodes."""
-    return top_k(pagerank_np(graph, damping=damping, iters=iters), k)
+    return top_k(pagerank_np(graph, iters=iters), k)
 
 
 def rwr_seeds(
-    spark,
-    graph: OpinionGraph,
-    k: int,
-    target: int,
-    *,
-    damping: float = 0.85,
-    iters: int = 20,
+    spark, graph: OpinionGraph, k: int, target: int, *, iters: int = 20
 ) -> list[int]:
     """Top-k Random-Walk-with-Restart nodes (restart ∝ target's b0)."""
     restart = graph.b0[target] + 1e-9
-    pi = pagerank_np(graph, damping=damping, iters=iters, restart=restart)
-    return top_k(pi, k)
+    return top_k(pagerank_np(graph, iters=iters, restart=restart), k)

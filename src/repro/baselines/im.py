@@ -4,8 +4,10 @@ The paper compares against seed selection under the Independent Cascade
 and Linear Threshold diffusion models, each coupled with IMM [3].  We
 implement the reverse-reachable (RR) set machinery:
 
-* IC RR set from a uniformly random root: randomized reverse BFS — each
-  incoming edge (u → v) is live with probability w_uv.
+* IC RR set from a uniformly random root: its reverse reachable set in a
+  live-edge graph where each incoming edge (u → v) is live with
+  probability w_uv — the shared frontier BFS ``graphs.graph.reach`` over
+  the reverse CSR, unbounded in hops, with a per-set edge coin.
 * LT RR set: a reverse path — at each node pick exactly one in-neighbor
   with probability equal to its edge weight (in-weights sum to 1), stop on
   a revisit.  (Our graphs carry a self-loop on in-degree-0 nodes, which
@@ -33,7 +35,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
 from repro.core.sketch import SketchSet, collect_sketches
-from repro.graphs.graph import AliasTable, OpinionGraph, out_edges
+from repro.graphs.graph import AliasTable, OpinionGraph, reach
 from repro.opinion.walks import (
     ACCEPT,
     COIN,
@@ -59,32 +61,6 @@ def _member(seen: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     whether each key is already there."""
     pos = np.searchsorted(seen, keys)
     return pos, seen[np.minimum(pos, len(seen) - 1)] == keys
-
-
-def _ic_sets(alias: AliasTable, w: np.ndarray, keys: np.ndarray, roots: np.ndarray):
-    """IC RR sets, one reverse BFS level for all sets at a time.
-
-    The coin of reverse-CSR edge slot ``e`` in set ``j`` is uniform
-    ``(e, COIN)`` of the set's stream, so the set is the root's reverse
-    reachable set in that live-edge graph whatever the visiting order.
-    Nodes come out sorted within each set.
-    """
-    n = len(alias.indptr) - 1
-    rows = np.arange(len(roots))
-    seen = rows * n + roots  # sorted (set, node) keys
-    nodes = roots
-    while len(rows):
-        owner, slot = out_edges(alias.indptr, nodes)
-        live = uniforms(keys[rows[owner]], slot, COIN) < w[slot]
-        reached = np.unique(rows[owner[live]] * n + alias.indices[slot[live]])
-        pos, hit = _member(seen, reached)
-        reached = reached[~hit]
-        seen = np.insert(seen, pos[~hit], reached)
-        rows, nodes = np.divmod(reached, n)
-    rows, nodes = np.divmod(seen, n)
-    offsets = np.zeros(len(roots) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(roots)), out=offsets[1:])
-    return nodes.astype(np.int32), offsets
 
 
 def _lt_paths(alias: AliasTable, keys: np.ndarray, roots: np.ndarray):
@@ -119,11 +95,19 @@ def rr_sets(
     """
     if model not in ("ic", "lt"):
         raise ValueError(f"unknown IM model: {model}")
+    n = len(alias.indptr) - 1
     keys = stream_keys(seed, ids)
-    roots = uniform_nodes(keys, len(alias.indptr) - 1)
-    if model == "ic":
-        return _ic_sets(alias, w, keys, roots)
-    return _lt_paths(alias, keys, roots)
+    roots = uniform_nodes(keys, n)
+    if model == "lt":
+        return _lt_paths(alias, keys, roots)
+
+    # IC: the root's reverse reach in the set's live-edge graph.  The coin
+    # of reverse-CSR edge slot e in set j is uniform (e, COIN) of the set's
+    # stream, so the set does not depend on the visiting order.
+    def live(rows, slot):
+        return uniforms(keys[rows], slot, COIN) < w[slot]
+
+    return reach(alias.indptr, alias.indices, roots, n, live=live)
 
 
 def generate_rr_sets(

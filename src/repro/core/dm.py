@@ -30,13 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graphs.graph import (
-    OpinionGraph,
-    forward_reach,
-    out_edges,
-    segment_sum,
-    spmv_dst,
-)
+from repro.graphs.graph import OpinionGraph, out_edges, reach, segment_sum, spmv_dst
 from repro.opinion.fj import fj_diffuse_np
 from repro.voting.scores import score_change, score_rows
 
@@ -110,11 +104,12 @@ def _reach_local_scores(graph, target, seeds, cand_seeds, t, score, others, p, o
 
     seeded = np.zeros(n, dtype=bool)
     seeded[list(seeds)] = True
-    prow, pnode = np.nonzero(forward_reach(graph, cand_seeds, t, blocked=seeded))
-    keys = prow * n + pnode  # sorted: nonzero is row-major
+    indptr, nbr, w = graph.forward_csr()
+    pnode, offsets = reach(indptr, nbr, cand_seeds, t, blocked=seeded)
+    prow = np.repeat(np.arange(nb), np.diff(offsets))
+    keys = prow * n + pnode  # sorted: each candidate's set is ascending
     roots = np.searchsorted(keys, np.arange(nb) * n + cand_seeds)
     # Edges between pairs of the same candidate row.
-    indptr, nbr, w = graph.forward_csr()
     owner, slot = out_edges(indptr, pnode)
     tkey = prow[owner] * n + nbr[slot]
     tgt = np.minimum(np.searchsorted(keys, tkey), len(keys) - 1)

@@ -17,12 +17,15 @@ For Copeland:
 Algorithm 3 then returns argmax_F over {S_U, S_L, S_F}; the empirical
 quality ratio F(S_U)/UB(S_U) (§IV-D) is reported alongside.
 
-Reachable sets for the coverage greedy come from `reach_sets_np`, the
-vectorized forward expansion over the graph's cached forward CSR that the
-exact evaluator's reach-local kernel also runs (`graphs.graph.forward_reach`).
-The DuckDB oracle tests check it against t-hop reachability written as a
-recursive CTE.  Everything here runs on the driver; the leading ``spark``
-argument of ``sandwich_select`` is unused, as in ``core.dm``.
+Reachability is ``graphs.graph.reach``, the frontier BFS that the exact
+evaluator's reach-local kernel and the IC RR sets also run.  The coverage
+sets are the uncovered users' t-hop reach over the *reverse* CSR — user
+u's set holds every node v with u ∈ N_v^(t) — in the flat format
+``SketchSet`` reads, so no (n × n) mask is built.  UB(S) counts the base
+set together with the forward reach of S.  The DuckDB oracle tests check
+``reach`` against t-hop reachability written as a recursive CTE.
+Everything here runs on the driver; the leading ``spark`` argument of
+``sandwich_select`` is unused, as in ``core.dm``.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.core.sketch import SketchSet
-from repro.graphs.graph import OpinionGraph, forward_reach
+from repro.graphs.graph import OpinionGraph, reach
 from repro.opinion.fj import fj_diffuse_np
 from repro.voting.scores import rank
 
@@ -57,45 +60,34 @@ def weakly_favorable_users_np(graph: OpinionGraph, target: int, t: int) -> np.nd
 
 
 # --------------------------------------------------------------------- #
-# Reachable sets (Def. 2)
+# Reachable sets (Def. 2) and the coverage greedy for the UB functions
 # --------------------------------------------------------------------- #
-def reach_sets_np(graph: OpinionGraph, t: int) -> np.ndarray:
-    """(n, n) bool: row v is the mask of N_{v}^(t) (≤ t forward hops).
+def reach_sets_np(
+    graph: OpinionGraph, t: int, users: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ``(nodes, offsets)``: set j is {v : users[j] ∈ N_v^(t)}.
 
-    The node itself is included (h = 0 in Eq. 22).
+    The t-hop reach of each user over the reverse CSR — exactly the nodes
+    whose seeding covers that user in Defs. 4/6 (h = 0 included).
     """
-    return forward_reach(graph, np.arange(graph.n), t)
+    return reach(graph.dst_indptr(), graph.src, users, t)
 
 
-# --------------------------------------------------------------------- #
-# Coverage greedy for the UB functions
-# --------------------------------------------------------------------- #
-def greedy_coverage(
-    reach: np.ndarray, base_mask: np.ndarray, k: int
-) -> tuple[list[int], int]:
-    """Greedy max-coverage of |N_S ∪ base| (UB maximization).
+def greedy_coverage(n: int, nodes: np.ndarray, offsets: np.ndarray, k: int) -> list[int]:
+    """Greedy max-coverage of the uncovered users' sets (UB maximization).
 
-    Returns (seeds, |N_S^(t) ∪ base| for the final S).  Runs the shared
-    sketch greedy (``core.sketch``) with one set per user outside ``base``
-    — the nodes whose reachable set covers it — so a node's gain is the
+    Runs the shared sketch greedy (``core.sketch``) with one set per user
+    outside the base set — the nodes reaching it — so a node's gain is the
     number of still-uncovered users it reaches.
     """
-    covers = reach[:, ~base_mask].T  # (uncovered users, n)
-    _, nodes = np.nonzero(covers)
-    offsets = np.concatenate([[0], np.cumsum(covers.sum(axis=1))])
-    sketches = SketchSet(len(reach), nodes, offsets, np.zeros(len(covers)), retire=True)
-    seeds = sketches.select(k)
-    return seeds, int(ub_value(reach, base_mask, seeds, 1.0))
+    return SketchSet(n, nodes, offsets, np.zeros(len(offsets) - 1), retire=True).select(k)
 
 
-# --------------------------------------------------------------------- #
-# Bound values
-# --------------------------------------------------------------------- #
-def ub_value(
-    reach: np.ndarray, base_mask: np.ndarray, seeds, coeff: float
-) -> float:
+def ub_value(graph: OpinionGraph, t: int, base_mask: np.ndarray, seeds, coeff: float) -> float:
     """UB(S) per Defs. 4/6: coeff · |N_S^(t) ∪ base|."""
-    covered = base_mask | reach[list(seeds)].any(axis=0)
+    indptr, nbr, _ = graph.forward_csr()
+    covered = base_mask.copy()
+    covered[reach(indptr, nbr, list(seeds), t)[0]] = True
     return coeff * float(covered.sum())
 
 
@@ -132,7 +124,6 @@ def sandwich_select(
     omega_arr = np.ones(graph.r) if omega is None else np.asarray(omega)
     pp = 1 if score == "plurality" else p
 
-    reach = reach_sets_np(graph, t)
     if score == "copeland":
         base = weakly_favorable_users_np(graph, target, t)
         coeff = (graph.r - 1) / (graph.n // 2 + 1)
@@ -143,7 +134,7 @@ def sandwich_select(
         fav = base
 
     # S_U: greedy max-coverage on UB.
-    s_u, _ = greedy_coverage(reach, base, k)
+    s_u = greedy_coverage(graph.n, *reach_sets_np(graph, t, np.flatnonzero(~base)), k)
 
     # S_L: greedy on the masked cumulative LB (plurality variants only).
     s_l = None
@@ -168,7 +159,7 @@ def sandwich_select(
     if s_l is not None:
         options["S_L"] = (s_l, f_sl)
     source = max(options, key=lambda nm: options[nm][1])
-    ub_su = ub_value(reach, base, s_u, coeff)
+    ub_su = ub_value(graph, t, base, s_u, coeff)
     return SandwichResult(
         seeds=options[source][0],
         source=source,

@@ -69,6 +69,11 @@ def table4(spark, **kw) -> tuple[pd.DataFrame, dict]:
 METHODS = ("DM", "RW", "RS", "IC", "LT", "GED-T", "PR", "RWR", "DC")
 
 
+def rs_theta(graph: OpinionGraph, theta: int | None) -> int:
+    """The RS sketch budget: ``theta`` if given, else max(1024, n // 2)."""
+    return theta or max(1024, graph.n // 2)
+
+
 def select_with_method(
     spark,
     graph: OpinionGraph,
@@ -95,7 +100,7 @@ def select_with_method(
         finally:
             sel.close()
     if method == "RS":
-        th = theta or max(1024, graph.n // 2)
+        th = rs_theta(graph, theta)
         sel = RSSelector(spark, graph, target, t, score, theta=th, seed=seed)
         try:
             return sel.select(k)
@@ -185,7 +190,7 @@ def table6(
     from repro.core.win import target_wins
 
     rw_sel = RWSelector(spark, graph, target, t, score, lam=lam, seed=seed)
-    th = theta or max(1024, graph.n // 2)
+    th = rs_theta(graph, theta)
     rs_sel = RSSelector(spark, graph, target, t, score, theta=th, seed=seed)
     ev = ExactEvaluator(spark, graph, target, t, score)
     dm_state: list[int] = []

@@ -13,6 +13,12 @@ the Spark jobs (walk, sketch and RR-set generation) ship them to
 ``mapInArrow`` workers.  ``edges_pdf`` / ``state_pdf`` export the
 instance as pandas tables for the DuckDB oracle.
 
+``reach`` is the one multi-source frontier BFS: t-hop reachable sets
+N_v^(t) (Def. 2) over the forward CSR for DM's reach-local kernel and the
+sandwich UB, the same over the reverse CSR for the sandwich's coverage
+sets, and live-edge reverse reachability for the IC RR sets.  It returns
+flat sorted sets ``(nodes, offsets)``.
+
 Normalization convention: the paper states that users without in-neighbors
 retain their initial opinions (DeGroot); we realize this with an implicit
 self-loop of weight 1 on every in-degree-0 node, which makes ``W`` truly
@@ -21,6 +27,7 @@ column-stochastic and lets every kernel treat all nodes uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -293,8 +300,9 @@ def spmv_dst(graph: OpinionGraph, x: np.ndarray) -> np.ndarray:
     return segment_sum(x[..., graph.src] * graph.w, graph.dst, graph.n)
 
 
-# Out-edge entries one expansion hop may hold per root chunk (≈ 8 bytes
-# each in several temporaries), which bounds ``forward_reach``'s memory.
+# CSR entries one expansion hop may hold per root chunk (≈ 8 bytes each in
+# several temporaries), which bounds ``reach``'s memory.  Every node has an
+# in-edge, so m ≥ n and a chunk's (roots × n) ``seen`` mask also fits in it.
 _EXPAND_BUDGET = 1 << 20
 
 
@@ -309,37 +317,53 @@ def out_edges(indptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.nda
     return owner, slot
 
 
-def forward_reach(
-    graph: OpinionGraph,
+def reach(
+    indptr: np.ndarray,
+    nbr: np.ndarray,
     roots: np.ndarray,
-    t: int,
+    hops: int,
+    *,
     blocked: np.ndarray | None = None,
-) -> np.ndarray:
-    """(len(roots), n) bool: nodes within ``t`` forward hops of each root.
+    live: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes within ``hops`` CSR hops of each root, as flat sorted sets.
 
-    N_v^(t) of Def. 2 (h = 0 included).  A ``blocked`` node is never
-    entered, so paths through it are cut; a root is always in its own set.
-    Rows expand one hop at a time over deduplicated (row, node) frontier
-    pairs, in root chunks sized to ``_EXPAND_BUDGET`` out-edges.
+    Root ``j``'s set is ``nodes[offsets[j]:offsets[j + 1]]``, ascending,
+    the root included (h = 0).  Over the forward CSR ``(indptr, dst)`` this
+    is N_v^(t) of Def. 2; over the reverse CSR ``(dst_indptr, src)``, the
+    nodes that reach the root.  A ``blocked`` node is never entered, so
+    paths through it are cut; a root always keeps itself.  With ``live``,
+    edge slot ``e`` is followed from root ``j`` only where
+    ``live(j, e)`` holds (a live-edge graph per root; ``hops`` ≥ n − 1 is
+    unbounded).  All roots of a chunk expand together, one hop at a time,
+    over deduplicated (root, node) frontier pairs; chunks hold
+    ``_EXPAND_BUDGET`` CSR entries per hop.
     """
-    indptr, nbr, _ = graph.forward_csr()
-    n = graph.n
+    n = len(indptr) - 1
     roots = np.asarray(roots, dtype=np.int64)
-    seen = np.zeros((len(roots), n), dtype=bool)
-    step = max(1, _EXPAND_BUDGET // max(graph.m, 1))
+    step = max(1, _EXPAND_BUDGET // max(len(nbr), 1))
+    nodes, counts = [np.zeros(0, dtype=np.int32)], [np.zeros(1, dtype=np.int64)]
     for lo in range(0, len(roots), step):
-        rows = np.arange(lo, min(lo + step, len(roots)))
-        nodes = roots[rows]
-        seen[rows, nodes] = True
-        for _ in range(t):
-            owner, slot = out_edges(indptr, nodes)
-            rows, nodes = rows[owner], nbr[slot]
-            new = ~seen[rows, nodes]
+        size = min(step, len(roots) - lo)
+        seen = np.zeros(size * n, dtype=bool)  # row-major (chunk root, node)
+        rows, frontier = np.arange(size), roots[lo : lo + size]
+        seen[rows * n + frontier] = True
+        for _ in range(hops):
+            owner, slot = out_edges(indptr, frontier)
+            if live is not None:
+                keep = live(lo + rows[owner], slot)
+                owner, slot = owner[keep], slot[keep]
+            tgt = nbr[slot]
+            key = rows[owner] * n + tgt
+            new = ~seen[key]
             if blocked is not None:
-                new &= ~blocked[nodes]
-            key = np.unique(rows[new] * n + nodes[new])
+                new &= ~blocked[tgt]
+            key = np.unique(key[new])
             if not len(key):
                 break
-            rows, nodes = key // n, key % n
-            seen[rows, nodes] = True
-    return seen
+            seen[key] = True
+            rows, frontier = np.divmod(key, n)
+        rows, node = np.divmod(np.flatnonzero(seen), n)
+        nodes.append(node.astype(np.int32))
+        counts.append(np.bincount(rows, minlength=size))
+    return np.concatenate(nodes), np.cumsum(np.concatenate(counts))

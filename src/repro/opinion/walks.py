@@ -191,11 +191,3 @@ def generate_walks(
         return [ids, starts, list_array(nodes, offsets), b0[ends]]
 
     return map_id_range(spark, graph.n * lam if lam else theta, kernel, WALK_SCHEMA)
-
-
-def truncated_estimate_np(path: list[int], op: float, seeds: set[int]) -> float:
-    """Reference truncation for one walk (tests): first seed hit → 1."""
-    for v in path:
-        if v in seeds:
-            return 1.0
-    return op

@@ -17,6 +17,7 @@ from repro.baselines.im import (
     select_seeds_im,
 )
 from repro.core.dm import ExactEvaluator, greedy_dm
+import repro.graphs.graph as graph_mod
 from repro.graphs.generators import random_instance, running_example
 from repro.graphs.graph import OpinionGraph
 from repro.opinion.walks import ACCEPT, COIN, SLOT, stream_keys, uniform_nodes, uniforms
@@ -62,6 +63,16 @@ class TestRRSets:
         assert max(map(len, sets)) > 5  # the BFS goes past the root's neighbours
         for j, (root, s) in enumerate(zip(roots, sets)):
             assert s == _bfs_rr_set(g, 6, j, root)
+
+    def test_ic_sets_do_not_depend_on_root_chunks(self, monkeypatch):
+        """A budget of a few sets per chunk gives the same IC sets."""
+        g = random_instance(40, seed=11, avg_deg=4.0)
+        alias, ids = g.reverse_alias(), np.arange(300)
+        whole = rr_sets(alias, g.w, "ic", 6, ids)
+        monkeypatch.setattr(graph_mod, "_EXPAND_BUDGET", 3 * g.m)
+        chunked = rr_sets(alias, g.w, "ic", 6, ids)
+        for a, b in zip(whole, chunked):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_lt_is_a_path_of_distinct_nodes(self):
         """Each LT set is a reverse path of distinct nodes that starts at

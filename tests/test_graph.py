@@ -4,7 +4,7 @@ import pytest
 
 from repro.graphs.generators import random_instance, running_example
 import repro.graphs.graph as graph_mod
-from repro.graphs.graph import OpinionGraph, _build_alias_row, forward_reach, spmv_dst
+from repro.graphs.graph import OpinionGraph, _build_alias_row, reach, spmv_dst
 
 
 def _tiny(b0=None, d=None):
@@ -184,6 +184,20 @@ def _bfs_reach(g, v, t, blocked):
     return mask
 
 
+def _masks(nodes, offsets, n):
+    """(roots, n) bool masks of the flat sets, checking each set is sorted."""
+    out = np.zeros((len(offsets) - 1, n), dtype=bool)
+    for j, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+        assert (np.diff(nodes[a:b]) > 0).all()
+        out[j, nodes[a:b]] = True
+    return out
+
+
+def _forward_reach(g, roots, t, blocked=None):
+    indptr, dst, _ = g.forward_csr()
+    return _masks(*reach(indptr, dst, roots, t, blocked=blocked), g.n)
+
+
 class TestForwardReach:
     @pytest.mark.parametrize("t", [0, 1, 3, 20])
     @pytest.mark.parametrize("cut", [False, True])
@@ -194,18 +208,30 @@ class TestForwardReach:
             blocked[[1, 4, 9, 16]] = True
         roots = np.arange(g.n)
         exp = np.array([_bfs_reach(g, v, t, blocked) for v in roots])
-        assert np.array_equal(forward_reach(g, roots, t, blocked if cut else None), exp)
-        # Root chunks of a few rows each give the same masks.
+        assert np.array_equal(_forward_reach(g, roots, t, blocked if cut else None), exp)
+        # Root chunks of a few rows each give the same sets.
         monkeypatch.setattr(graph_mod, "_EXPAND_BUDGET", 3 * g.m)
-        assert np.array_equal(forward_reach(g, roots, t, blocked if cut else None), exp)
+        assert np.array_equal(_forward_reach(g, roots, t, blocked if cut else None), exp)
 
     def test_blocked_root_keeps_itself(self):
         g = running_example()
         blocked = np.ones(g.n, dtype=bool)
-        assert forward_reach(g, np.array([0, 2]), 2, blocked).tolist() == [
+        assert _forward_reach(g, np.array([0, 2]), 2, blocked).tolist() == [
             [True, False, False, False],
             [False, False, True, False],
         ]
+
+    @pytest.mark.parametrize("t", [0, 1, 3, 20])
+    @pytest.mark.parametrize("budget", [None, 3])
+    def test_reverse_csr_is_transposed_forward(self, monkeypatch, t, budget):
+        """Over ``(dst_indptr, src)``, root u's set is {v : u ∈ N_v^(t)}."""
+        g = random_instance(60, seed=8, avg_deg=3.0)
+        roots = np.arange(g.n)
+        if budget:
+            monkeypatch.setattr(graph_mod, "_EXPAND_BUDGET", budget * g.m)
+        nodes, offsets = reach(g.dst_indptr(), g.src, roots, t)
+        assert nodes.dtype == np.int32 and offsets.dtype == np.int64
+        assert np.array_equal(_masks(nodes, offsets, g.n), _forward_reach(g, roots, t).T)
 
 
 class TestAdjacencyAndExport:

@@ -58,3 +58,11 @@ def test_only_scores_calls_the_rule_primitives():
         p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py") if _calls(p) & RULE_PRIMITIVES
     }
     assert found == {"voting/scores.py"}
+
+
+def test_only_graph_and_dm_call_out_edges():
+    """One frontier BFS: reachability goes through ``graphs.graph.reach``.
+    ``core/dm.py`` reads ``out_edges`` only for the edges between its
+    (candidate, node) pairs."""
+    found = {p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py") if "out_edges" in _calls(p)}
+    assert found == {"graphs/graph.py", "core/dm.py"}

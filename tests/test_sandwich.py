@@ -13,7 +13,7 @@ from repro.core.sandwich import (
     weakly_favorable_users_np,
 )
 from repro.graphs.generators import random_instance, running_example
-from repro.graphs.graph import forward_reach
+from repro.graphs.graph import reach
 from repro.opinion.fj import fj_diffuse_np
 from repro.oracle import assert_equivalent
 from repro.voting.scores import rank
@@ -42,22 +42,36 @@ class TestFavorableSets:
         assert not (fav & ~weak).any()
 
 
+def _reach_masks(g, t):
+    """(n, n) bool: row v is N_v^(t), transposed from ``reach_sets_np``."""
+    nodes, offsets = reach_sets_np(g, t, np.arange(g.n))
+    users = np.repeat(np.arange(g.n), np.diff(offsets))
+    mask = np.zeros((g.n, g.n), dtype=bool)
+    mask[nodes, users] = True
+    return mask
+
+
+def _cover(g, t, base, k):
+    """S_U of ``greedy_coverage`` over the users outside ``base``."""
+    return greedy_coverage(g.n, *reach_sets_np(g, t, np.flatnonzero(~base)), k)
+
+
 class TestReachability:
     def test_reach_sets_running_example(self):
         g = running_example()
-        reach = reach_sets_np(g, 1)
+        reach = _reach_masks(g, 1)
         assert reach[0].tolist() == [True, False, True, False]  # 0 → 2
         assert reach[2].tolist() == [False, False, True, True]  # 2 → 3
 
     def test_reach_t0_is_self(self):
         g = random_instance(30, seed=3)
-        for v, mask in enumerate(reach_sets_np(g, 0)):
+        for v, mask in enumerate(_reach_masks(g, 0)):
             assert mask.sum() == 1 and mask[v]
 
     def test_reach_monotone_in_t(self):
         g = random_instance(30, seed=4)
-        r1 = reach_sets_np(g, 1)
-        r3 = reach_sets_np(g, 3)
+        r1 = _reach_masks(g, 1)
+        r3 = _reach_masks(g, 3)
         for a, b in zip(r1, r3):
             assert not (a & ~b).any()
 
@@ -77,10 +91,12 @@ class TestReachability:
             SELECT DISTINCT root, node FROM reach
         """
         nodes = pd.DataFrame({"v": np.arange(g.n)})
+        indptr, dst, _ = g.forward_csr()
         for cut in ([], [0, 5, 11, 23]):
             blocked = np.zeros(g.n, dtype=bool)
             blocked[cut] = True
-            root, node = np.nonzero(forward_reach(g, np.arange(g.n), t, blocked))
+            node, offsets = reach(indptr, dst, np.arange(g.n), t, blocked=blocked)
+            root = np.repeat(np.arange(g.n), np.diff(offsets))
             assert_equivalent(
                 pd.DataFrame({"root": root, "node": node}),
                 sql,
@@ -93,28 +109,29 @@ class TestReachability:
 class TestCoverageGreedy:
     def test_single_pick_is_max_coverage(self):
         g = random_instance(40, seed=7)
-        reach = reach_sets_np(g, 2)
+        reach = _reach_masks(g, 2)
         base = np.zeros(40, dtype=bool)
-        seeds, cov = greedy_coverage(reach, base, 1)
+        seeds = _cover(g, 2, base, 1)
+        cov = ub_value(g, 2, base, seeds, 1.0)
         best = max(range(40), key=lambda v: reach[v].sum())
         assert reach[seeds[0]].sum() == reach[best].sum() == cov
 
     def test_coverage_counts_union(self):
         g = random_instance(40, seed=8)
-        reach = reach_sets_np(g, 2)
+        reach = _reach_masks(g, 2)
         base = np.zeros(40, dtype=bool)
-        seeds, cov = greedy_coverage(reach, base, 3)
+        seeds = _cover(g, 2, base, 3)
         mask = base.copy()
         for s in seeds:
             mask |= reach[s]
-        assert cov == mask.sum()
+        assert ub_value(g, 2, base, seeds, 1.0) == mask.sum()
 
     def test_base_mask_excluded_from_gain(self):
         g = random_instance(40, seed=9)
-        reach = reach_sets_np(g, 2)
         base = np.ones(40, dtype=bool)  # everything already covered
-        _, cov = greedy_coverage(reach, base, 2)
-        assert cov == 40
+        seeds = _cover(g, 2, base, 2)
+        assert len(set(seeds)) == 2
+        assert ub_value(g, 2, base, seeds, 1.0) == 40
 
 
 class TestBounds:
@@ -127,11 +144,10 @@ class TestBounds:
         rng = np.random.default_rng(seed)
         S = rng.choice(30, size=3, replace=False).tolist()
         fav = favorable_users_np(g, 0, t, p)
-        reach = reach_sets_np(g, t)
         ev = ExactEvaluator(None, g, 0, t, "plurality")
         f = ev.score_of(S)
         lb = ExactEvaluator(None, g, 0, t, "cumulative", user_mask=fav).score_of(S)
-        ub = ub_value(reach, fav, S, 1.0)
+        ub = ub_value(g, t, fav, S, 1.0)
         assert lb <= f + 1e-9 <= ub + 1e-9, (lb, f, ub)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -141,11 +157,10 @@ class TestBounds:
         rng = np.random.default_rng(seed)
         S = rng.choice(30, size=3, replace=False).tolist()
         weak = weakly_favorable_users_np(g, 0, t)
-        reach = reach_sets_np(g, t)
         coeff = (g.r - 1) / (g.n // 2 + 1)
         ev = ExactEvaluator(None, g, 0, t, "copeland")
         f = ev.score_of(S)
-        ub = ub_value(reach, weak, S, coeff)
+        ub = ub_value(g, t, weak, S, coeff)
         assert f <= ub + 1e-9, (f, ub)
 
     def test_lb_monotone_in_seeds(self):
@@ -158,11 +173,10 @@ class TestBounds:
 
     def test_ub_submodular_sampled(self):
         g = random_instance(30, seed=21)
-        reach = reach_sets_np(g, 2)
         base = favorable_users_np(g, 0, 2, 1)
         X, Y, s = [1], [1, 4], 9
-        gx = ub_value(reach, base, X + [s], 1.0) - ub_value(reach, base, X, 1.0)
-        gy = ub_value(reach, base, Y + [s], 1.0) - ub_value(reach, base, Y, 1.0)
+        gx = ub_value(g, 2, base, X + [s], 1.0) - ub_value(g, 2, base, X, 1.0)
+        gy = ub_value(g, 2, base, Y + [s], 1.0) - ub_value(g, 2, base, Y, 1.0)
         assert gx >= gy - 1e-12
 
 

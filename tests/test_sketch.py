@@ -9,8 +9,8 @@ from repro.core.rs import RSSelector
 from repro.core.rw import RWSelector
 from repro.core.sketch import SketchSet
 from repro.graphs.generators import random_instance
-from repro.opinion.walks import truncated_estimate_np
 from repro.voting.scores import duels, unit_contribution
+from tests.reference import truncated_estimate_np
 
 OMEGA = np.array([1.0, 0.5, 0.25])
 SCORES = {

@@ -8,7 +8,8 @@ import pytest
 from repro.core.sketch import SketchSet, collect_sketches
 from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import fj_diffuse_np
-from repro.opinion.walks import generate_walks, reverse_walks, truncated_estimate_np
+from repro.opinion.walks import generate_walks, reverse_walks
+from tests.reference import truncated_estimate_np
 
 
 def _walk_sketches(walks, n: int, lam: int):
