@@ -24,9 +24,6 @@ implement the reverse-reachable (RR) set machinery:
 Substitution vs the paper (DESIGN.md §3): IMM's adaptive martingale
 stopping rule is replaced by a fixed, generous θ_im; at our scale the
 selected seeds coincide with IMM's with high probability.
-
-``expected_influence_spread`` reproduces the §VIII-C EIS metric:
-n/θ · #RR sets hit by S.
 """
 from __future__ import annotations
 
@@ -141,24 +138,6 @@ def select_seeds_im(
 ) -> list[int]:
     """Greedy max-coverage over RR sets (IMM-lite seed selection)."""
     rr = generate_rr_sets(spark, graph, model, theta, seed=seed)
-    _, nodes, offsets = collect_sketches(rr, "sketch_id", "nodes")
+    nodes, offsets = collect_sketches(rr, "sketch_id", "nodes")
     return SketchSet(graph.n, nodes, offsets, np.zeros(theta), retire=True).select(k)
 
-
-def expected_influence_spread(
-    spark: SparkSession,
-    graph: OpinionGraph,
-    model: str,
-    seeds,
-    *,
-    theta: int = 20000,
-    seed: int = 7,
-) -> float:
-    """EIS(S) ≈ n/θ · #{RR sets intersecting S} (§VIII-C)."""
-    rr = generate_rr_sets(spark, graph, model, theta, seed=seed)
-    _, nodes, offsets = collect_sketches(rr, "sketch_id", "nodes")
-    in_s = np.zeros(graph.n, dtype=bool)
-    in_s[np.asarray(list(seeds), dtype=np.int64)] = True
-    set_of = np.repeat(np.arange(theta), np.diff(offsets))
-    hit = len(np.unique(set_of[in_s[nodes]]))
-    return graph.n * hit / float(theta)

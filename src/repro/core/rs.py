@@ -10,19 +10,15 @@ Estimators (Eqs. 35, 42, 47):
 * plurality variants:  F̂(S) = (n/θ) Σ_j ω[β(op_j)]·1[β(op_j) ≤ p]
 * Copeland: pairwise duel counts over the θ samples.
 
-Spark generates the sketches (``generate_walks(theta=...)``, each start
-drawn from its walk's own counter stream); the greedy runs on the driver in
-``core.sketch`` with every sketch its own unit, ranked against the
-non-target opinions of its start user.
+``core.sketch.SketchSelector`` builds the sketches (each start drawn from
+its walk's own counter stream) and runs the greedy on the driver, with
+every walk its own unit, ranked against the non-target opinions of its
+start user.
 """
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-
-from repro.core.dm import others_at_horizon
-from repro.core.sketch import SketchSelector, SketchSet, collect_sketches
+from repro.core.sketch import SketchSelector
 from repro.graphs.graph import OpinionGraph
-from repro.opinion.walks import generate_walks
 
 
 class RSSelector(SketchSelector):
@@ -30,7 +26,7 @@ class RSSelector(SketchSelector):
 
     def __init__(
         self,
-        spark: SparkSession,
+        spark,
         graph: OpinionGraph,
         target: int,
         t: int,
@@ -41,20 +37,4 @@ class RSSelector(SketchSelector):
         omega=None,
         seed: int = 0,
     ):
-        self.scale = float(graph.n) / float(theta)
-        self.walks = generate_walks(spark, graph, target, t, theta=theta, seed=seed)
-        table, nodes, offsets = collect_sketches(self.walks, "walk_id", "path")
-        others = None
-        if score != "cumulative":
-            others = others_at_horizon(graph, target, t)[:, table.column("start").to_numpy()]
-        self.sketches = SketchSet(
-            graph.n,
-            nodes,
-            offsets,
-            table.column("op").to_numpy(),
-            score=score,
-            others=others,
-            p=p,
-            omega=omega,
-            scale=self.scale,
-        )
+        super().__init__(spark, graph, target, t, score, theta=theta, p=p, omega=omega, seed=seed)

@@ -1,6 +1,6 @@
 """Random-walk-based greedy seed selection ("RW", paper Alg. 4, §V).
 
-λ reverse walks are generated once per node (empty seed set) by Spark and
+λ reverse walks are generated once per node (empty seed set) and
 collected to the driver once.  Every greedy round then computes
 *estimated* marginal gains over the walks and truncates them at the
 chosen seed (Post-Generation Truncation) — both in ``core.sketch``, with
@@ -15,24 +15,21 @@ their mean:
 
 The non-target candidates' opinions at the horizon are exact (direct
 matrix–vector products), matching the paper's complexity analysis
-(§V-B: extra O((r−1)tm)).
+(§V-B: extra O((r−1)tm)).  ``core.sketch.SketchSelector`` builds the
+sketches; RW is its λ-walks-per-user case.
 """
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-
-from repro.core.dm import others_at_horizon
-from repro.core.sketch import SketchSelector, SketchSet, collect_sketches
+from repro.core.sketch import SketchSelector
 from repro.graphs.graph import OpinionGraph
-from repro.opinion.walks import generate_walks
 
 
 class RWSelector(SketchSelector):
-    """Greedy seed selection on pre-generated reverse walks."""
+    """Greedy seed selection on λ pre-generated reverse walks per user."""
 
     def __init__(
         self,
-        spark: SparkSession,
+        spark,
         graph: OpinionGraph,
         target: int,
         t: int,
@@ -43,17 +40,4 @@ class RWSelector(SketchSelector):
         omega=None,
         seed: int = 0,
     ):
-        self.walks = generate_walks(spark, graph, target, t, lam=lam, seed=seed)
-        table, nodes, offsets = collect_sketches(self.walks, "walk_id", "path")
-        self.sketches = SketchSet(
-            graph.n,
-            nodes,
-            offsets,
-            table.column("op").to_numpy(),
-            score=score,
-            unit=table.column("start").to_numpy(),
-            per_unit=lam,
-            others=None if score == "cumulative" else others_at_horizon(graph, target, t),
-            p=p,
-            omega=omega,
-        )
+        super().__init__(spark, graph, target, t, score, lam=lam, p=p, omega=omega, seed=seed)

@@ -10,10 +10,11 @@ a per-sketch ``op`` and a per-sketch live length ``cut`` — and runs that
 loop with NumPy.  Spark only generates the sketches; ``collect_sketches``
 pulls them to the driver once, after which ``select`` launches no job.
 
-Sketches are grouped into *units*, the things the score counts:
+Sketches are grouped into *units* of ``per_unit`` consecutive sketches, the
+things the score counts:
 
 * RW — the λ walks from one start user; the unit's estimate is their mean.
-* RS — each sketch on its own, scaled by n/θ (Eqs. 35, 42, 47).
+* RS — each walk on its own (λ_v = 1), scaled by n/θ (Eqs. 35, 42, 47).
 * IC/LT — each RR set, with ``op = 0``: the cumulative gain of a node is
   then the number of uncovered RR sets that contain it.
 * Sandwich UB — one set per uncovered user (the nodes reaching it within t
@@ -24,6 +25,12 @@ gain is ``voting.scores.score_change`` with one group per candidate node and
 one unit per RW user or RS sketch, and F̂ is ``voting.scores.score_rows``.
 The n/θ scale applies to the scores that sum over users, never to Copeland.
 
+RW and RS are one estimator (Eq. 42): λ_v reverse walks per sampled user,
+truncated at the seeds.  ``SketchSelector`` builds both from the walks'
+paths alone: a unit's user is the first node of its first walk, a walk's
+``op`` is the target's initial opinion of its last node, and the scale is
+n / #units (1 for RW, n/θ for RS).
+
 Greedy rule: the pick is the maximum gain, ties broken by the smallest node
 id, among the unselected nodes that occur in a live sketch prefix; when no
 such node is left, the pick is the smallest unselected id.
@@ -31,35 +38,36 @@ such node is left, the pick is the smallest unselected id.
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 
+from repro.core.dm import others_at_horizon
+from repro.graphs.graph import OpinionGraph
+from repro.opinion.walks import generate_walks
 from repro.voting.scores import USER_SUMS, score_change, score_rows
 
 
 def collect_sketches(df: DataFrame, order: str, column: str):
-    """Collect ``df`` in one Spark job as an Arrow table sorted by ``order``.
+    """Collect ``df`` in one Spark job, sorted by ``order``, as ``(nodes, offsets)``.
 
-    Returns ``(table, nodes, offsets)``: the list column ``column`` as a flat
-    int32 node array and int64 offsets, sketch ``j`` being
-    ``nodes[offsets[j]:offsets[j + 1]]``.  Sorting makes the sketch order
-    independent of Spark's partitioning.
+    The list column ``column`` becomes a flat int32 node array and int64
+    offsets, sketch ``j`` being ``nodes[offsets[j]:offsets[j + 1]]``.
+    Sorting makes the sketch order independent of Spark's partitioning.
     """
-    table = df.toArrow().sort_by(order)
-    lists = table.column(column).combine_chunks()
+    lists = df.toArrow().sort_by(order).column(column).combine_chunks()
     offsets = np.asarray(lists.offsets, dtype=np.int64)
     nodes = np.asarray(lists.values, dtype=np.int32)[offsets[0] : offsets[-1]]
-    return table, nodes, offsets - offsets[0]
+    return nodes, offsets - offsets[0]
 
 
 class SketchSet:
     """Sketches with post-generation truncation and the greedy over them.
 
-    ``unit`` maps each sketch to its unit (default: every sketch is its own
-    unit) and ``per_unit`` is the number of sketches per unit.  Rank-based
-    scores compare each unit's estimate against ``others`` (r-1, #units),
-    the non-target candidates' exact opinions of the unit's user.  On a
-    hit, a walk keeps its prefix up to and including the seed, whose nodes
-    stay candidates; a set (``retire=True``) drops out entirely.
+    Sketch ``j`` belongs to unit ``j // per_unit`` (default: every sketch
+    is its own unit).  Rank-based scores compare each unit's estimate
+    against ``others`` (r-1, #units), the non-target candidates' exact
+    opinions of the unit's user.  On a hit, a walk keeps its prefix up to
+    and including the seed, whose nodes stay candidates; a set
+    (``retire=True``) drops out entirely.
     """
 
     def __init__(
@@ -70,7 +78,6 @@ class SketchSet:
         op: np.ndarray,
         *,
         score: str = "cumulative",
-        unit: np.ndarray | None = None,
         per_unit: int = 1,
         others: np.ndarray | None = None,
         p: int = 1,
@@ -84,7 +91,7 @@ class SketchSet:
         self.op = np.array(op, dtype=np.float64)
         self.cut = np.diff(self.offsets)
         nsk = len(self.cut)
-        self.unit = np.arange(nsk) if unit is None else np.asarray(unit, dtype=np.int64)
+        self.unit = np.arange(nsk) // per_unit
         self.per_unit = per_unit
         self.score, self.others, self.p, self.omega = score, others, p, omega
         self.scale = scale if score in USER_SUMS else 1.0  # Copeland counts duels
@@ -163,9 +170,47 @@ class SketchSet:
 
 
 class SketchSelector:
-    """Public face of the RW and RS selectors: greedy on ``self.sketches``."""
+    """RW and RS: the greedy over reverse walks truncated at the seeds.
 
-    sketches: SketchSet
+    ``lam`` walks from every user (RW, Alg. 4) or ``theta`` walks from
+    uniformly drawn users (RS, Alg. 5, λ_v = 1), generated by Spark as
+    ``(walk_id, path)`` and collected once; units, their users, each walk's
+    ``op`` and the scale all follow from the paths.
+    """
+
+    def __init__(
+        self,
+        spark: SparkSession,
+        graph: OpinionGraph,
+        target: int,
+        t: int,
+        score: str,
+        *,
+        lam: int | None = None,
+        theta: int | None = None,
+        p: int = 1,
+        omega=None,
+        seed: int = 0,
+    ):
+        self.walks = generate_walks(spark, graph, target, t, lam=lam, theta=theta, seed=seed)
+        nodes, offsets = collect_sketches(self.walks, "walk_id", "path")
+        per_unit = lam or 1
+        users = nodes[offsets[:-1:per_unit]]
+        others = None
+        if score != "cumulative":
+            others = others_at_horizon(graph, target, t)[:, users]
+        self.sketches = SketchSet(
+            graph.n,
+            nodes,
+            offsets,
+            graph.b0[target, nodes[offsets[1:] - 1]],
+            score=score,
+            per_unit=per_unit,
+            others=others,
+            p=p,
+            omega=omega,
+            scale=graph.n / len(users),
+        )
 
     def select(self, k: int) -> list[int]:
         """Greedy top-k seeds (resumable, see ``SketchSet.select``)."""

@@ -30,8 +30,11 @@ does not depend on which other ids share its batch, partition or core.
 Spark layering: ``spark.range(N)`` spreads the sketch ids over
 ``defaultParallelism`` partitions and ``mapInArrow`` runs the vectorized
 frontier kernel (``reverse_walks``) on each Arrow batch of ids, emitting
-flat node arrays as one Arrow list column.  The driver calls the same
-kernel on one id range.
+flat node arrays as one Arrow list column: the walks DataFrame is
+``(walk_id, path)``.  Everything else about a walk follows from its path
+(its start is ``path[0]``, its estimate the initial opinion of
+``path[-1]``), so ``core.sketch`` derives it on the driver.  The driver
+calls the same kernel on one id range.
 """
 from __future__ import annotations
 
@@ -47,9 +50,7 @@ from repro.graphs.graph import AliasTable, OpinionGraph
 WALK_SCHEMA = T.StructType(
     [
         T.StructField("walk_id", T.LongType()),
-        T.StructField("start", T.LongType()),
         T.StructField("path", T.ArrayType(T.IntegerType())),
-        T.StructField("op", T.DoubleType()),
     ]
 )
 
@@ -109,15 +110,14 @@ def reverse_walks(
     t: int,
     *,
     lam: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One t-step reverse walk per sketch id: ``(nodes, offsets, ends)``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One t-step reverse walk per sketch id as flat ``(nodes, offsets)``.
 
     Walk ``ids[j]`` is ``nodes[offsets[j]:offsets[j + 1]]``, start included
-    at position 0, and ``ends[j]`` is its last node.  It starts at
-    ``id // lam`` (RW: λ walks per node) or, with ``lam=None``, at a
-    uniformly drawn node (RS).  All walks advance together, one frontier
-    step at a time; a walk that stops on its stubbornness coin leaves the
-    frontier.
+    at position 0.  It starts at ``id // lam`` (RW: λ walks per node) or,
+    with ``lam=None``, at a uniformly drawn node (RS).  All walks advance
+    together, one frontier step at a time; a walk that stops on its
+    stubbornness coin leaves the frontier.
     """
     ids = np.asarray(ids, dtype=np.int64)
     keys = stream_keys(seed, ids)
@@ -132,8 +132,7 @@ def reverse_walks(
             break
         cur = alias.sample(cur, uniforms(k, step, SLOT), uniforms(k, step, ACCEPT))
         steps.append((idx, cur))
-    nodes, offsets = flatten_paths(len(ids), steps)
-    return nodes, offsets, nodes[offsets[1:] - 1]
+    return flatten_paths(len(ids), steps)
 
 
 def map_id_range(
@@ -173,21 +172,18 @@ def generate_walks(
     theta: int | None = None,
     seed: int = 0,
 ) -> DataFrame:
-    """Walks DataFrame ``(walk_id, start, path, op)``.
+    """Walks DataFrame ``(walk_id, path)``.
 
     Either ``lam`` walks from *every* node (RW, Alg. 4; walk ``i`` starts
     at ``i // lam``) or ``theta`` walks from uniformly drawn nodes (RS
-    sketches, Alg. 5).  ``op`` is the target's initial opinion of the end
-    node.  Walk ``i`` is ``reverse_walks`` at id ``i``, whatever the
-    partitioning.
+    sketches, Alg. 5).  Walk ``i`` is ``reverse_walks`` at id ``i``,
+    whatever the partitioning.
     """
     if (lam is None) == (theta is None):
         raise ValueError("pass exactly one of lam= or theta=")
-    alias, d, b0 = graph.reverse_alias(), graph.d[cand].copy(), graph.b0[cand].copy()
+    alias, d = graph.reverse_alias(), graph.d[cand].copy()
 
     def kernel(ids):
-        nodes, offsets, ends = reverse_walks(alias, d, seed, ids, t, lam=lam)
-        starts = nodes[offsets[:-1]].astype(np.int64)
-        return [ids, starts, list_array(nodes, offsets), b0[ends]]
+        return [ids, list_array(*reverse_walks(alias, d, seed, ids, t, lam=lam))]
 
     return map_id_range(spark, graph.n * lam if lam else theta, kernel, WALK_SCHEMA)

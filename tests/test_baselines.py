@@ -10,12 +10,7 @@ from repro.baselines.centrality import (
     rwr_seeds,
 )
 from repro.baselines.ged_t import ged_t_seeds
-from repro.baselines.im import (
-    expected_influence_spread,
-    generate_rr_sets,
-    rr_sets,
-    select_seeds_im,
-)
+from repro.baselines.im import generate_rr_sets, rr_sets, select_seeds_im
 from repro.core.dm import ExactEvaluator, greedy_dm
 import repro.graphs.graph as graph_mod
 from repro.graphs.generators import random_instance, running_example
@@ -128,28 +123,6 @@ class TestIMSeedSelection:
         best_cov = max(counts.values())
         seeds = select_seeds_im(spark, g, "ic", 1, theta=theta, seed=2)
         assert counts[seeds[0]] == best_cov
-
-    def test_eis_bounds(self, spark):
-        g = random_instance(40, seed=7)
-        eis = expected_influence_spread(spark, g, "ic", [0, 1, 2], theta=500)
-        assert 0 <= eis <= g.n
-
-    @pytest.mark.parametrize("model", ["ic", "lt"])
-    def test_eis_counts_rr_sets_hit(self, spark, model):
-        """EIS = n/θ · #{RR sets containing a seed}, on the same RR sets."""
-        g = random_instance(40, seed=10)
-        theta, seed = 300, 4
-        rr = generate_rr_sets(spark, g, model, theta, seed=seed).toPandas()
-        for S in ([], [0], [3, 17, 25]):
-            hit = sum(any(v in S for v in nodes) for nodes in rr["nodes"])
-            eis = expected_influence_spread(spark, g, model, S, theta=theta, seed=seed)
-            assert eis == g.n * hit / theta  # S = ∅ gives 0
-
-    def test_eis_monotone_in_seeds(self, spark):
-        g = random_instance(40, seed=8)
-        e1 = expected_influence_spread(spark, g, "lt", [0], theta=800, seed=3)
-        e2 = expected_influence_spread(spark, g, "lt", [0, 5, 9], theta=800, seed=3)
-        assert e2 >= e1
 
 
 class TestCentrality:

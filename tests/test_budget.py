@@ -63,7 +63,8 @@ class TestLambdaFormulas:
         ids = np.arange(g.n * lam)
 
         def estimates(seed):
-            _, _, ends = reverse_walks(g.reverse_alias(), g.d[0], seed, ids, t, lam=lam)
+            nodes, offsets = reverse_walks(g.reverse_alias(), g.d[0], seed, ids, t, lam=lam)
+            ends = nodes[offsets[1:] - 1]
             return np.bincount(ids // lam, weights=g.b0[0, ends]) / lam
 
         hits = 0

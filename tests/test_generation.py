@@ -27,35 +27,28 @@ def _count(graph, kind):
 
 
 def _driver(graph, kind, ids):
-    """The kernel's columns for ``ids``: nodes, offsets (+ start, op for walks)."""
+    """The kernel's sketches for ``ids`` as ``{nodes, offsets}``."""
     if kind in ("ic", "lt"):
         nodes, offsets = rr_sets(graph.reverse_alias(), graph.w, kind, SEED, ids)
-        return {"nodes": nodes, "offsets": offsets}
-    lam = LAM if kind == "rw" else None
-    nodes, offsets, ends = reverse_walks(
-        graph.reverse_alias(), graph.d[0], SEED, ids, T, lam=lam
-    )
-    return {
-        "nodes": nodes,
-        "offsets": offsets,
-        "start": nodes[offsets[:-1]].astype(np.int64),
-        "op": graph.b0[0, ends],
-    }
+    else:
+        lam = LAM if kind == "rw" else None
+        nodes, offsets = reverse_walks(graph.reverse_alias(), graph.d[0], SEED, ids, T, lam=lam)
+    return {"nodes": nodes, "offsets": offsets}
 
 
 def _spark(spark, graph, kind):
-    """The Spark DataFrame's columns, collected as ``_driver`` returns them."""
+    """The Spark DataFrame's sorted ids and its sketches, collected as
+    ``_driver`` returns them."""
     if kind in ("ic", "lt"):
         df = generate_rr_sets(spark, graph, kind, COUNT, seed=SEED)
-        table, nodes, offsets = collect_sketches(df, "sketch_id", "nodes")
-        ids = table.column("sketch_id").to_numpy()
-        return ids, {"nodes": nodes, "offsets": offsets}
-    size = {"lam": LAM} if kind == "rw" else {"theta": COUNT}
-    df = generate_walks(spark, graph, 0, T, seed=SEED, **size)
-    table, nodes, offsets = collect_sketches(df, "walk_id", "path")
-    cols = {"nodes": nodes, "offsets": offsets}
-    cols |= {c: table.column(c).to_numpy() for c in ("start", "op")}
-    return table.column("walk_id").to_numpy(), cols
+        order, column = "sketch_id", "nodes"
+    else:
+        size = {"lam": LAM} if kind == "rw" else {"theta": COUNT}
+        df = generate_walks(spark, graph, 0, T, seed=SEED, **size)
+        order, column = "walk_id", "path"
+    nodes, offsets = collect_sketches(df, order, column)
+    ids = np.sort(df.select(order).toArrow().column(0).to_numpy())
+    return ids, {"nodes": nodes, "offsets": offsets}
 
 
 def _assert_same(a, b):

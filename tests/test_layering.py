@@ -4,15 +4,14 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-# Spark stays where it partitions real work: walk, sketch and RR-set
-# generation.  Everything else, exact DM evaluation included, is NumPy on
-# the driver, so a new Spark dependency has to be added here on purpose.
+# Spark stays where it partitions real work: walk and RR-set generation,
+# and the one place that collects and builds the walk sketches.  Everything
+# else, RW/RS and exact DM evaluation included, is NumPy on the driver, so a
+# new Spark dependency has to be added here on purpose.
 SPARK_MODULES = {
     "opinion/walks.py",
     "baselines/im.py",
     "core/sketch.py",
-    "core/rw.py",
-    "core/rs.py",
 }
 
 

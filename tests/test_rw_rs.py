@@ -13,6 +13,7 @@ from repro.core.rw import RWSelector
 from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import opinions_at_horizon_np
 from repro.voting.scores import score_np
+from tests.reference import walk_frame
 
 
 def _exact(g, target, t, seeds, score):
@@ -31,7 +32,7 @@ class TestRW:
         g = small_graph
         sel = RWSelector(spark, g, 0, 3, "cumulative", lam=10, seed=1)
         gains, cand = sel.sketches.gains()
-        walks = sel.walks.toPandas()
+        walks = walk_frame(sel.walks, g.b0[0])
         lam = 10
         for v in np.flatnonzero(cand):
             exp = sum(
@@ -98,7 +99,7 @@ class TestRS:
         g = small_graph
         rs = RSSelector(spark, g, 0, 3, "cumulative", theta=300, seed=9)
         gains, cand = rs.sketches.gains()
-        walks = rs.walks.toPandas()
+        walks = walk_frame(rs.walks, g.b0[0])
         scale = g.n / 300
         for v in np.flatnonzero(cand):
             exp = scale * sum(

@@ -10,7 +10,7 @@ from repro.core.rw import RWSelector
 from repro.core.sketch import SketchSet
 from repro.graphs.generators import random_instance
 from repro.voting.scores import duels, unit_contribution
-from tests.reference import truncated_estimate_np
+from tests.reference import truncated_estimate_np, walk_frame
 
 OMEGA = np.array([1.0, 0.5, 0.25])
 SCORES = {
@@ -69,7 +69,7 @@ def test_rw_seeds_equal_bruteforce(spark, graph, score):
     t, lam, k = 3, 6, 3
     kw = SCORES[score]
     sel = RWSelector(spark, graph, 0, t, score, lam=lam, seed=3, **kw)
-    walks = sel.walks.toPandas().sort_values("walk_id")
+    walks = walk_frame(sel.walks, graph.b0[0])
     others = others_at_horizon(graph, 0, t)
     ref = _reference_greedy(
         graph.n, walks, walks["start"].to_numpy(), lam, others, 1.0, score, k, kw
@@ -82,7 +82,7 @@ def test_rs_seeds_equal_bruteforce(spark, graph, score):
     t, theta, k = 3, 160, 3
     kw = SCORES[score]
     sel = RSSelector(spark, graph, 0, t, score, theta=theta, seed=4, **kw)
-    walks = sel.walks.toPandas().sort_values("walk_id")
+    walks = walk_frame(sel.walks, graph.b0[0])
     others = others_at_horizon(graph, 0, t)[:, walks["start"].to_numpy()]
     ref = _reference_greedy(
         graph.n, walks, np.arange(theta), 1, others, graph.n / theta, score, k, kw

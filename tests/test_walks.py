@@ -5,32 +5,28 @@ Spark ≡ driver exactness is in ``test_generation.py``."""
 import numpy as np
 import pytest
 
+from repro.core.dm import others_at_horizon
+from repro.core.rs import RSSelector
+from repro.core.rw import RWSelector
 from repro.core.sketch import SketchSet, collect_sketches
 from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import fj_diffuse_np
 from repro.opinion.walks import generate_walks, reverse_walks
-from tests.reference import truncated_estimate_np
+from tests.reference import truncated_estimate_np, walk_frame
 
 
-def _walk_sketches(walks, n: int, lam: int):
+def _walk_sketches(walks, g, lam: int):
     """The walks DataFrame collected as RW units (λ walks per start)."""
-    table, nodes, offsets = collect_sketches(walks, "walk_id", "path")
-    return SketchSet(
-        n,
-        nodes,
-        offsets,
-        table.column("op").to_numpy(),
-        unit=table.column("start").to_numpy(),
-        per_unit=lam,
-    )
+    nodes, offsets = collect_sketches(walks, "walk_id", "path")
+    return SketchSet(g.n, nodes, offsets, g.b0[0, nodes[offsets[1:] - 1]], per_unit=lam)
 
 
 def _walks(g, t, seed, *, lam=None, count=None, cand=0):
     """Driver-side walks: (paths as lists, starts, op) for ids 0..N-1."""
     ids = np.arange(g.n * lam if lam else count)
-    nodes, offsets, ends = reverse_walks(g.reverse_alias(), g.d[cand], seed, ids, t, lam=lam)
+    nodes, offsets = reverse_walks(g.reverse_alias(), g.d[cand], seed, ids, t, lam=lam)
     paths = [nodes[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
-    return paths, nodes[offsets[:-1]], g.b0[cand, ends]
+    return paths, nodes[offsets[:-1]], g.b0[cand, nodes[offsets[1:] - 1]]
 
 
 class TestKernel:
@@ -109,15 +105,23 @@ class TestUnbiasedness:
         assert np.abs(est - exact).max() < 0.05
 
 
+def _one_walk(path, op, seeds):
+    """``op`` of a handmade one-walk sketch after truncating at ``seeds``."""
+    sk = SketchSet(10, path, [0, len(path)], [op])
+    for v in seeds:
+        sk.truncate(v)
+    return sk.op[0]
+
+
 class TestTruncationSemantics:
     def test_no_seed_in_path_keeps_estimate(self):
-        assert truncated_estimate_np([1, 2, 3], 0.4, {9}) == 0.4
+        assert _one_walk([1, 2, 3], 0.4, {9}) == 0.4
 
     def test_seed_anywhere_gives_one(self):
-        assert truncated_estimate_np([1, 2, 3], 0.4, {2}) == 1.0
+        assert _one_walk([1, 2, 3], 0.4, {2}) == 1.0
 
     def test_start_node_as_seed(self):
-        assert truncated_estimate_np([5, 1], 0.2, {5}) == 1.0
+        assert _one_walk([5, 1], 0.2, {5}) == 1.0
 
 
 class TestSparkPipeline:
@@ -125,19 +129,20 @@ class TestSparkPipeline:
         g = random_instance(40, seed=6)
         w = generate_walks(spark, g, 0, 3, lam=5, seed=1)
         assert w.count() == 40 * 5
-        assert set(w.columns) == {"walk_id", "start", "path", "op"}
+        assert set(w.columns) == {"walk_id", "path"}
 
     def test_walks_per_start(self, spark):
         g = random_instance(30, seed=7)
         w = generate_walks(spark, g, 0, 2, lam=7, seed=2)
-        counts = w.groupBy("start").count().toPandas()
-        assert (counts["count"] == 7).all() and len(counts) == 30
+        starts = np.array([p[0] for p in w.toPandas()["path"]])
+        counts = np.bincount(starts)
+        assert (counts == 7).all() and len(counts) == 30
 
     def test_starts_mode(self, spark):
         g = random_instance(30, seed=8)
-        w = generate_walks(spark, g, 0, 2, theta=50, seed=3).toPandas()
+        w = walk_frame(generate_walks(spark, g, 0, 2, theta=50, seed=3), g.b0[0])
         _, starts, _ = _walks(g, 2, 3, count=50)
-        assert w.sort_values("walk_id")["start"].tolist() == starts.tolist()
+        assert w["start"].tolist() == starts.tolist()
 
     def test_requires_exactly_one_mode(self, spark):
         g = random_instance(10, seed=9)
@@ -147,17 +152,26 @@ class TestSparkPipeline:
             generate_walks(spark, g, 0, 2)
 
     def test_op_is_b0_of_path_end(self, spark):
-        g = random_instance(30, seed=10)
-        pdf = generate_walks(spark, g, 0, 3, lam=3, seed=4).toPandas()
-        ends = pdf["path"].map(lambda p: p[-1]).to_numpy()
-        assert np.allclose(pdf["op"].to_numpy(), g.b0[0, ends])
+        """Both selectors: a walk's op is b0[target] at its last node, and a
+        rank score ranks each unit against the others at its first node."""
+        g = random_instance(30, r=3, seed=10)
+        target, t = 1, 3
+        others = others_at_horizon(g, target, t)
+        for sel, per_unit in (
+            (RWSelector(spark, g, target, t, "plurality", lam=3, seed=4), 3),
+            (RSSelector(spark, g, target, t, "plurality", theta=70, seed=4), 1),
+        ):
+            ref = walk_frame(sel.walks, g.b0[target])
+            firsts = ref["start"].to_numpy()[::per_unit]
+            assert np.array_equal(sel.sketches.op, ref["op"].to_numpy())
+            assert np.array_equal(sel.sketches.others, others[:, firsts])
 
     def test_truncation_matches_reference(self, spark):
         g = random_instance(30, seed=12)
         w = generate_walks(spark, g, 0, 4, lam=4, seed=6)
-        sk = _walk_sketches(w, g.n, 4)
+        sk = _walk_sketches(w, g, 4)
         sk.truncate(3)
-        ref = w.toPandas().sort_values("walk_id")
+        ref = walk_frame(w, g.b0[0])
         exp_op = [
             truncated_estimate_np(p, o, {3})
             for p, o in zip(ref["path"], ref["op"])
@@ -173,9 +187,9 @@ class TestSparkPipeline:
     def test_estimates_aggregation(self, spark):
         g = random_instance(25, seed=13)
         w = generate_walks(spark, g, 0, 3, lam=6, seed=7)
-        sk = _walk_sketches(w, g.n, 6)
+        sk = _walk_sketches(w, g, 6)
         ref = (
-            w.toPandas().groupby("start")["op"].mean().sort_index().to_numpy()
+            walk_frame(w, g.b0[0]).groupby("start")["op"].mean().sort_index().to_numpy()
         )
         assert np.allclose(sk.estimates(), ref)
         assert (np.bincount(sk.unit) == 6).all()
