@@ -67,9 +67,9 @@ def pagerank_np(
     return pi
 
 
-def pagerank_seeds(spark, graph: OpinionGraph, k: int, *, iters: int = 20) -> list[int]:
-    """Top-k PageRank (reverse-graph) nodes."""
-    return top_k(pagerank_np(graph, iters=iters), k)
+def pagerank_seeds(spark, graph: OpinionGraph, k: int) -> list[int]:
+    """Top-k PageRank (reverse-graph) nodes, after the default 20 iterations."""
+    return top_k(pagerank_np(graph), k)
 
 
 def rwr_seeds(

@@ -5,16 +5,17 @@ recomputing exact opinions at the horizon (t FJ steps) with the candidate
 added to the current seed set, and picks the max marginal gain.  CELF [49]
 is layered on top for the (submodular) cumulative score.
 
-Everything runs on the driver, as in the paper's single-process DM.  Each
-batch of candidates is scored by one of two exact kernels, chosen by graph
-size:
+Everything runs on the driver, as in the paper's single-process DM.
+``ExactEvaluator`` is the one exact F(S ∪ {v}) (DM, GED-T, Table VI, the
+sandwich's S_L and S_F); each batch runs one of its two exact kernels,
+chosen by graph size at call time:
 
-* up to ``DENSE_N_THRESHOLD`` nodes, a dense ``(batch × n)`` opinion
+* up to ``DENSE_N_THRESHOLD`` nodes, ``_dense``: a ``(batch × n)`` opinion
   matrix advanced jointly with BLAS, each row's own seed column pinned
   to 1;
-* above it, the reach-local kernel: one base trajectory b^(0..t)[S], then
-  the change seeding each candidate makes, propagated for t steps only
-  over (candidate, node) pairs inside the candidate's t-hop forward reach
+* above it, ``_reach_local``: one base trajectory b^(0..t)[S], then the
+  change seeding each candidate makes, propagated for t steps only over
+  (candidate, node) pairs inside the candidate's t-hop forward reach
   N_v^(t) (Def. 2), so F(S ∪ {v}) = F(S) + the change in each reached
   user's contribution.
 
@@ -43,97 +44,6 @@ from repro.voting.scores import score_change, score_rows
 # 42 s dense (4-core host).
 DENSE_N_THRESHOLD = 1500
 
-def batch_scores_np(
-    graph: OpinionGraph,
-    target: int,
-    seeds: Sequence[int],
-    cand_seeds: np.ndarray,
-    t: int,
-    score: str,
-    *,
-    others: np.ndarray | None = None,
-    p: int = 1,
-    omega: np.ndarray | None = None,
-    user_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Exact ``F(S ∪ {v})`` for every v in ``cand_seeds`` (vectorized).
-
-    ``others`` is the (r-1, n) matrix of non-target candidates' exact
-    opinions at the horizon (they have no seeds, so it is constant across
-    the greedy run).  ``user_mask`` restricts the cumulative sum to a user
-    subset (used by the sandwich LB, Def. 3).
-    """
-    if score != "cumulative":
-        assert others is not None, "rank-based scores need the others matrix"
-        assert user_mask is None, "a user mask applies to the cumulative score only"
-    cand_seeds = np.asarray(cand_seeds, dtype=np.int64)
-    kernel = _dense_scores if graph.n <= DENSE_N_THRESHOLD else _reach_local_scores
-    return kernel(graph, target, seeds, cand_seeds, t, score, others, p, omega, user_mask)
-
-
-def _dense_scores(graph, target, seeds, cand_seeds, t, score, others, p, omega, user_mask):
-    """Every candidate's full opinion row, advanced jointly as (batch × n)."""
-    g = graph.with_seeds(target, seeds)
-    b0, d = g.b0[target], g.d[target]
-    nb = len(cand_seeds)
-    rows = np.arange(nb)
-    M = np.tile(b0, (nb, 1))
-    M[rows, cand_seeds] = 1.0
-    W = graph.dense_w()
-    for _ in range(t):
-        M = (1.0 - d) * (M @ W) + d * b0
-        M[rows, cand_seeds] = 1.0  # seed row: d=1, b0=1 ⇒ stays 1
-    return score_rows(M, others, score, p=p, omega=omega, user_mask=user_mask)
-
-
-def _reach_local_scores(graph, target, seeds, cand_seeds, t, score, others, p, omega, user_mask):
-    """F(S ∪ {v}) = F(S) + the change seeding v makes inside its t-hop reach.
-
-    FJ is linear: with S fixed, seeding v changes b^(s) by δ^(s), where
-    δ_v^(s) = 1 − b_v^(s)[S], δ is 0 on S, and elsewhere
-    δ_j^(s+1) = (1 − d_j)·Σ_i w_ij·δ_i^(s).  δ^(t) is therefore zero
-    outside N_v^(t) taken without passing through S.  One base trajectory
-    b^(0..t)[S] serves the whole batch; δ lives on (candidate, node) pairs
-    and moves along the edges between them.
-    """
-    n, nb = graph.n, len(cand_seeds)
-    g = graph.with_seeds(target, seeds)
-    b0, d = g.b0[target], g.d[target]
-    b = b0.copy()
-    root_b = [b[cand_seeds]]
-    for _ in range(t):
-        b = (1.0 - d) * spmv_dst(graph, b) + d * b0
-        root_b.append(b[cand_seeds])
-
-    seeded = np.zeros(n, dtype=bool)
-    seeded[list(seeds)] = True
-    indptr, nbr, w = graph.forward_csr()
-    pnode, offsets = reach(indptr, nbr, cand_seeds, t, blocked=seeded)
-    prow = np.repeat(np.arange(nb), np.diff(offsets))
-    keys = prow * n + pnode  # sorted: each candidate's set is ascending
-    roots = np.searchsorted(keys, np.arange(nb) * n + cand_seeds)
-    # Edges between pairs of the same candidate row.
-    owner, slot = out_edges(indptr, pnode)
-    tkey = prow[owner] * n + nbr[slot]
-    tgt = np.minimum(np.searchsorted(keys, tkey), len(keys) - 1)
-    hit = keys[tgt] == tkey
-    esrc, etgt, ew = owner[hit], tgt[hit], w[slot[hit]]
-
-    keep = 1.0 - d[pnode]
-    delta = np.zeros(len(keys))
-    delta[roots] = 1.0 - root_b[0]
-    for s in range(1, t + 1):
-        delta = keep * segment_sum(delta[esrc] * ew, etgt, len(keys))
-        delta[roots] = 1.0 - root_b[s]
-
-    base = score_rows(b, others, score, p=p, omega=omega, user_mask=user_mask)
-    if score == "cumulative":  # linear: F rises by Σδ over the reached users
-        lift = delta if user_mask is None else delta * user_mask[pnode]
-        return base + segment_sum(lift, prow, nb)
-    new = b[pnode] + delta
-    new[roots] = 1.0  # the seed's opinion, exactly (ranks compare it)
-    return base + score_change(b, others, score, prow, pnode, new, nb, p=p, omega=omega)
-
 
 def others_at_horizon(graph: OpinionGraph, target: int, t: int) -> np.ndarray:
     """Exact horizon opinions of all non-target candidates (no seeds)."""
@@ -145,9 +55,12 @@ class ExactEvaluator:
     """Exact F(S ∪ {v}) for a batch of candidates v, on the driver.
 
     ``__call__(seeds, cand_seeds)`` returns a NumPy array of scores
-    aligned with ``cand_seeds``.  The leading ``spark`` argument is
-    unused; it keeps every selector in ``experiments.tables`` called the
-    same way.
+    aligned with ``cand_seeds``.  ``others`` is the (r-1, n) matrix of the
+    non-target candidates' exact horizon opinions (they have no seeds, so
+    it is constant across the greedy run); ``user_mask`` restricts the
+    cumulative sum to a user subset (the sandwich LB, Def. 3).  The leading
+    ``spark`` argument is unused; it keeps every selector in
+    ``experiments.tables`` called the same way.
     """
 
     # No batch runs on Spark; perfbench's TimedEvaluator reads this.
@@ -165,6 +78,8 @@ class ExactEvaluator:
         omega: np.ndarray | None = None,
         user_mask: np.ndarray | None = None,
     ):
+        if user_mask is not None and score != "cumulative":
+            raise ValueError(f"a user mask applies to the cumulative score only, not {score!r}")
         self.graph = graph
         self.target = target
         self.t = t
@@ -177,25 +92,88 @@ class ExactEvaluator:
         )
 
     def __call__(self, seeds: Sequence[int], cand_seeds: Sequence[int]) -> np.ndarray:
-        return batch_scores_np(
-            self.graph,
-            self.target,
-            seeds,
-            np.asarray(list(cand_seeds), dtype=np.int64),
-            self.t,
-            self.score,
-            others=self.others,
-            p=self.p,
-            omega=self.omega,
-            user_mask=self.user_mask,
-        )
+        cands = np.asarray(cand_seeds, dtype=np.int64)
+        if self.graph.n <= DENSE_N_THRESHOLD:
+            return self._dense(seeds, cands)
+        return self._reach_local(seeds, cands)
 
     def score_of(self, seeds: Sequence[int]) -> float:
         """Exact F(S) (no extra candidate)."""
         g = self.graph.with_seeds(self.target, seeds)
-        bq = fj_diffuse_np(g, self.t, cand=self.target)
-        kw = dict(p=self.p, omega=self.omega, user_mask=self.user_mask)
-        return float(score_rows(bq, self.others, self.score, **kw))
+        return float(self._score(fj_diffuse_np(g, self.t, cand=self.target)))
+
+    def _score(self, b: np.ndarray) -> np.ndarray:
+        """F of each row of target opinions ``b``."""
+        return score_rows(
+            b, self.others, self.score, p=self.p, omega=self.omega, user_mask=self.user_mask
+        )
+
+    def _dense(self, seeds, cand_seeds):
+        """Every candidate's full opinion row, advanced jointly as (batch × n)."""
+        graph, t = self.graph, self.t
+        g = graph.with_seeds(self.target, seeds)
+        b0, d = g.b0[self.target], g.d[self.target]
+        nb = len(cand_seeds)
+        rows = np.arange(nb)
+        M = np.tile(b0, (nb, 1))
+        M[rows, cand_seeds] = 1.0
+        W = graph.dense_w()
+        for _ in range(t):
+            M = (1.0 - d) * (M @ W) + d * b0
+            M[rows, cand_seeds] = 1.0  # seed row: d=1, b0=1 ⇒ stays 1
+        return self._score(M)
+
+    def _reach_local(self, seeds, cand_seeds):
+        """F(S ∪ {v}) = F(S) + the change seeding v makes inside its t-hop reach.
+
+        FJ is linear: with S fixed, seeding v changes b^(s) by δ^(s), where
+        δ_v^(s) = 1 − b_v^(s)[S], δ is 0 on S, and elsewhere
+        δ_j^(s+1) = (1 − d_j)·Σ_i w_ij·δ_i^(s).  δ^(t) is therefore zero
+        outside N_v^(t) taken without passing through S.  One base trajectory
+        b^(0..t)[S] serves the whole batch; δ lives on (candidate, node) pairs
+        and moves along the edges between them.
+        """
+        graph, t = self.graph, self.t
+        n, nb = graph.n, len(cand_seeds)
+        g = graph.with_seeds(self.target, seeds)
+        b0, d = g.b0[self.target], g.d[self.target]
+        b = b0.copy()
+        root_b = [b[cand_seeds]]
+        for _ in range(t):
+            b = (1.0 - d) * spmv_dst(graph, b) + d * b0
+            root_b.append(b[cand_seeds])
+
+        seeded = np.zeros(n, dtype=bool)
+        seeded[list(seeds)] = True
+        indptr, nbr, w = graph.forward_csr()
+        pnode, offsets = reach(indptr, nbr, cand_seeds, t, blocked=seeded)
+        prow = np.repeat(np.arange(nb), np.diff(offsets))
+        keys = prow * n + pnode  # sorted: each candidate's set is ascending
+        roots = np.searchsorted(keys, np.arange(nb) * n + cand_seeds)
+        # Edges between pairs of the same candidate row.
+        owner, slot = out_edges(indptr, pnode)
+        tkey = prow[owner] * n + nbr[slot]
+        tgt = np.minimum(np.searchsorted(keys, tkey), len(keys) - 1)
+        hit = keys[tgt] == tkey
+        esrc, etgt, ew = owner[hit], tgt[hit], w[slot[hit]]
+
+        keep = 1.0 - d[pnode]
+        delta = np.zeros(len(keys))
+        delta[roots] = 1.0 - root_b[0]
+        for s in range(1, t + 1):
+            delta = keep * segment_sum(delta[esrc] * ew, etgt, len(keys))
+            delta[roots] = 1.0 - root_b[s]
+
+        base = self._score(b)
+        if self.score == "cumulative":  # linear: F rises by Σδ over the reached users
+            mask = self.user_mask
+            lift = delta if mask is None else delta * mask[pnode]
+            return base + segment_sum(lift, prow, nb)
+        new = b[pnode] + delta
+        new[roots] = 1.0  # the seed's opinion, exactly (ranks compare it)
+        return base + score_change(
+            b, self.others, self.score, prow, pnode, new, nb, p=self.p, omega=self.omega
+        )
 
 
 def greedy_dm(

@@ -38,6 +38,8 @@ _POPULATION = {  # Table IV "Total #users" (Σ > n because of overlap)
 _INITIAL_SHARE = {  # Table IV "Without seeds" percentage / 100
     "DM": 0.225, "HCI": 0.077, "ML": 0.038, "CN": 0.250, "AL": 0.051, "SW": 0.541, "HW": 0.190,
 }
+# Average degree of the co-author graph (a dense, DBLP-like community).
+CASE_AVG_DEG = 20.0
 # Overlap structure mirroring §VIII-B's observations: HCI/ML/CN/AL/SW all
 # overlap the hub domain DM; HW overlaps CN (hardware-networks) but not DM.
 _CO_DOMAIN = {
@@ -51,9 +53,7 @@ _CO_DOMAIN = {
 }
 
 
-def build_case_study(
-    n: int = 640, *, avg_deg: float = 20.0, seed: int = 21
-) -> tuple[OpinionGraph, pd.DataFrame]:
+def build_case_study(n: int = 640, *, seed: int = 21) -> tuple[OpinionGraph, pd.DataFrame]:
     """The case-study instance: graph + per-user domain memberships.
 
     Returns ``(graph, users)`` where ``users`` has one row per node with a
@@ -92,7 +92,7 @@ def build_case_study(
     # stubborn researchers, per the 1 − yearly-opinion-variance recipe.
     d = rng.beta(3.5, 2.2, size=(2, n))
 
-    src, dst, w = social_graph(n, avg_deg, seed=seed + 1)
+    src, dst, w = social_graph(n, CASE_AVG_DEG, seed=seed + 1)
     g = OpinionGraph.from_edges(n, src, dst, w, b0, d, ["target", "competitor"])
     users = pd.DataFrame({"node": np.arange(n), "domains": domains})
     return g, users

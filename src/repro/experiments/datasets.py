@@ -74,11 +74,11 @@ def load(name: str, *, nodes: int | None = None) -> OpinionGraph:
     )
 
 
-def table3_rows(*, nodes_override: dict[str, int] | None = None) -> list[dict]:
+def table3_rows() -> list[dict]:
     """Table III: paper characteristics next to the lite analogues'."""
     rows = []
     for name, spec in SPECS.items():
-        g = load(name, nodes=(nodes_override or {}).get(name))
+        g = load(name)
         rows.append(
             {
                 "dataset": name,

@@ -13,7 +13,6 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines.centrality import degree_seeds, pagerank_seeds, rwr_seeds
-from repro.baselines.ged_t import ged_t_seeds
 from repro.baselines.im import select_seeds_im
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.core.rs import RSSelector
@@ -111,7 +110,10 @@ def select_with_method(
     if method == "LT":
         return select_seeds_im(spark, graph, "lt", k, theta=im_theta, seed=seed)
     if method == "GED-T":
-        return ged_t_seeds(spark, graph, target, t, k)
+        # Gionis et al. [25] adapted to horizon t (§VIII-A): the exact greedy
+        # on the cumulative objective whatever the score, without CELF.
+        ev = ExactEvaluator(spark, graph, target, t, "cumulative")
+        return greedy_dm(ev, k, celf=False)[0]
     if method == "PR":
         return pagerank_seeds(spark, graph, k)
     if method == "RWR":

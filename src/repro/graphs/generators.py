@@ -33,12 +33,19 @@ def running_example() -> OpinionGraph:
     return OpinionGraph.from_edges(4, src, dst, w, b0, d, ["c1", "c2"])
 
 
+# Power-law exponent of the in/out degree propensities.
+DEGREE_EXPONENT = 2.3
+# Latent topics per user/candidate mixture, and the std of the Gaussian
+# noise added to each cosine opinion.
+N_TOPICS = 8
+OPINION_NOISE = 0.05
+
+
 def social_graph(
     n: int,
     avg_deg: float,
     *,
     seed: int,
-    alpha: float = 2.3,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Directed edges with power-law degree skew (configuration-style).
 
@@ -51,7 +58,7 @@ def social_graph(
     m = max(n, int(n * avg_deg))
     # Zipf-ish attachment propensities for both endpoints.
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    p_out = ranks ** (-1.0 / (alpha - 1.0))
+    p_out = ranks ** (-1.0 / (DEGREE_EXPONENT - 1.0))
     p_out /= p_out.sum()
     p_in = np.roll(p_out, n // 3)  # decorrelate hub identity in/out
     src = rng.choice(n, size=m, p=p_out).astype(np.int32)
@@ -73,8 +80,6 @@ def latent_topic_opinions(
     r: int,
     *,
     seed: int,
-    n_topics: int = 8,
-    noise: float = 0.05,
 ) -> np.ndarray:
     """Initial opinions b0 ∈ [0,1]^{r×n} via user–candidate topic cosine.
 
@@ -84,11 +89,11 @@ def latent_topic_opinions(
     embedding-cosine (DBLP) / rating (Yelp) / sentiment (Twitter) opinions.
     """
     rng = np.random.default_rng(seed)
-    users = rng.dirichlet(np.full(n_topics, 0.3), size=n)
-    cands = rng.dirichlet(np.full(n_topics, 0.3), size=r)
+    users = rng.dirichlet(np.full(N_TOPICS, 0.3), size=n)
+    cands = rng.dirichlet(np.full(N_TOPICS, 0.3), size=r)
     sim = cands @ users.T  # (r, n)
     sim /= np.linalg.norm(cands, axis=1)[:, None] * np.linalg.norm(users, axis=1)[None, :]
-    b0 = np.clip(sim + rng.normal(0, noise, size=sim.shape), 0.0, 1.0)
+    b0 = np.clip(sim + rng.normal(0, OPINION_NOISE, size=sim.shape), 0.0, 1.0)
     return b0
 
 

@@ -9,9 +9,9 @@ from repro.baselines.centrality import (
     pagerank_seeds,
     rwr_seeds,
 )
-from repro.baselines.ged_t import ged_t_seeds
 from repro.baselines.im import generate_rr_sets, rr_sets, select_seeds_im
 from repro.core.dm import ExactEvaluator, greedy_dm
+from repro.experiments.tables import select_with_method
 import repro.graphs.graph as graph_mod
 from repro.graphs.generators import random_instance, running_example
 from repro.graphs.graph import OpinionGraph
@@ -171,15 +171,15 @@ class TestCentrality:
 
     def test_pagerank_seeds_are_top(self, spark):
         g = random_instance(40, seed=13)
-        seeds = pagerank_seeds(spark, g, 3, iters=8)
-        pi = pagerank_np(g, iters=8)
+        seeds = pagerank_seeds(spark, g, 3)
+        pi = pagerank_np(g)
         top = set(np.argsort(-pi)[:3].tolist())
         assert set(seeds) == top
 
     def test_rwr_restart_biases_ranking(self, spark):
         g = random_instance(40, seed=14)
         a = rwr_seeds(spark, g, 5, 0, iters=8)
-        b = pagerank_seeds(spark, g, 5, iters=8)
+        b = pagerank_seeds(spark, g, 5)
         assert len(a) == 5  # may or may not differ from PR, but must be valid
         assert len(set(a)) == 5
 
@@ -201,4 +201,4 @@ class TestGEDT:
         g = random_instance(30, seed=15)
         ev = ExactEvaluator(None, g, 0, 3, "cumulative")
         dm, _ = greedy_dm(ev, 3, celf=True)
-        assert ged_t_seeds(None, g, 0, 3, 3) == dm
+        assert select_with_method(None, g, "GED-T", 0, 3, 3, "cumulative") == dm

@@ -58,9 +58,9 @@ class TestDegreesMatchShape:
 
 
 def test_table3_rows_structure():
-    rows = table3_rows(nodes_override={n: 100 for n in SPECS})
+    rows = table3_rows()
     assert len(rows) == 5
     for row in rows:
-        assert row["lite_nodes"] == 100
+        assert row["lite_nodes"] == SPECS[row["dataset"]].lite_nodes
         assert row["paper_candidates"] == row["lite_candidates"]
         assert row["lite_edges"] > 0

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.dm import (
     ExactEvaluator,
-    batch_scores_np,
     greedy_dm,
     others_at_horizon,
 )
@@ -26,9 +25,8 @@ class TestBatchScores:
     def test_matches_one_at_a_time(self, score):
         g = random_instance(40, r=3, seed=0)
         t, target, S = 3, 0, [5]
-        others = None if score == "cumulative" else others_at_horizon(g, target, t)
         cands = np.array([0, 7, 11, 20])
-        vals = batch_scores_np(g, target, S, cands, t, score, others=others)
+        vals = ExactEvaluator(None, g, target, t, score)(S, cands)
         for v, c in zip(vals, cands):
             assert np.isclose(v, _exact_score(g, target, t, S + [int(c)], score))
 
@@ -38,20 +36,21 @@ class TestBatchScores:
         # Internal invariant: the per-row seed has opinion exactly 1 — the
         # returned cumulative score must therefore be ≥ base + (1 − b_c).
         base = _exact_score(g, 0, 4, [], "cumulative")
-        vals = batch_scores_np(g, 0, [], cands, 4, "cumulative")
+        vals = ExactEvaluator(None, g, 0, 4, "cumulative")([], cands)
         assert (vals >= base - 1e-9).all()
 
     def test_user_mask_restricts_sum(self):
         g = random_instance(30, seed=2)
         mask = np.zeros(30, dtype=bool)
         mask[:10] = True
-        vals = batch_scores_np(g, 0, [], np.array([0]), 3, "cumulative", user_mask=mask)
+        ev = ExactEvaluator(None, g, 0, 3, "cumulative", user_mask=mask)
+        vals = ev([], np.array([0]))
         b = opinions_at_horizon_np(g, 3, 0, [0])[0]
         assert np.isclose(vals[0], b[:10].sum())
 
     def test_existing_seeds_applied(self):
         g = random_instance(30, seed=3)
-        v1 = batch_scores_np(g, 0, [2, 4], np.array([7]), 3, "cumulative")[0]
+        v1 = ExactEvaluator(None, g, 0, 3, "cumulative")([2, 4], np.array([7]))[0]
         assert np.isclose(v1, _exact_score(g, 0, 3, [2, 4, 7], "cumulative"))
 
 
@@ -85,6 +84,16 @@ class TestEvaluator:
         ev = ExactEvaluator(None, g, 0, 3, "cumulative", user_mask=mask)
         b = opinions_at_horizon_np(g, 3, 0, [2])[0]
         assert np.isclose(ev.score_of([2]), b[5:15].sum())
+
+    @pytest.mark.parametrize(
+        "score", ["plurality", "p_approval", "positional_p_approval", "copeland"]
+    )
+    def test_user_mask_with_rank_score_raises(self, score):
+        """The mask is the cumulative LB's (Def. 3); a rank score rejects it
+        when the evaluator is built, also under ``python -O``."""
+        g = random_instance(40, r=3, seed=30)
+        with pytest.raises(ValueError, match="user mask"):
+            ExactEvaluator(None, g, 0, 3, score, user_mask=np.arange(40) % 3 == 0)
 
 
 class TestGreedy:
@@ -163,7 +172,7 @@ class TestGreedy:
 
 _OMEGA = np.array([1.0, 0.6, 0.25, 0.1])
 
-# Kernel cases: (score, batch_scores_np keywords) — all five scores, p = 2
+# Kernel cases: (score, ExactEvaluator keywords) — all five scores, p = 2
 # and ω for the approval variants, and the LB's user mask.
 _KERNEL_CASES = {
     "cumulative": ("cumulative", {}),
@@ -195,12 +204,12 @@ class TestKernelPaths:
         # Every candidate, so some are already in S; plus an empty batch.
         batches = [np.arange(g.n), np.array([], dtype=np.int64)]
         for t, seeds in itertools.product([0, 1, 3], [[], [2], hubs]):
-            others = None if score == "cumulative" else others_at_horizon(g, 0, t)
+            ev = ExactEvaluator(None, g, 0, t, score, **kw)
             for cands in batches:
                 monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", g.n)
-                dense = batch_scores_np(g, 0, seeds, cands, t, score, others=others, **kw)
+                dense = ev(seeds, cands)
                 monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", 0)
-                local = batch_scores_np(g, 0, seeds, cands, t, score, others=others, **kw)
+                local = ev(seeds, cands)
                 assert local.shape == (len(cands),)
                 np.testing.assert_allclose(local, dense, rtol=1e-12, atol=1e-12)
         # The hub seeds do cut paths that the reach-local kernel must skip.
@@ -236,16 +245,14 @@ class TestKernelPaths:
         assert g.n > dm_mod.DENSE_N_THRESHOLD
         t, seeds = 4, [3, 10]
         ran = []
-        reach_local = dm_mod._reach_local_scores
-        monkeypatch.setattr(
-            dm_mod, "_reach_local_scores", lambda *a: ran.append(a) or reach_local(*a)
-        )
         ev = ExactEvaluator(None, g, 0, t, score)
+        reach_local = ev._reach_local
+        monkeypatch.setattr(ev, "_reach_local", lambda *a: ran.append(a) or reach_local(*a))
         cands = np.arange(0, g.n, 25)
         got = ev(seeds, cands)
         assert len(ran) == 1
         monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", g.n)
-        dense = batch_scores_np(g, 0, seeds, cands, t, score, others=ev.others)
+        dense = ev(seeds, cands)
         assert len(ran) == 1
         np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
 
@@ -255,11 +262,9 @@ class TestKernelPaths:
 
         g = random_instance(30, r=4, seed=31)
         om = np.array([1.0, 0.7, 0.3, 0.0])
-        others = others_at_horizon(g, 0, 2)
         cands = np.array([0, 4, 8])
-        vals = batch_scores_np(
-            g, 0, [], cands, 2, "positional_p_approval", others=others, p=3, omega=om
-        )
+        ev = ExactEvaluator(None, g, 0, 2, "positional_p_approval", p=3, omega=om)
+        vals = ev([], cands)
         for v, c in zip(vals, cands):
             b = opinions_at_horizon_np(g, 2, 0, [int(c)])
             assert np.isclose(v, snp(b, 0, "positional_p_approval", p=3, omega=om))

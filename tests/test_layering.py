@@ -1,4 +1,5 @@
-"""Layering guard: which modules of ``src/repro`` may import pyspark."""
+"""Layering guards over ``src/repro``: which modules may import pyspark, call
+the score-rule primitives or ``out_edges``, or contain an ``assert``."""
 import ast
 from pathlib import Path
 
@@ -65,3 +66,15 @@ def test_only_graph_and_dm_call_out_edges():
     (candidate, node) pairs."""
     found = {p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py") if "out_edges" in _calls(p)}
     assert found == {"graphs/graph.py", "core/dm.py"}
+
+
+def _asserts(path: Path) -> bool:
+    """Whether ``path`` contains an ``assert`` statement."""
+    return any(isinstance(n, ast.Assert) for n in ast.walk(ast.parse(path.read_text())))
+
+
+def test_only_the_oracle_asserts():
+    """``python -O`` strips asserts, so program code checks its arguments by
+    raising; only the DuckDB oracle, whose job is asserting, uses them."""
+    found = {p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py") if _asserts(p)}
+    assert found == {"oracle.py"}
