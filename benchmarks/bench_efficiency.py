@@ -8,10 +8,8 @@ dense BLAS up to ``DENSE_N_THRESHOLD`` nodes, reach-local above it.
 """
 import pytest
 
-from repro.core.dm import ExactEvaluator, greedy_dm
-from repro.core.rs import RSSelector
-from repro.core.rw import RWSelector
 from repro.experiments.datasets import load
+from repro.experiments.tables import method_selector
 
 _K, _T = 5, 8
 
@@ -22,14 +20,9 @@ def test_selection_time(spark, benchmark, method, n):
     g = load("twitter-sd-lite", nodes=n)
 
     def run():
-        if method == "DM":
-            ev = ExactEvaluator(spark, g, 0, _T, "cumulative")
-            return greedy_dm(ev, _K, celf=True)[0]
-        if method == "RW":
-            return RWSelector(spark, g, 0, _T, "cumulative", lam=20, seed=0).select(_K)
-        return RSSelector(
-            spark, g, 0, _T, "cumulative", theta=max(256, n // 2), seed=0
-        ).select(_K)
+        return method_selector(
+            spark, g, method, 0, _T, "cumulative", lam=20, theta=max(256, n // 2), seed=0
+        )(_K)
 
     seeds = benchmark.pedantic(run, rounds=1, iterations=1)
     assert len(seeds) == _K

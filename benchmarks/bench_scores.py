@@ -3,7 +3,9 @@
 
 Scaled-down runs (dblp-lite @ n=200, t=8, k ≤ 10).  Each benchmark also
 prints its comparison table; the EXPERIMENTS.md numbers come from
-`jobs/run_scores.py` at the full lite sizes.
+`jobs/run_scores.py` at the full lite sizes.  The shape claim on these
+runs (DM/RW/RS beat the baselines) is checked in
+`tests/test_tables.py::TestComparisonHarness`.
 """
 import pytest
 
@@ -30,11 +32,5 @@ def _run(spark, graph, score):
 def test_scores_comparison(spark, graph, benchmark, score):
     df = benchmark.pedantic(lambda: _run(spark, graph, score), rounds=1, iterations=1)
     assert len(df) == len(METHODS) * len(_KS)
-    # Shape claim (paper §VIII-C): the proposed methods beat the
-    # IC/LT/PR/RWR/DC baselines at the largest k.
-    top = df[df["k"] == max(_KS)].set_index("method")["F"]
-    assert max(top["DM"], top["RW"], top["RS"]) >= max(
-        top["IC"], top["LT"], top["PR"], top["RWR"], top["DC"]
-    ) - 1e-9
     print()
     print(df.to_string(index=False))

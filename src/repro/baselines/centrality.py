@@ -11,8 +11,7 @@
 
 All three run on the driver: one NumPy score vector over the n nodes
 (``pagerank_np`` or a ``bincount`` of out-degrees), then ``top_k``.  Each
-keeps a leading ``spark`` argument, unused, so that every method in
-``experiments.tables`` is called the same way.
+keeps a leading ``spark`` argument, unused, because perfbench calls it.
 """
 from __future__ import annotations
 

@@ -59,8 +59,7 @@ class ExactEvaluator:
     non-target candidates' exact horizon opinions (they have no seeds, so
     it is constant across the greedy run); ``user_mask`` restricts the
     cumulative sum to a user subset (the sandwich LB, Def. 3).  The leading
-    ``spark`` argument is unused; it keeps every selector in
-    ``experiments.tables`` called the same way.
+    ``spark`` argument is unused; perfbench still passes it.
     """
 
     # No batch runs on Spark; perfbench's TimedEvaluator reads this.
@@ -185,17 +184,20 @@ def greedy_dm(
 ) -> tuple[list[int], list[float]]:
     """Alg. 1 (greedy) with optional CELF lazy evaluation.
 
-    Returns (seed list in selection order, exact F after each pick).
-    CELF is valid for the submodular cumulative score; for the
+    Returns (the first k seeds in selection order, exact F after each new
+    pick).  CELF is valid for the submodular cumulative score; for the
     non-submodular scores pass ``celf=False`` (plain greedy), matching the
-    paper's use of CELF for cumulative only.  ``init`` resumes a plain
-    greedy run from an already-selected prefix (greedy is incremental).
-    Raises ``ValueError`` when k exceeds the n nodes (``init`` included).
+    paper's use of CELF for cumulative only.  ``init`` resumes either run
+    from an already-selected prefix: greedy is incremental, and CELF's
+    lazy bounds hold from any seed set [49].  Raises ``ValueError`` when k
+    exceeds the n nodes (``init`` included).
     """
     n = evaluator.graph.n
     seeds: list[int] = list(init or [])
     if k > n:
         raise ValueError(f"cannot select k={k} seeds from {n} nodes")
+    if k <= len(seeds):
+        return seeds[:k], []
     trace: list[float] = []
     base = evaluator.score_of(seeds)
 
@@ -209,13 +211,13 @@ def greedy_dm(
             trace.append(base)
         return seeds, trace
 
-    if seeds:
-        raise ValueError("init resume is only supported with celf=False")
     # CELF: heap of (-gain, node, round_computed)
-    vals = evaluator(seeds, np.arange(n))
-    heap = [(-(v - base), c, 0) for c, v in enumerate(vals)]
+    start = len(seeds)
+    cands = np.setdiff1d(np.arange(n), seeds)
+    vals = evaluator(seeds, cands)
+    heap = [(-(v - base), int(c), start) for c, v in zip(cands, vals)]
     heapq.heapify(heap)
-    for rnd in range(1, k + 1):
+    for rnd in range(start + 1, k + 1):
         while True:
             negg, node, computed = heapq.heappop(heap)
             if computed == rnd:

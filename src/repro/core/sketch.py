@@ -149,10 +149,11 @@ class SketchSet:
         self.op[j] = 1.0
 
     def select(self, k: int) -> list[int]:
-        """Greedy top-k seeds by estimated marginal gain.
+        """The first k greedy seeds by estimated marginal gain.
 
         Resumable: a later call with a larger ``k`` extends the selected
-        prefix on the already-truncated sketches.
+        sequence on the already-truncated sketches; a smaller ``k`` returns
+        its prefix.
         """
         if k > self.n:
             raise ValueError(f"cannot select k={k} seeds from {self.n} nodes")
@@ -166,7 +167,7 @@ class SketchSet:
                 pick = next(v for v in range(self.n) if v not in self.seeds)
             self.seeds.append(pick)
             self.truncate(pick)
-        return list(self.seeds)
+        return self.seeds[:k]
 
 
 class SketchSelector:

@@ -8,6 +8,7 @@ this module only orchestrates and formats.
 from __future__ import annotations
 
 import time
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -68,58 +69,53 @@ def table4(spark, **kw) -> tuple[pd.DataFrame, dict]:
 METHODS = ("DM", "RW", "RS", "IC", "LT", "GED-T", "PR", "RWR", "DC")
 
 
-def rs_theta(graph: OpinionGraph, theta: int | None) -> int:
-    """The RS sketch budget: ``theta`` if given, else max(1024, n // 2)."""
-    return theta or max(1024, graph.n // 2)
-
-
-def select_with_method(
+def method_selector(
     spark,
     graph: OpinionGraph,
     method: str,
     target: int,
     t: int,
-    k: int,
     score: str,
     *,
     lam: int = 40,
     theta: int | None = None,
     im_theta: int = 8000,
     seed: int = 0,
-) -> list[int]:
-    """Dispatch one seed-selection method (paper §VIII-A list)."""
-    if method == "DM":
-        ev = ExactEvaluator(spark, graph, target, t, score)
-        seeds, _ = greedy_dm(ev, k, celf=(score == "cumulative"))
-        return seeds
+) -> Callable[[int], list[int]]:
+    """One §VIII-A seed-selection method as a resumable ``select(k)``.
+
+    ``select(k)`` returns the first k seeds of the method's sequence: a
+    later call with a larger k extends it, a smaller k returns its prefix.
+    RS's θ defaults to max(1024, n // 2).
+    """
+    if method in ("DM", "GED-T"):
+        # GED-T is Gionis et al. [25] adapted to horizon t (§VIII-A): the exact
+        # greedy on the cumulative objective whatever the score, without CELF.
+        objective = score if method == "DM" else "cumulative"
+        ev = ExactEvaluator(spark, graph, target, t, objective)
+        celf = method == "DM" and score == "cumulative"
+        seq: list[int] = []
+
+        def select(k: int) -> list[int]:
+            seeds, _ = greedy_dm(ev, k, celf=celf, init=seq)
+            seq[len(seq):] = seeds[len(seq):]
+            return seeds
+
+        return select
     if method == "RW":
-        sel = RWSelector(spark, graph, target, t, score, lam=lam, seed=seed)
-        try:
-            return sel.select(k)
-        finally:
-            sel.close()
+        return RWSelector(spark, graph, target, t, score, lam=lam, seed=seed).select
     if method == "RS":
-        th = rs_theta(graph, theta)
-        sel = RSSelector(spark, graph, target, t, score, theta=th, seed=seed)
-        try:
-            return sel.select(k)
-        finally:
-            sel.close()
-    if method == "IC":
-        return select_seeds_im(spark, graph, "ic", k, theta=im_theta, seed=seed)
-    if method == "LT":
-        return select_seeds_im(spark, graph, "lt", k, theta=im_theta, seed=seed)
-    if method == "GED-T":
-        # Gionis et al. [25] adapted to horizon t (§VIII-A): the exact greedy
-        # on the cumulative objective whatever the score, without CELF.
-        ev = ExactEvaluator(spark, graph, target, t, "cumulative")
-        return greedy_dm(ev, k, celf=False)[0]
+        th = max(1024, graph.n // 2) if theta is None else theta
+        return RSSelector(spark, graph, target, t, score, theta=th, seed=seed).select
+    if method in ("IC", "LT"):
+        model = method.lower()
+        return lambda k: select_seeds_im(spark, graph, model, k, theta=im_theta, seed=seed)
     if method == "PR":
-        return pagerank_seeds(spark, graph, k)
+        return lambda k: pagerank_seeds(spark, graph, k)
     if method == "RWR":
-        return rwr_seeds(spark, graph, k, target)
+        return lambda k: rwr_seeds(spark, graph, k, target)
     if method == "DC":
-        return degree_seeds(spark, graph, k)
+        return lambda k: degree_seeds(spark, graph, k)
     raise ValueError(f"unknown method: {method}")
 
 
@@ -148,10 +144,10 @@ def scores_comparison(
     for score in scores:
         for method in methods:
             start = time.perf_counter()
-            seeds = select_with_method(
-                spark, graph, method, target, t, kmax, score,
+            seeds = method_selector(
+                spark, graph, method, target, t, score,
                 lam=lam, theta=theta, im_theta=im_theta, seed=seed,
-            )
+            )(kmax)
             elapsed = time.perf_counter() - start
             for k in ks:
                 b = opinions_at_horizon_np(graph, t, target, seeds[:k])
@@ -191,20 +187,12 @@ def table6(
     """
     from repro.core.win import target_wins
 
-    rw_sel = RWSelector(spark, graph, target, t, score, lam=lam, seed=seed)
-    th = rs_theta(graph, theta)
-    rs_sel = RSSelector(spark, graph, target, t, score, theta=th, seed=seed)
-    ev = ExactEvaluator(spark, graph, target, t, score)
-    dm_state: list[int] = []
-
-    def dm_extend(k: int) -> list[int]:
-        nonlocal dm_state
-        dm_state, _ = greedy_dm(ev, k, celf=False, init=dm_state)
-        return list(dm_state)
-
-    extenders = {"DM": dm_extend, "RW": rw_sel.select, "RS": rs_sel.select}
+    selectors = {
+        m: method_selector(spark, graph, m, target, t, score, lam=lam, theta=theta, seed=seed)
+        for m in ("DM", "RW", "RS")
+    }
     rows = []
-    for method, extend in extenders.items():
+    for method, extend in selectors.items():
         k = min(16, k_max)
         seq = extend(k)
         while not target_wins(graph, target, t, seq, score) and k < k_max:
@@ -218,8 +206,6 @@ def table6(
                 "win_within_budget": kstar is not None,
             }
         )
-    rw_sel.close()
-    rs_sel.close()
     return pd.DataFrame(rows)
 
 

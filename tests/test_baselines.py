@@ -11,7 +11,7 @@ from repro.baselines.centrality import (
 )
 from repro.baselines.im import generate_rr_sets, rr_sets, select_seeds_im
 from repro.core.dm import ExactEvaluator, greedy_dm
-from repro.experiments.tables import select_with_method
+from repro.experiments.tables import method_selector
 import repro.graphs.graph as graph_mod
 from repro.graphs.generators import random_instance, running_example
 from repro.graphs.graph import OpinionGraph
@@ -201,4 +201,4 @@ class TestGEDT:
         g = random_instance(30, seed=15)
         ev = ExactEvaluator(None, g, 0, 3, "cumulative")
         dm, _ = greedy_dm(ev, 3, celf=True)
-        assert select_with_method(None, g, "GED-T", 0, 3, 3, "cumulative") == dm
+        assert method_selector(None, g, "GED-T", 0, 3, "cumulative")(3) == dm

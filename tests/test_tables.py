@@ -4,8 +4,8 @@ import pytest
 
 from repro.experiments.tables import (
     METHODS,
+    method_selector,
     scores_comparison,
-    select_with_method,
     table1,
     table3,
     table6,
@@ -40,18 +40,42 @@ class TestDispatch:
     def test_unknown_method_raises(self, spark):
         g = random_instance(20, seed=0)
         with pytest.raises(ValueError):
-            select_with_method(spark, g, "XX", 0, 2, 2, "cumulative")
+            method_selector(spark, g, "XX", 0, 2, "cumulative")
 
     @pytest.mark.parametrize("method", ["DC", "PR", "RWR"])
     def test_centrality_methods_return_k(self, spark, method):
         g = random_instance(30, seed=1)
-        seeds = select_with_method(spark, g, method, 0, 2, 3, "cumulative")
+        seeds = method_selector(spark, g, method, 0, 2, "cumulative")(3)
         assert len(seeds) == 3 and len(set(seeds)) == 3
 
     def test_dm_method(self, spark):
         g = random_instance(25, seed=2)
-        seeds = select_with_method(spark, g, "DM", 0, 2, 2, "cumulative")
+        seeds = method_selector(spark, g, "DM", 0, 2, "cumulative")(2)
         assert len(seeds) == 2
+
+
+class TestSelectProtocol:
+    """Every §VIII-A method is a resumable ``select(k)`` over one sequence."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return random_instance(20, r=2, seed=6, avg_deg=3.0)
+
+    def _selector(self, spark, g, method, score):
+        return method_selector(spark, g, method, 0, 2, score, lam=10, theta=200, im_theta=200)
+
+    # Rank scores change only the seeds of DM, RW and RS.
+    @pytest.mark.parametrize(
+        "method, score",
+        [(m, "cumulative") for m in METHODS] + [(m, "plurality") for m in ("DM", "RW", "RS")],
+    )
+    def test_extends_and_returns_prefixes(self, spark, graph, method, score):
+        select = self._selector(spark, graph, method, score)
+        first = select(3)
+        seq = select(6)
+        assert seq[:3] == first
+        assert seq == self._selector(spark, graph, method, score)(6)
+        assert select(2) == seq[:2]
 
 
 @pytest.mark.slow
@@ -79,6 +103,20 @@ class TestComparisonHarness:
         )
         f = df.set_index("method")["F"]
         assert f["DM"] >= f["DC"] - 1e-9
+
+    @pytest.mark.parametrize("score", ["cumulative", "plurality", "copeland"])
+    def test_proposed_methods_beat_baselines(self, spark, score):
+        """Shape claim (paper §VIII-C): the proposed methods beat the
+        IC/LT/PR/RWR/DC baselines at the largest k."""
+        ks = [5, 10]
+        df = scores_comparison(
+            spark, load("dblp-lite", nodes=200), 0, 8, ks, [score],
+            methods=METHODS, lam=20, theta=400, im_theta=2000,
+        )
+        top = df[df["k"] == max(ks)].set_index("method")["F"]
+        assert max(top["DM"], top["RW"], top["RS"]) >= max(
+            top["IC"], top["LT"], top["PR"], top["RWR"], top["DC"]
+        ) - 1e-9
 
     def test_table6_shape(self, spark):
         g = random_instance(40, r=2, seed=5, avg_deg=3.0)
@@ -115,7 +153,7 @@ class TestDegenerateInputs:
         target = TARGETS["yelp-lite"]
         self._check(
             small,
-            lambda t, k: select_with_method(spark, small, method, target, t, k, score),
+            lambda t, k: method_selector(spark, small, method, target, t, score)(k),
         )
 
     @pytest.mark.parametrize("score", ["plurality", "copeland"])
