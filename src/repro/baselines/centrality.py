@@ -22,6 +22,8 @@ from repro.graphs.graph import OpinionGraph, segment_sum
 
 def top_k(score: np.ndarray, k: int) -> list[int]:
     """The ``k`` nodes with the highest ``score``; ties go to the smallest id."""
+    if not 0 <= k <= len(score):
+        raise ValueError(f"cannot select k={k} seeds from {len(score)} nodes")
     return np.argsort(-score, kind="stable")[:k].tolist()
 
 

@@ -116,9 +116,12 @@ def generate_rr_sets(
     seed: int = 0,
 ) -> DataFrame:
     """θ RR sets as a DataFrame ``(sketch_id, nodes)``: set ``i`` is
-    ``rr_sets`` at id ``i``, whatever the partitioning."""
+    ``rr_sets`` at id ``i``, whatever the partitioning.  θ below 1 raises
+    before any job."""
     if model not in ("ic", "lt"):
         raise ValueError(f"unknown IM model: {model}")
+    if theta < 1:
+        raise ValueError(f"a sketch budget must be positive: theta={theta}")
     alias, w = graph.reverse_alias(), graph.w
 
     def kernel(ids):

@@ -189,12 +189,12 @@ def greedy_dm(
     non-submodular scores pass ``celf=False`` (plain greedy), matching the
     paper's use of CELF for cumulative only.  ``init`` resumes either run
     from an already-selected prefix: greedy is incremental, and CELF's
-    lazy bounds hold from any seed set [49].  Raises ``ValueError`` when k
-    exceeds the n nodes (``init`` included).
+    lazy bounds hold from any seed set [49].  Raises ``ValueError`` unless
+    0 ≤ k ≤ n.
     """
     n = evaluator.graph.n
     seeds: list[int] = list(init or [])
-    if k > n:
+    if not 0 <= k <= n:
         raise ValueError(f"cannot select k={k} seeds from {n} nodes")
     if k <= len(seeds):
         return seeds[:k], []

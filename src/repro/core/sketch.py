@@ -155,7 +155,7 @@ class SketchSet:
         sequence on the already-truncated sketches; a smaller ``k`` returns
         its prefix.
         """
-        if k > self.n:
+        if not 0 <= k <= self.n:
             raise ValueError(f"cannot select k={k} seeds from {self.n} nodes")
         while len(self.seeds) < k:
             gain, cand = self.gains()

@@ -86,7 +86,8 @@ def method_selector(
 
     ``select(k)`` returns the first k seeds of the method's sequence: a
     later call with a larger k extends it, a smaller k returns its prefix.
-    RS's θ defaults to max(1024, n // 2).
+    It raises ``ValueError`` unless 0 ≤ k ≤ n.  RS's θ defaults to
+    max(1024, n // 2).
     """
     if method in ("DM", "GED-T"):
         # GED-T is Gionis et al. [25] adapted to horizon t (§VIII-A): the exact

@@ -177,10 +177,12 @@ def generate_walks(
     Either ``lam`` walks from *every* node (RW, Alg. 4; walk ``i`` starts
     at ``i // lam``) or ``theta`` walks from uniformly drawn nodes (RS
     sketches, Alg. 5).  Walk ``i`` is ``reverse_walks`` at id ``i``,
-    whatever the partitioning.
+    whatever the partitioning.  A budget below 1 raises before any job.
     """
     if (lam is None) == (theta is None):
         raise ValueError("pass exactly one of lam= or theta=")
+    if (theta if lam is None else lam) < 1:
+        raise ValueError(f"a sketch budget must be positive: lam={lam}, theta={theta}")
     alias, d = graph.reverse_alias(), graph.d[cand].copy()
 
     def kernel(ids):

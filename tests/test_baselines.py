@@ -99,6 +99,13 @@ class TestRRSets:
         with pytest.raises(ValueError):
             rr_sets(g.reverse_alias(), g.w, "xx", 0, np.array([0]))
 
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_im_theta_below_one_raises(self, model):
+        # θ_im = 0 used to pick the smallest ids from no RR sets at all.
+        g = random_instance(10, seed=2)
+        with pytest.raises(ValueError, match="budget"):
+            select_seeds_im(None, g, model, 3, theta=0)
+
     def test_spark_generation_counts(self, spark):
         g = random_instance(40, seed=3)
         rr = generate_rr_sets(spark, g, "ic", 200, seed=0)

@@ -105,3 +105,16 @@ def test_split_ranges_equal_one_call(graph, kind):
     sizes = np.concatenate([np.diff(p["offsets"]) for p in parts])
     joined["offsets"] = np.concatenate([[0], np.cumsum(sizes)])
     _assert_same(joined, whole)
+
+
+@pytest.mark.parametrize("key, value", [("lam", 0), ("lam", -1), ("theta", 0), ("theta", -5)])
+def test_walk_budget_below_one_raises_before_any_job(graph, key, value):
+    # No session: the check must come before Spark is touched.
+    with pytest.raises(ValueError, match="budget"):
+        generate_walks(None, graph, 0, T, **{key: value})
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_rr_budget_below_one_raises_before_any_job(graph, model):
+    with pytest.raises(ValueError, match="budget"):
+        generate_rr_sets(None, graph, model, 0)

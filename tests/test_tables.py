@@ -53,6 +53,17 @@ class TestDispatch:
         seeds = method_selector(spark, g, "DM", 0, 2, "cumulative")(2)
         assert len(seeds) == 2
 
+    def test_rs_budget_below_one_raises(self):
+        # θ = 0 is a budget, not "use the default"; it raises before any job.
+        g = random_instance(20, seed=0)
+        with pytest.raises(ValueError, match="budget"):
+            method_selector(None, g, "RS", 0, 2, "cumulative", theta=0)
+
+    def test_im_budget_below_one_raises(self):
+        g = random_instance(20, seed=0)
+        with pytest.raises(ValueError, match="budget"):
+            method_selector(None, g, "IC", 0, 2, "cumulative", im_theta=0)(3)
+
 
 class TestSelectProtocol:
     """Every §VIII-A method is a resumable ``select(k)`` over one sequence."""
@@ -76,6 +87,14 @@ class TestSelectProtocol:
         assert seq[:3] == first
         assert seq == self._selector(spark, graph, method, score)(6)
         assert select(2) == seq[:2]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_k_outside_0_n_raises(self, spark, graph, method):
+        select = self._selector(spark, graph, method, "cumulative")
+        select(2)  # also after a prefix has been selected
+        for k in (-1, graph.n + 1):
+            with pytest.raises(ValueError, match="cannot select"):
+                select(k)
 
 
 @pytest.mark.slow
