@@ -101,7 +101,6 @@ class TestRRSets:
 
     @pytest.mark.parametrize("model", ["ic", "lt"])
     def test_im_theta_below_one_raises(self, model):
-        # θ_im = 0 used to pick the smallest ids from no RR sets at all.
         g = random_instance(10, seed=2)
         with pytest.raises(ValueError, match="budget"):
             select_seeds_im(None, g, model, 3, theta=0)
