@@ -89,12 +89,12 @@ class TestRW:
 
 class TestSketchBudget:
     @pytest.mark.parametrize("lam", [0, -1])
-    def test_rw_lam_below_one_raises(self, small_graph, lam):
+    def test_rw_budget_below_one_raises(self, small_graph, lam):
         with pytest.raises(ValueError, match="budget"):
             RWSelector(None, small_graph, 0, 3, "cumulative", lam=lam)
 
     @pytest.mark.parametrize("theta", [0, -5])
-    def test_rs_theta_below_one_raises(self, small_graph, theta):
+    def test_rs_budget_below_one_raises(self, small_graph, theta):
         with pytest.raises(ValueError, match="budget"):
             RSSelector(None, small_graph, 0, 3, "cumulative", theta=theta)
 
