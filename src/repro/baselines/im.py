@@ -17,9 +17,10 @@ implement the reverse-reachable (RR) set machinery:
   in ``opinion.walks``, so set ``i`` is the same on the driver and in any
   Spark partition (``generate_rr_sets``, one ``mapInArrow`` job).
 * Seed selection: greedy max-coverage over θ_im RR sets, collected once to
-  the driver and run by the shared sketch greedy (``core.sketch``): with
-  every RR set's ``op`` at 0, a node's cumulative gain is the number of
-  uncovered RR sets containing it, and a pick retires the sets it covers.
+  the driver (``rr_sketches``) and run by the shared, resumable sketch
+  greedy (``core.sketch``): with every RR set's ``op`` at 0, a node's
+  cumulative gain is the number of uncovered RR sets containing it, and a
+  pick retires the sets it covers.
 
 Substitution vs the paper (DESIGN.md §3): IMM's adaptive martingale
 stopping rule is replaced by a fixed, generous θ_im; at our scale the
@@ -130,6 +131,23 @@ def generate_rr_sets(
     return map_id_range(spark, theta, kernel, _RR_SCHEMA)
 
 
+def rr_sketches(
+    spark: SparkSession,
+    graph: OpinionGraph,
+    model: str,
+    theta: int,
+    *,
+    seed: int = 0,
+) -> SketchSet:
+    """θ RR sets, generated and collected once, as a max-coverage ``SketchSet``.
+
+    Its ``select(k)`` is the IMM-lite greedy, resumable like RW's and RS's.
+    """
+    rr = generate_rr_sets(spark, graph, model, theta, seed=seed)
+    nodes, offsets = collect_sketches(rr, "sketch_id", "nodes")
+    return SketchSet(graph.n, nodes, offsets, np.zeros(theta), retire=True)
+
+
 def select_seeds_im(
     spark: SparkSession,
     graph: OpinionGraph,
@@ -140,7 +158,4 @@ def select_seeds_im(
     seed: int = 0,
 ) -> list[int]:
     """Greedy max-coverage over RR sets (IMM-lite seed selection)."""
-    rr = generate_rr_sets(spark, graph, model, theta, seed=seed)
-    nodes, offsets = collect_sketches(rr, "sketch_id", "nodes")
-    return SketchSet(graph.n, nodes, offsets, np.zeros(theta), retire=True).select(k)
-
+    return rr_sketches(spark, graph, model, theta, seed=seed).select(k)

@@ -7,22 +7,26 @@ is layered on top for the (submodular) cumulative score.
 
 Everything runs on the driver, as in the paper's single-process DM.
 ``ExactEvaluator`` is the one exact F(S ∪ {v}) (DM, GED-T, Table VI, the
-sandwich's S_L and S_F); each batch runs one of its two exact kernels,
-chosen by graph size at call time:
+sandwich's S_L and S_F); each batch runs one of its three exact kernels,
+chosen from the graph's n and m at call time:
 
-* up to ``DENSE_N_THRESHOLD`` nodes, ``_dense``: a ``(batch × n)`` opinion
-  matrix advanced jointly with BLAS, each row's own seed column pinned
-  to 1;
-* above it, ``_reach_local``: one base trajectory b^(0..t)[S], then the
-  change seeding each candidate makes, propagated for t steps only over
-  (candidate, node) pairs inside the candidate's t-hop forward reach
-  N_v^(t) (Def. 2), so F(S ∪ {v}) = F(S) + the change in each reached
-  user's contribution.
+* above ``DENSE_N_THRESHOLD`` nodes, ``_reach_local``: one base trajectory
+  b^(0..t)[S], then the change seeding each candidate makes, propagated
+  for t steps only over (candidate, node) pairs inside the candidate's
+  t-hop forward reach N_v^(t) (Def. 2), so F(S ∪ {v}) = F(S) + the change
+  in each reached user's contribution;
+* otherwise, when n²/m ≥ ``LAYERED_SPARSITY``, ``_layered``: an (n × batch)
+  opinion block, one column per candidate, whose FJ aggregation adds the
+  in-edges layer by layer (``OpinionGraph.in_layers``), t·batch·m flops;
+* otherwise ``_dense``: a (batch × n) opinion matrix advanced jointly with
+  BLAS, t·batch·n² flops.
 
-Both are exact (they differ only in float rounding); see DESIGN.md §2.
-F comes from ``voting.scores.score_rows``; the reach-local change is a
-plain Σδ for the cumulative score and ``voting.scores.score_change`` (one
-group per candidate row, one unit per reached node) for the rank scores.
+The row kernels pin each row's own seed to 1.  ``_layered``'s rows are
+bit-identical to ``fj_diffuse_np`` with the candidate seeded; the other
+two differ from it only in float rounding (DESIGN.md §2).  F comes from
+``voting.scores.score_rows``; the reach-local change is a plain Σδ for the
+cumulative score and ``voting.scores.score_change`` (one group per
+candidate row, one unit per reached node) for the rank scores.
 """
 from __future__ import annotations
 
@@ -35,14 +39,18 @@ from repro.graphs.graph import OpinionGraph, out_edges, reach, segment_sum, spmv
 from repro.opinion.fj import fj_diffuse_np
 from repro.voting.scores import score_change, score_rows
 
-# At or below this node count the batched FJ iteration uses a dense W
-# (BLAS) over the full (batch × n) opinion matrix; above it, the reach-local
-# kernel.  Dense graphs stay dense: on yelp-lite (n = 966) a candidate
-# reaches 94 % of the nodes in t = 20 hops, and one all-candidate batch
-# (S = ∅) takes 1.3 s dense vs 2.8 s reach-local, plurality or cumulative
-# (~2×).  On twitter-sd-lite (n = 3 245) it takes 0.02 s reach-local vs
-# 42 s dense (4-core host).
+# Kernel choice reads only (n, m).  Above DENSE_N_THRESHOLD nodes a batch
+# runs reach-local: on twitter-sd-lite (n = 3 245) an all-candidate batch
+# takes 0.02 s, against 42 s dense.  Small graphs keep every opinion row,
+# since a candidate reaches most of the graph (94 % of yelp-lite in t = 20
+# hops; reach-local took 2.8 s there, 2× dense).  Among those, a graph with
+# n²/m ≥ LAYERED_SPARSITY runs the layered kernel (t·batch·m flops), the
+# rest dense BLAS (t·batch·n²).  One all-candidate batch at t = 20 took
+# layered/dense 0.53× the time on yelp-lite (n²/m = 118) and 2.4× on
+# dblp-lite (20); on random n = 966 graphs 0.47×, 0.78×, 0.97×, 1.15× and
+# 2.12× at n²/m = 130, 86, 68, 49 and 27 (4 OpenBLAS threads, 4-core host).
 DENSE_N_THRESHOLD = 1500
+LAYERED_SPARSITY = 64
 
 
 def others_at_horizon(graph: OpinionGraph, target: int, t: int) -> np.ndarray:
@@ -92,9 +100,11 @@ class ExactEvaluator:
 
     def __call__(self, seeds: Sequence[int], cand_seeds: Sequence[int]) -> np.ndarray:
         cands = np.asarray(cand_seeds, dtype=np.int64)
-        if self.graph.n <= DENSE_N_THRESHOLD:
-            return self._dense(seeds, cands)
-        return self._reach_local(seeds, cands)
+        n, m = self.graph.n, self.graph.m
+        if n > DENSE_N_THRESHOLD:
+            return self._reach_local(seeds, cands)
+        rows = self._layered if LAYERED_SPARSITY * m <= n * n else self._dense
+        return self._score(rows(seeds, cands))
 
     def score_of(self, seeds: Sequence[int]) -> float:
         """Exact F(S) (no extra candidate)."""
@@ -108,7 +118,7 @@ class ExactEvaluator:
         )
 
     def _dense(self, seeds, cand_seeds):
-        """Every candidate's full opinion row, advanced jointly as (batch × n)."""
+        """Every candidate's (batch × n) opinion row, advanced jointly with BLAS."""
         graph, t = self.graph, self.t
         g = graph.with_seeds(self.target, seeds)
         b0, d = g.b0[self.target], g.d[self.target]
@@ -120,7 +130,38 @@ class ExactEvaluator:
         for _ in range(t):
             M = (1.0 - d) * (M @ W) + d * b0
             M[rows, cand_seeds] = 1.0  # seed row: d=1, b0=1 ⇒ stays 1
-        return self._score(M)
+        return M
+
+    def _layered(self, seeds, cand_seeds):
+        """Every candidate's (batch × n) opinion row, bit-identical to
+        ``fj_diffuse_np`` with the candidate added to S.
+
+        The batch is node-major, an (n × batch) block in ``in_layers``
+        labels.  One FJ step adds layer r's terms w_ij·b_i into the prefix
+        of rows it covers, r = 0, 1, …: every node sums its terms in edge
+        order, starting from the first, as ``segment_sum`` does.
+        """
+        lay = self.graph.in_layers()
+        g = self.graph.with_seeds(self.target, seeds)
+        b0, d = g.b0[self.target, lay.order], g.d[self.target, lay.order]
+        keep, fixed = (1.0 - d)[:, None], (d * b0)[:, None]
+        nb = len(cand_seeds)
+        cols, pins = np.arange(nb), lay.rank[cand_seeds]
+        B = np.repeat(b0[:, None], nb, axis=1)
+        B[pins, cols] = 1.0
+        agg, part = np.empty_like(B), np.empty_like(B)
+        for _ in range(self.t):
+            for r, (lo, hi) in enumerate(zip(lay.ptr[:-1], lay.ptr[1:])):
+                out = agg if r == 0 else part[: hi - lo]
+                np.take(B, lay.src[lo:hi], axis=0, out=out)
+                out *= lay.w[lo:hi, None]
+                if r:
+                    agg[: hi - lo] += out
+            agg *= keep
+            agg += fixed
+            agg[pins, cols] = 1.0  # seed row: d=1, b0=1 ⇒ stays 1
+            B, agg = agg, B
+        return np.ascontiguousarray(B[lay.rank].T)
 
     def _reach_local(self, seeds, cand_seeds):
         """F(S ∪ {v}) = F(S) + the change seeding v makes inside its t-hop reach.
@@ -211,27 +252,25 @@ def greedy_dm(
             trace.append(base)
         return seeds, trace
 
-    # CELF: heap of (-gain, node, round_computed)
+    # CELF: heap of (-gain, node, round_computed, F(S ∪ {node}) at that round)
     start = len(seeds)
     cands = np.setdiff1d(np.arange(n), seeds)
     vals = evaluator(seeds, cands)
-    heap = [(-(v - base), int(c), start) for c, v in zip(cands, vals)]
+    heap = [(-(v - base), int(c), start, float(v)) for c, v in zip(cands, vals)]
     heapq.heapify(heap)
     for rnd in range(start + 1, k + 1):
         while True:
-            negg, node, computed = heapq.heappop(heap)
+            negg, node, computed, val = heapq.heappop(heap)
             if computed == rnd:
                 seeds.append(node)
-                base += -negg
+                base = val  # the evaluator's F, not a running sum of gains
                 trace.append(base)
                 break
             # Re-evaluate lazily, in a small batch with the next stalest.
-            stale = [(negg, node)]
+            stale = [node]
             while heap and len(stale) < 32 and heap[0][2] != rnd:
-                ng, nd, _ = heapq.heappop(heap)
-                stale.append((ng, nd))
-            nodes = np.array([nd for _, nd in stale])
-            new_vals = evaluator(seeds, nodes)
-            for nv, nd in zip(new_vals, nodes):
-                heapq.heappush(heap, (-(float(nv) - base), int(nd), rnd))
+                stale.append(heapq.heappop(heap)[1])
+            new_vals = evaluator(seeds, np.array(stale))
+            for nv, nd in zip(new_vals, stale):
+                heapq.heappush(heap, (-(float(nv) - base), nd, rnd, float(nv)))
     return seeds, trace

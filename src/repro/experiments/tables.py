@@ -14,7 +14,7 @@ import numpy as np
 import pandas as pd
 
 from repro.baselines.centrality import degree_seeds, pagerank_seeds, rwr_seeds
-from repro.baselines.im import select_seeds_im
+from repro.baselines.im import rr_sketches
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.core.rs import RSSelector
 from repro.core.rw import RWSelector
@@ -109,8 +109,7 @@ def method_selector(
         th = max(1024, graph.n // 2) if theta is None else theta
         return RSSelector(spark, graph, target, t, score, theta=th, seed=seed).select
     if method in ("IC", "LT"):
-        model = method.lower()
-        return lambda k: select_seeds_im(spark, graph, model, k, theta=im_theta, seed=seed)
+        return rr_sketches(spark, graph, method.lower(), im_theta, seed=seed).select
     if method == "PR":
         return lambda k: pagerank_seeds(spark, graph, k)
     if method == "RWR":

@@ -10,8 +10,9 @@ Storage is NumPy (edges as COO sorted by ``dst``) so that instances are
 deterministic and cheap to broadcast.  Every FJ, score, reachability,
 exact-evaluation and centrality kernel reads these arrays on the driver;
 the Spark jobs (walk, sketch and RR-set generation) ship them to
-``mapInArrow`` workers.  ``edges_pdf`` / ``state_pdf`` export the
-instance as pandas tables for the DuckDB oracle.
+``mapInArrow`` workers.  ``in_layers`` regroups the in-edges for the
+exact evaluator's layered FJ kernel.  ``edges_pdf`` / ``state_pdf``
+export the instance as pandas tables for the DuckDB oracle.
 
 ``reach`` is the one multi-source frontier BFS: t-hop reachable sets
 N_v^(t) (Def. 2) over the forward CSR for DM's reach-local kernel and the
@@ -83,6 +84,27 @@ def _build_alias_row(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
+class InLayers:
+    """The in-edges of W regrouped for a node-major FJ aggregation.
+
+    Nodes are relabelled by descending in-degree (``order[new] = old``,
+    ``rank[old] = new``).  Layer r holds the r-th in-edge, in the
+    dst-sorted edge order, of every node whose in-degree exceeds r: edges
+    ``ptr[r]:ptr[r + 1]``, whose destinations are the new labels
+    ``0 .. ptr[r + 1] − ptr[r] − 1`` in order, so each layer adds into a
+    prefix of the rows.  ``src`` holds new labels.  Every node has an
+    in-edge, so layer 0 covers all n.  Adding the layers in order sums each
+    node's terms in edge order, as ``segment_sum`` does.
+    """
+
+    order: np.ndarray  # (n,) int64 — old label of each new label
+    rank: np.ndarray  # (n,) int64 — new label of each old label
+    ptr: np.ndarray  # (max in-degree + 1,) int64 — layer boundaries
+    src: np.ndarray  # (m,) int64 — edge sources, new labels, layer-major
+    w: np.ndarray  # (m,) float64 — edge weights, same order
+
+
+@dataclass
 class OpinionGraph:
     """One FJ-Vote problem instance (graph + opinions + stubbornness)."""
 
@@ -97,6 +119,7 @@ class OpinionGraph:
     _fwd_csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, repr=False
     )
+    _in_layers: InLayers | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------ #
     # Construction & validation
@@ -207,6 +230,25 @@ class OpinionGraph:
         W = np.zeros((self.n, self.n))
         np.add.at(W, (self.src, self.dst), self.w)
         return W
+
+    def in_layers(self) -> InLayers:
+        """The in-edges cut into in-degree layers (cached); see ``InLayers``."""
+        if self._in_layers is None:
+            indeg = np.bincount(self.dst, minlength=self.n)
+            order = np.argsort(-indeg, kind="stable")
+            rank = np.empty(self.n, dtype=np.int64)
+            rank[order] = np.arange(self.n)
+            # Position of each edge among its dst's in-edges (dst-sorted order).
+            pos = np.arange(self.m) - self.dst_indptr()[self.dst]
+            edges = np.argsort(pos * self.n + rank[self.dst], kind="stable")
+            self._in_layers = InLayers(
+                order,
+                rank,
+                _indptr(pos, int(indeg.max())),
+                rank[self.src[edges]],
+                self.w[edges],
+            )
+        return self._in_layers
 
     # ------------------------------------------------------------------ #
     # Reverse-graph structures (for random walks)

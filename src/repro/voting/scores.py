@@ -95,7 +95,9 @@ def score_rows(
     Def. 3).  Cumulative ignores ``others``.
     """
     if user_mask is not None:
-        b = b[..., user_mask]
+        # ``compress`` keeps rows contiguous (``b[..., mask]`` is column-major),
+        # so each row of a batch sums exactly as the same row alone does.
+        b = np.compress(user_mask, b, axis=-1)
         others = None if others is None else others[:, user_mask]
     if score == "copeland":
         above, below = duels(b, others)

@@ -184,34 +184,46 @@ _KERNEL_CASES = {
 }
 
 
+def _looped_graph():
+    """A 40-node instance with explicit self-loops (weight 0.5) on every 4th
+    node, which carry δ from step to step, and its 3 top out-degree hubs."""
+    g0 = random_instance(40, r=4, seed=30)
+    loops = np.arange(0, g0.n, 4)
+    g = OpinionGraph.from_edges(
+        g0.n, np.r_[g0.src, loops], np.r_[g0.dst, loops],
+        np.r_[g0.w, np.full(len(loops), 0.5)], g0.b0, g0.d,
+    )
+    out_deg = np.bincount(g.src[g.src != g.dst], minlength=g.n)
+    return g, np.argsort(-out_deg, kind="stable")[:3].tolist()
+
+
+def _kernels(ev, seeds, cands):
+    """F from each of the three exact kernels, called directly."""
+    return {
+        "dense": ev._score(ev._dense(seeds, cands)),
+        "layered": ev._score(ev._layered(seeds, cands)),
+        "reach_local": ev._reach_local(seeds, cands),
+    }
+
+
 class TestKernelPaths:
-    """The dense-BLAS and reach-local kernels agree."""
+    """The dense-BLAS, layered and reach-local kernels agree."""
 
     @pytest.mark.parametrize("case", list(_KERNEL_CASES))
-    def test_sparse_path_matches_dense(self, monkeypatch, case):
-        import repro.core.dm as dm_mod
-
+    def test_sparse_path_matches_dense(self, case):
         score, kw = _KERNEL_CASES[case]
-        g0 = random_instance(40, r=4, seed=30)
-        # Explicit self-loops on every 4th node carry δ from step to step.
-        loops = np.arange(0, g0.n, 4)
-        g = OpinionGraph.from_edges(
-            g0.n, np.r_[g0.src, loops], np.r_[g0.dst, loops],
-            np.r_[g0.w, np.full(len(loops), 0.5)], g0.b0, g0.d,
-        )
-        out_deg = np.bincount(g.src[g.src != g.dst], minlength=g.n)
-        hubs = np.argsort(-out_deg, kind="stable")[:3].tolist()
+        g, hubs = _looped_graph()
         # Every candidate, so some are already in S; plus an empty batch.
         batches = [np.arange(g.n), np.array([], dtype=np.int64)]
         for t, seeds in itertools.product([0, 1, 3], [[], [2], hubs]):
             ev = ExactEvaluator(None, g, 0, t, score, **kw)
             for cands in batches:
-                monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", g.n)
-                dense = ev(seeds, cands)
-                monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", 0)
-                local = ev(seeds, cands)
-                assert local.shape == (len(cands),)
-                np.testing.assert_allclose(local, dense, rtol=1e-12, atol=1e-12)
+                got = _kernels(ev, seeds, cands)
+                for name in ("layered", "reach_local"):
+                    assert got[name].shape == (len(cands),)
+                    np.testing.assert_allclose(
+                        got[name], got["dense"], rtol=1e-12, atol=1e-12, err_msg=name
+                    )
         # The hub seeds do cut paths that the reach-local kernel must skip.
         blocked = np.zeros(g.n, dtype=bool)
         blocked[hubs] = True
@@ -220,25 +232,22 @@ class TestKernelPaths:
         assert len(cut) < len(reach(indptr, dst, np.arange(g.n), 3)[0])
 
     @pytest.mark.parametrize("score", ["plurality", "copeland"])
-    def test_sole_candidate_kernels_agree(self, monkeypatch, score):
+    def test_sole_candidate_kernels_agree(self, score):
         """r = 1: no opponent, so every user ranks the target first and it
-        wins no duel; both kernels say so."""
-        import repro.core.dm as dm_mod
-
+        wins no duel; all three kernels say so."""
         g0 = random_instance(30, r=2, seed=33)
         g = OpinionGraph.from_edges(g0.n, g0.src, g0.dst, g0.w, g0.b0[:1], g0.d[:1])
         ev = ExactEvaluator(None, g, 0, 3, score)
         assert ev.others.shape == (0, g.n)
         want = np.full(g.n, g.n if score == "plurality" else 0.0)
-        for threshold in (g.n, 0):
-            monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", threshold)
-            np.testing.assert_array_equal(ev([4], np.arange(g.n)), want)
+        for name, got in _kernels(ev, [4], np.arange(g.n)).items():
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
     @pytest.mark.parametrize("score", ["cumulative", "plurality"])
     def test_evaluator_runs_reach_local_kernel_above_threshold(self, monkeypatch, score):
         """Above DENSE_N_THRESHOLD the evaluator dispatches to the reach-local
-        kernel; the reference is the dense kernel, forced by raising the
-        threshold."""
+        kernel; the references are the dense and layered kernels, called
+        directly."""
         import repro.core.dm as dm_mod
 
         g = random_instance(1600, r=3, seed=32, avg_deg=3.0)
@@ -251,10 +260,26 @@ class TestKernelPaths:
         cands = np.arange(0, g.n, 25)
         got = ev(seeds, cands)
         assert len(ran) == 1
-        monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", g.n)
-        dense = ev(seeds, cands)
-        assert len(ran) == 1
-        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12)
+        for rows in (ev._dense, ev._layered):
+            ref = ev._score(rows(seeds, cands))
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "dataset, kernel",
+        [("yelp-lite", "_layered"), ("dblp-lite", "_dense"), ("twitter-sd-lite", "_reach_local")],
+    )
+    def test_dispatch_by_n_and_m(self, monkeypatch, dataset, kernel):
+        """Reach-local above DENSE_N_THRESHOLD nodes; below it layered when
+        n²/m ≥ LAYERED_SPARSITY (yelp-lite 118), else dense (dblp-lite 20)."""
+        from repro.experiments.datasets import load
+
+        ev = ExactEvaluator(None, load(dataset), 0, 2, "cumulative")
+        ran = []
+        for name in ("_dense", "_layered", "_reach_local"):
+            fn = getattr(ev, name)
+            monkeypatch.setattr(ev, name, lambda *a, fn=fn, name=name: ran.append(name) or fn(*a))
+        ev([], [0, 1])
+        assert ran == [kernel]
 
     def test_positional_vectorization_matches_score_np(self):
         from repro.voting.scores import score_np as snp
@@ -268,3 +293,50 @@ class TestKernelPaths:
         for v, c in zip(vals, cands):
             b = opinions_at_horizon_np(g, 2, 0, [int(c)])
             assert np.isclose(v, snp(b, 0, "positional_p_approval", p=3, omega=om))
+
+
+class TestLayeredKernel:
+    """Each ``_layered`` row is bit-identical to ``fj_diffuse_np`` with the
+    candidate added to S: the same terms, added in the same order."""
+
+    @pytest.mark.parametrize("t", [0, 1, 3])
+    def test_rows_equal_fj_diffusion_bit_for_bit(self, t):
+        g, hubs = _looped_graph()
+        for seeds in ([], [2], hubs):
+            ev = ExactEvaluator(None, g, 0, t, "cumulative")
+            rows = ev._layered(seeds, np.arange(g.n))  # some already in S
+            assert rows.shape == (g.n, g.n)
+            for v in range(g.n):
+                want = opinions_at_horizon_np(g, t, 0, sorted(set(seeds) | {v}))[0]
+                np.testing.assert_array_equal(rows[v], want)
+            assert ev._layered(seeds, np.array([], dtype=np.int64)).shape == (0, g.n)
+
+    def test_layers_cover_every_edge_once_in_edge_order(self):
+        g, _ = _looped_graph()
+        lay = g.in_layers()
+        assert lay.ptr[1] == g.n  # every node has an in-edge
+        size = np.diff(lay.ptr)
+        assert (np.diff(size) <= 0).all()  # each layer's rows: a shrinking prefix
+        dst = np.concatenate([np.arange(c) for c in size])
+        # Back in old labels and grouped by dst, the layers list the edges
+        # in their dst-sorted order.
+        order = np.lexsort((np.repeat(np.arange(len(size)), size), lay.order[dst]))
+        np.testing.assert_array_equal(lay.order[lay.src[order]], g.src)
+        np.testing.assert_array_equal(lay.w[order], g.w)
+
+    @pytest.mark.parametrize("case", ["plurality-greedy", "cumulative_lb-celf"])
+    def test_greedy_trace_is_exact_f(self, case):
+        """On a layered-dispatched graph the greedy trace is F(prefix) itself:
+        plain greedy on plurality, and CELF on the sandwich's masked
+        cumulative LB."""
+        import repro.core.dm as dm_mod
+
+        g = random_instance(150, r=3, seed=34, avg_deg=1.0)
+        assert dm_mod.LAYERED_SPARSITY * g.m <= g.n**2 <= dm_mod.DENSE_N_THRESHOLD**2
+        if case == "plurality-greedy":
+            ev, celf = ExactEvaluator(None, g, 0, 5, "plurality"), False
+        else:
+            mask = fj_diffuse_np(g, 5).argmax(axis=0) == 0
+            ev, celf = ExactEvaluator(None, g, 0, 5, "cumulative", user_mask=mask), True
+        seeds, trace = greedy_dm(ev, 6, celf=celf)
+        assert trace == [ev.score_of(seeds[: i + 1]) for i in range(6)]

@@ -165,14 +165,24 @@ class TestUnknownScore:
         with pytest.raises(ValueError, match="unknown score"):
             score_np(b, 0, name)
 
-    @pytest.mark.parametrize("threshold", [0, 10**9], ids=["reach_local", "dense"])
-    def test_exact_evaluator(self, monkeypatch, name, threshold):
+    # Each kernel in turn: reach-local above the node threshold; below it
+    # dense on a dense graph and layered on a sparse one (n²/m ≈ 101).
+    @pytest.mark.parametrize(
+        "threshold, n, avg_deg, kernel",
+        [(0, 20, 4.0, "_reach_local"), (10**9, 20, 4.0, "_dense"), (10**9, 150, 1.0, "_layered")],
+        ids=["reach_local", "dense", "layered"],
+    )
+    def test_exact_evaluator(self, monkeypatch, name, threshold, n, avg_deg, kernel):
         import repro.core.dm as dm_mod
 
         monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", threshold)
-        ev = dm_mod.ExactEvaluator(None, random_instance(20, r=3, seed=9), 0, 2, name)
+        g = random_instance(n, r=3, seed=9, avg_deg=avg_deg)
+        ev = dm_mod.ExactEvaluator(None, g, 0, 2, name)
+        ran, fn = [], getattr(ev, kernel)
+        monkeypatch.setattr(ev, kernel, lambda *a: ran.append(kernel) or fn(*a))
         with pytest.raises(ValueError, match="unknown score"):
             ev([], [0, 1, 2])
+        assert ran == [kernel]
 
     def test_sketch_select(self, name):
         from repro.core.sketch import SketchSet

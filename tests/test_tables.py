@@ -88,6 +88,23 @@ class TestSelectProtocol:
         assert seq == self._selector(spark, graph, method, score)(6)
         assert select(2) == seq[:2]
 
+    @pytest.mark.parametrize("method", ["IC", "LT"])
+    def test_im_generates_rr_sets_once(self, monkeypatch, spark, graph, method):
+        """IC/LT keep their RR sets: four ``select(k)`` calls run one
+        generation, and each prefix is ``select_seeds_im``'s k seeds."""
+        import repro.baselines.im as im
+
+        made = []
+        generate = im.generate_rr_sets
+        monkeypatch.setattr(
+            im, "generate_rr_sets", lambda *a, **kw: made.append(a) or generate(*a, **kw)
+        )
+        select = self._selector(spark, graph, method, "cumulative")
+        got = {k: select(k) for k in (2, 5, 1, 6)}
+        assert len(made) == 1
+        for k, seeds in got.items():
+            assert seeds == im.select_seeds_im(spark, graph, method.lower(), k, theta=200)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_k_outside_0_n_raises(self, spark, graph, method):
         select = self._selector(spark, graph, method, "cumulative")
