@@ -11,12 +11,18 @@ nodes and reach-local above it.
 (S = ∅, plurality, t = 20) on the two small lite graphs: dense BLAS on
 dblp-lite (n²/m = 20), the layered kernel on yelp-lite (n²/m = 118).  No
 selection benchmark reaches the dense kernel otherwise.
+
+``test_greedy_dm_time`` times ``greedy_dm`` (cumulative, t = 20) on the two
+paths that no perfbench workload runs: plain greedy on the reach-local
+kernel (GED-T on twitter-sd-lite, k = 10) and CELF on dense BLAS
+(dblp-lite, k = 6).  It records the evaluator calls and candidates in
+``extra_info``.
 """
 import numpy as np
 import pytest
 
-from repro.core.dm import ExactEvaluator
-from repro.experiments.datasets import load
+from repro.core.dm import ExactEvaluator, greedy_dm
+from repro.experiments.datasets import TARGETS, load
 from repro.experiments.tables import method_selector
 
 _K, _T = 5, 8
@@ -43,3 +49,35 @@ def test_exact_batch_time(benchmark, dataset):
     cands = np.arange(g.n)
     vals = benchmark.pedantic(ev, args=([], cands), rounds=3, iterations=1, warmup_rounds=1)
     assert vals.shape == (g.n,)
+
+
+class _Counted:
+    """``ExactEvaluator`` stand-in that counts each batch's candidates."""
+
+    def __init__(self, ev):
+        self.ev, self.graph, self.batches = ev, ev.graph, []
+
+    def __call__(self, seeds, cand_seeds):
+        self.batches.append(len(cand_seeds))
+        return self.ev(seeds, cand_seeds)
+
+    def score_of(self, seeds):
+        return self.ev.score_of(seeds)
+
+
+@pytest.mark.parametrize(
+    "dataset, k, celf", [("twitter-sd-lite", 10, False), ("dblp-lite", 6, True)]
+)
+def test_greedy_dm_time(benchmark, dataset, k, celf):
+    g = load(dataset)
+    ev = _Counted(ExactEvaluator(None, g, TARGETS[dataset], 20, "cumulative"))
+
+    def run():
+        ev.batches.clear()
+        return greedy_dm(ev, k, celf=celf)
+
+    seeds, trace = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
+    benchmark.extra_info.update(eval_calls=len(ev.batches), cands_evaluated=sum(ev.batches))
+    assert len(seeds) == k and trace[-1] == ev.score_of(seeds)
+    if not celf:
+        assert ev.batches == [g.n - i for i in range(k)]

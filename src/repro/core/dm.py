@@ -2,8 +2,10 @@
 
 Paper Alg. 1 + §III-C: each greedy round scores every candidate seed by
 recomputing exact opinions at the horizon (t FJ steps) with the candidate
-added to the current seed set, and picks the max marginal gain.  CELF [49]
-is layered on top for the (submodular) cumulative score.
+added to the current seed set, and picks the max marginal gain.
+``greedy_dm`` is one lazy-greedy loop: CELF [49] for the (submodular)
+cumulative score, and plain greedy as the case in which every candidate
+is re-scored each round.
 
 Everything runs on the driver, as in the paper's single-process DM.
 ``ExactEvaluator`` is the one exact F(S ∪ {v}) (DM, GED-T, Table VI, the
@@ -30,7 +32,6 @@ candidate row, one unit per reached node) for the rank scores.
 """
 from __future__ import annotations
 
-import heapq
 from typing import Sequence
 
 import numpy as np
@@ -223,7 +224,7 @@ def greedy_dm(
     celf: bool = True,
     init: list[int] | None = None,
 ) -> tuple[list[int], list[float]]:
-    """Alg. 1 (greedy) with optional CELF lazy evaluation.
+    """Alg. 1 (greedy), lazy with CELF [49] or plain.
 
     Returns (the first k seeds in selection order, exact F after each new
     pick).  CELF is valid for the submodular cumulative score; for the
@@ -232,6 +233,14 @@ def greedy_dm(
     from an already-selected prefix: greedy is incremental, and CELF's
     lazy bounds hold from any seed set [49].  Raises ``ValueError`` unless
     0 ≤ k ≤ n.
+
+    One loop serves both.  Each candidate keeps its last F(S ∪ {v}), the
+    gain over the F(S) it was scored against and the round it was scored
+    in.  A round re-scores the stale candidates ranked above the first
+    fresh one (by gain, ties to the smaller id) in one batch, in ascending
+    id order, until the top candidate is fresh, and picks it.  The batch
+    holds every stale candidate on a run's first batch and on plain
+    greedy, and at most 32 otherwise.
     """
     n = evaluator.graph.n
     seeds: list[int] = list(init or [])
@@ -241,36 +250,22 @@ def greedy_dm(
         return seeds[:k], []
     trace: list[float] = []
     base = evaluator.score_of(seeds)
-
-    if not celf:
-        for _ in range(len(seeds), k):
-            cands = np.setdiff1d(np.arange(n), seeds)
-            vals = evaluator(seeds, cands)
-            best = int(cands[np.argmax(vals)])
-            seeds.append(best)
-            base = float(np.max(vals))
-            trace.append(base)
-        return seeds, trace
-
-    # CELF: heap of (-gain, node, round_computed, F(S ∪ {node}) at that round)
-    start = len(seeds)
-    cands = np.setdiff1d(np.arange(n), seeds)
-    vals = evaluator(seeds, cands)
-    heap = [(-(v - base), int(c), start, float(v)) for c, v in zip(cands, vals)]
-    heapq.heapify(heap)
-    for rnd in range(start + 1, k + 1):
-        while True:
-            negg, node, computed, val = heapq.heappop(heap)
-            if computed == rnd:
-                seeds.append(node)
-                base = val  # the evaluator's F, not a running sum of gains
-                trace.append(base)
-                break
-            # Re-evaluate lazily, in a small batch with the next stalest.
-            stale = [node]
-            while heap and len(stale) < 32 and heap[0][2] != rnd:
-                stale.append(heapq.heappop(heap)[1])
-            new_vals = evaluator(seeds, np.array(stale))
-            for nv, nd in zip(new_vals, stale):
-                heapq.heappush(heap, (-(float(nv) - base), nd, rnd, float(nv)))
+    # Unscored candidates rank first; picked ones rank last and are never stale.
+    val, gain, when = np.zeros(n), np.full(n, np.inf), np.full(n, -1)
+    gain[seeds], when[seeds] = -np.inf, k
+    lazy = False  # a run's first batch scores every candidate
+    for rnd in range(len(seeds), k):
+        while when[top := int(np.argmax(gain))] < rnd:
+            if lazy:  # the stale run ranked above the first fresh candidate, ≤ 32
+                ranked = np.argsort(-gain, kind="stable")[:32]
+                batch = np.sort(ranked[np.logical_and.accumulate(when[ranked] < rnd)])
+            else:
+                batch = np.flatnonzero(when < rnd)
+            val[batch] = evaluator(seeds, batch)
+            gain[batch], when[batch] = val[batch] - base, rnd
+            lazy = celf
+        base = float(val[top])  # the evaluator's F, not a running sum of gains
+        seeds.append(top)
+        trace.append(base)
+        gain[top], when[top] = -np.inf, k
     return seeds, trace

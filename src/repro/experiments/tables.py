@@ -18,12 +18,12 @@ from repro.baselines.im import rr_sketches
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.core.rs import RSSelector
 from repro.core.rw import RWSelector
-from repro.core.win import min_seeds_to_win_fast
+from repro.core.win import min_seeds_to_win_fast, target_wins
 from repro.experiments.casestudy import run_case_study
 from repro.experiments.datasets import table3_rows
 from repro.graphs.generators import running_example
 from repro.graphs.graph import OpinionGraph
-from repro.opinion.fj import opinions_at_horizon_np
+from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np
 from repro.voting.scores import score_np
 
 
@@ -185,8 +185,6 @@ def table6(
     until the target wins or ``k_max`` is hit, then the shortest winning
     prefix is located; win checks use exact opinions (Alg. 2 line 5).
     """
-    from repro.core.win import target_wins
-
     selectors = {
         m: method_selector(spark, graph, m, target, t, score, lam=lam, theta=theta, seed=seed)
         for m in ("DM", "RW", "RS")
@@ -216,8 +214,6 @@ def trailing_candidate(graph: OpinionGraph, t: int, score: str) -> int:
     Democratic Party, For-Mask, … — trail initially); our symmetric
     synthetic candidates may not, so the harness targets the trailing one.
     """
-    from repro.opinion.fj import fj_diffuse_np
-
     b = fj_diffuse_np(graph, t)
     vals = [score_np(b, q, score) for q in range(graph.r)]
     return int(np.argmin(vals))

@@ -340,3 +340,94 @@ class TestLayeredKernel:
             ev, celf = ExactEvaluator(None, g, 0, 5, "cumulative", user_mask=mask), True
         seeds, trace = greedy_dm(ev, 6, celf=celf)
         assert trace == [ev.score_of(seeds[: i + 1]) for i in range(6)]
+
+
+class _CallLog:
+    """Stand-in for ``ExactEvaluator`` that logs each batch as
+    (seeds, candidates); ``greedy_dm`` touches only ``graph``, ``__call__``
+    and ``score_of``."""
+
+    def __init__(self, ev):
+        self.ev, self.graph, self.calls = ev, ev.graph, []
+
+    def __call__(self, seeds, cand_seeds):
+        self.calls.append((list(seeds), [int(c) for c in cand_seeds]))
+        return self.ev(seeds, cand_seeds)
+
+    def score_of(self, seeds):
+        return self.ev.score_of(seeds)
+
+
+def _tied_hubs():
+    """Three identical components, hub h → leaves 3 + 2h and 4 + 2h: the
+    hubs are interchangeable, and every opinion is a short dyadic fraction,
+    so their scores tie exactly."""
+    hubs = np.arange(3)
+    src, dst = np.repeat(hubs, 2), np.arange(3, 9)
+    b0 = np.array([[0.25] * 3 + [0.0] * 6, [0.4] * 9])
+    return OpinionGraph.from_edges(9, src, dst, np.ones(6), b0, np.full((2, 9), 0.5))
+
+
+class TestLazyGreedy:
+    """``greedy_dm``'s one loop: what each round sends to the evaluator."""
+
+    def test_celf_first_round_makes_one_call(self):
+        g = random_instance(40, seed=9)
+        ev = _CallLog(ExactEvaluator(None, g, 0, 4, "cumulative"))
+        greedy_dm(ev, 1, celf=True)
+        assert ev.calls == [([], list(range(g.n)))]
+
+    def test_resumed_celf_first_round_scores_every_unselected(self):
+        g = random_instance(40, seed=9)
+        exact = ExactEvaluator(None, g, 0, 4, "cumulative")
+        full, full_trace = greedy_dm(exact, 6, celf=True)
+        init = full[:3]
+        ev = _CallLog(exact)
+        seeds, trace = greedy_dm(ev, 6, celf=True, init=init)
+        assert seeds == full and trace == full_trace[3:]
+        assert ev.calls[0] == (init, [v for v in range(g.n) if v not in init])
+        assert all(len(c) <= 32 and c == sorted(c) for _, c in ev.calls[1:])
+        ev.calls.clear()
+        greedy_dm(ev, 4, celf=True, init=init)
+        assert len(ev.calls) == 1
+
+    def test_plain_greedy_scores_every_unselected_each_round(self):
+        g = random_instance(40, r=3, seed=13)
+        ev = _CallLog(ExactEvaluator(None, g, 0, 3, "plurality"))
+        seeds, _ = greedy_dm(ev, 5, celf=False, init=[7])
+        assert seeds[0] == 7
+        assert ev.calls == [
+            (seeds[:i], [v for v in range(g.n) if v not in seeds[:i]]) for i in range(1, 5)
+        ]
+
+    @pytest.mark.parametrize("score, celf", [("cumulative", True), ("plurality", False)])
+    def test_ties_go_to_the_smaller_id(self, score, celf):
+        ev = ExactEvaluator(None, _tied_hubs(), 0, 2, score)
+        first = ev([], [0, 1, 2])
+        assert first[0] == first[1] == first[2]
+        assert greedy_dm(ev, 3, celf=celf)[0] == [0, 1, 2]
+        assert greedy_dm(ev, 2, celf=celf, init=[2])[0] == [2, 0]
+        assert greedy_dm(ev, 3, celf=celf, init=[0])[0] == [0, 1, 2]
+        assert greedy_dm(ev, 2, celf=celf, init=[5])[0] == [5, 0]
+
+
+class TestBatchIndependence:
+    """A candidate's F is the same in any batch, so the lazy loop may
+    compare values scored in different batches: bit for bit on the layered
+    and reach-local kernels, within rounding on dense BLAS."""
+
+    @pytest.mark.parametrize("case", list(_KERNEL_CASES))
+    def test_value_does_not_depend_on_the_batch(self, case):
+        score, kw = _KERNEL_CASES[case]
+        g, hubs = _looped_graph()
+        subset = np.random.default_rng(0).permutation(g.n)[: g.n // 2]
+        for seeds in ([], [2], hubs):
+            ev = ExactEvaluator(None, g, 0, 3, score, **kw)
+            whole = _kernels(ev, seeds, np.arange(g.n))
+            batches = [subset] + [np.array([v]) for v in range(g.n)]
+            for cands in batches:
+                for name, got in _kernels(ev, seeds, cands).items():
+                    if name == "dense":
+                        np.testing.assert_allclose(got, whole[name][cands], rtol=1e-12, atol=1e-12)
+                    else:
+                        np.testing.assert_array_equal(got, whole[name][cands], err_msg=name)
