@@ -15,10 +15,12 @@ implement the reverse-reachable (RR) set machinery:
 * Generation: ``rr_sets`` builds a batch of sets by frontier expansion
   over all of them at once; every coin is keyed by (seed, set id, …) as
   in ``opinion.walks``, so set ``i`` is the same on the driver and in any
-  Spark partition (``generate_rr_sets``, one ``mapInArrow`` job).
+  Spark partition.  ``generate_rr_sets`` runs the kernel through
+  ``opinion.walks.map_id_range`` (one ``mapInArrow`` job); this module does
+  not import Spark.
 * Seed selection: greedy max-coverage over θ_im RR sets, collected once to
-  the driver (``rr_sketches``) and run by the shared, resumable sketch
-  greedy (``core.sketch``): with every RR set's ``op`` at 0, a node's
+  the driver in id order (``rr_sketches``) and run by the shared, resumable
+  sketch greedy (``core.sketch``): with every RR set's ``op`` at 0, a node's
   cumulative gain is the number of uncovered RR sets containing it, and a
   pick retires the sets it covers.
 
@@ -29,28 +31,19 @@ selected seeds coincide with IMM's with high probability.
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
 
-from repro.core.sketch import SketchSet, collect_sketches
+from repro.core.sketch import SketchSet
 from repro.graphs.graph import AliasTable, OpinionGraph, reach
 from repro.opinion.walks import (
     ACCEPT,
     COIN,
     SLOT,
+    collect_sketches,
     flatten_paths,
-    list_array,
     map_id_range,
     stream_keys,
     uniform_nodes,
     uniforms,
-)
-
-_RR_SCHEMA = T.StructType(
-    [
-        T.StructField("sketch_id", T.LongType()),
-        T.StructField("nodes", T.ArrayType(T.IntegerType())),
-    ]
 )
 
 
@@ -109,13 +102,13 @@ def rr_sets(
 
 
 def generate_rr_sets(
-    spark: SparkSession,
+    spark,
     graph: OpinionGraph,
     model: str,
     theta: int,
     *,
     seed: int = 0,
-) -> DataFrame:
+):
     """θ RR sets as a DataFrame ``(sketch_id, nodes)``: set ``i`` is
     ``rr_sets`` at id ``i``, whatever the partitioning.  θ below 1 raises
     before any job."""
@@ -126,13 +119,13 @@ def generate_rr_sets(
     alias, w = graph.reverse_alias(), graph.w
 
     def kernel(ids):
-        return [ids, list_array(*rr_sets(alias, w, model, seed, ids))]
+        return rr_sets(alias, w, model, seed, ids)
 
-    return map_id_range(spark, theta, kernel, _RR_SCHEMA)
+    return map_id_range(spark, theta, kernel, ("sketch_id", "nodes"))
 
 
 def rr_sketches(
-    spark: SparkSession,
+    spark,
     graph: OpinionGraph,
     model: str,
     theta: int,
@@ -144,12 +137,12 @@ def rr_sketches(
     Its ``select(k)`` is the IMM-lite greedy, resumable like RW's and RS's.
     """
     rr = generate_rr_sets(spark, graph, model, theta, seed=seed)
-    nodes, offsets = collect_sketches(rr, "sketch_id", "nodes")
+    nodes, offsets = collect_sketches(rr)
     return SketchSet(graph.n, nodes, offsets, np.zeros(theta), retire=True)
 
 
 def select_seeds_im(
-    spark: SparkSession,
+    spark,
     graph: OpinionGraph,
     model: str,
     k: int,

@@ -37,7 +37,7 @@ from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.core.sketch import SketchSet
 from repro.graphs.graph import OpinionGraph, reach
 from repro.opinion.fj import fj_diffuse_np
-from repro.voting.scores import rank
+from repro.voting.scores import positional_weights, rank
 
 
 # --------------------------------------------------------------------- #
@@ -121,8 +121,8 @@ def sandwich_select(
     """
     if score == "cumulative":
         raise ValueError("cumulative is submodular — no sandwich needed")
-    omega_arr = np.ones(graph.r) if omega is None else np.asarray(omega)
     pp = 1 if score == "plurality" else p
+    omega_arr = np.ones(graph.r) if omega is None else positional_weights(omega, pp)
 
     if score == "copeland":
         base = weakly_favorable_users_np(graph, target, t)

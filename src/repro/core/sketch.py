@@ -7,8 +7,10 @@ node with the largest estimated marginal gain and truncate every sketch
 that contains it (Post-Generation Truncation, Thm 9).  ``SketchSet`` holds
 the sketches as flat arrays on the driver — an int32 node array, offsets,
 a per-sketch ``op`` and a per-sketch live length ``cut`` — and runs that
-loop with NumPy.  Spark only generates the sketches; ``collect_sketches``
-pulls them to the driver once, after which ``select`` launches no job.
+loop with NumPy.  Spark only generates the sketches
+(``opinion.walks``, the one module that knows about Spark);
+``opinion.walks.collect_sketches`` pulls them to the driver once, in id
+order, after which ``select`` launches no job.
 
 Sketches are grouped into *units* of ``per_unit`` consecutive sketches, the
 things the score counts:
@@ -38,25 +40,11 @@ such node is left, the pick is the smallest unselected id.
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.dm import others_at_horizon
 from repro.graphs.graph import OpinionGraph
-from repro.opinion.walks import generate_walks
+from repro.opinion.walks import collect_sketches, generate_walks
 from repro.voting.scores import USER_SUMS, score_change, score_rows
-
-
-def collect_sketches(df: DataFrame, order: str, column: str):
-    """Collect ``df`` in one Spark job, sorted by ``order``, as ``(nodes, offsets)``.
-
-    The list column ``column`` becomes a flat int32 node array and int64
-    offsets, sketch ``j`` being ``nodes[offsets[j]:offsets[j + 1]]``.
-    Sorting makes the sketch order independent of Spark's partitioning.
-    """
-    lists = df.toArrow().sort_by(order).column(column).combine_chunks()
-    offsets = np.asarray(lists.offsets, dtype=np.int64)
-    nodes = np.asarray(lists.values, dtype=np.int32)[offsets[0] : offsets[-1]]
-    return nodes, offsets - offsets[0]
 
 
 class SketchSet:
@@ -181,7 +169,7 @@ class SketchSelector:
 
     def __init__(
         self,
-        spark: SparkSession,
+        spark,
         graph: OpinionGraph,
         target: int,
         t: int,
@@ -194,7 +182,7 @@ class SketchSelector:
         seed: int = 0,
     ):
         self.walks = generate_walks(spark, graph, target, t, lam=lam, theta=theta, seed=seed)
-        nodes, offsets = collect_sketches(self.walks, "walk_id", "path")
+        nodes, offsets = collect_sketches(self.walks)
         per_unit = lam or 1
         users = nodes[offsets[:-1:per_unit]]
         others = None

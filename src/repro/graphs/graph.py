@@ -136,15 +136,16 @@ class OpinionGraph:
     ) -> "OpinionGraph":
         """Build an instance, normalizing ``weight`` to be column-stochastic.
 
-        Raw non-negative weights are accepted; per-destination they are
-        rescaled to sum to 1.  In-degree-0 nodes get a weight-1 self-loop
-        (paper: such users retain their initial opinions).
+        Raw finite non-negative weights are accepted; per-destination they
+        are rescaled to sum to 1.  In-degree-0 nodes get a weight-1 self-loop
+        (paper: such users retain their initial opinions).  NaN or infinite
+        weights, opinions or stubbornness raise ``ValueError``.
         """
         src = np.asarray(src, dtype=np.int32)
         dst = np.asarray(dst, dtype=np.int32)
         weight = np.asarray(weight, dtype=np.float64)
-        if (weight < 0).any():
-            raise ValueError("edge weights must be non-negative")
+        if not (np.isfinite(weight) & (weight >= 0)).all():
+            raise ValueError("edge weights must be finite and non-negative")
         if len(src) and (max(src.max(), dst.max()) >= n or min(src.min(), dst.min()) < 0):
             raise ValueError("node ids out of range")
         # Drop zero-weight edges (paper: E is the union of non-zero edges).
@@ -164,7 +165,7 @@ class OpinionGraph:
         d = np.atleast_2d(np.asarray(d, dtype=np.float64))
         if b0.shape != d.shape or b0.shape[1] != n:
             raise ValueError(f"b0/d shape mismatch: {b0.shape} vs {d.shape}, n={n}")
-        if ((b0 < 0) | (b0 > 1)).any() or ((d < 0) | (d > 1)).any():
+        if not (((b0 >= 0) & (b0 <= 1)).all() and ((d >= 0) & (d <= 1)).all()):
             raise ValueError("b0 and d entries must lie in [0, 1]")
         cands = candidates or [f"c{i+1}" for i in range(b0.shape[0])]
         if len(cands) != b0.shape[0]:

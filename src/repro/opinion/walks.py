@@ -27,12 +27,13 @@ reverse-CSR edge slot as its step.  Lane ``START`` at step 0 is reserved for a
 uniformly drawn start node (RS sketches, IM roots).  A sketch therefore
 does not depend on which other ids share its batch, partition or core.
 
-Spark layering: ``spark.range(N)`` spreads the sketch ids over
-``defaultParallelism`` partitions and ``mapInArrow`` runs the vectorized
-frontier kernel (``reverse_walks``) on each Arrow batch of ids, emitting
-flat node arrays as one Arrow list column: the walks DataFrame is
-``(walk_id, path)``.  Everything else about a walk follows from its path
-(its start is ``path[0]``, its estimate the initial opinion of
+Spark layering: this is the only module that imports Spark.
+``map_id_range`` runs a flat ``(nodes, offsets)`` kernel (``reverse_walks``
+here, ``rr_sets`` in ``baselines.im``) on each Arrow batch of the ids of
+``spark.range(N)`` and emits ``(id, node list)`` rows, so the walks
+DataFrame is ``(walk_id, path)``; ``collect_sketches`` hands the rows back
+in id order, with no sort.  Everything else about a walk follows from its
+path (its start is ``path[0]``, its estimate the initial opinion of
 ``path[-1]``), so ``core.sketch`` derives it on the driver.  The driver
 calls the same kernel on one id range.
 """
@@ -43,16 +44,8 @@ from typing import Callable
 import numpy as np
 import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
 
 from repro.graphs.graph import AliasTable, OpinionGraph
-
-WALK_SCHEMA = T.StructType(
-    [
-        T.StructField("walk_id", T.LongType()),
-        T.StructField("path", T.ArrayType(T.IntegerType())),
-    ]
-)
 
 LANES = 4
 COIN, SLOT, ACCEPT, START = range(LANES)
@@ -138,28 +131,40 @@ def reverse_walks(
 def map_id_range(
     spark: SparkSession,
     count: int,
-    kernel: Callable[[np.ndarray], list[pa.Array]],
-    schema: T.StructType,
+    kernel: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    names: tuple[str, str],
 ) -> DataFrame:
-    """``kernel`` over ids ``0..count-1``, one Arrow batch of ids at a time.
+    """``kernel`` over ids ``0..count-1`` as a DataFrame ``(id long, list<int32>)``.
 
-    The ids come from ``spark.range`` in ``defaultParallelism``
-    partitions; ``kernel(ids)`` returns the output columns of ``schema``.
+    The ids come from ``spark.range`` in ``defaultParallelism`` partitions,
+    one Arrow batch at a time; ``kernel(ids)`` returns flat ``(nodes, offsets)``
+    and ``names`` names the two columns.
     """
-    names = schema.fieldNames()
 
     def gen(batches):
         for batch in batches:
-            ids = batch.column(0).to_numpy()
-            yield pa.RecordBatch.from_arrays(kernel(ids), names=names)
+            ids = batch.column(0)
+            nodes, offsets = kernel(ids.to_numpy())
+            lists = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), pa.array(nodes))
+            yield pa.RecordBatch.from_arrays([ids, lists], names=list(names))
 
     parts = spark.sparkContext.defaultParallelism
+    schema = f"{names[0]} long, {names[1]} array<int>"
     return spark.range(count, numPartitions=parts).mapInArrow(gen, schema)
 
 
-def list_array(nodes: np.ndarray, offsets: np.ndarray) -> pa.ListArray:
-    """Arrow ``list<int32>`` column of the flat paths."""
-    return pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), pa.array(nodes))
+def collect_sketches(df: DataFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Collect a ``map_id_range`` DataFrame in one Spark job as ``(nodes, offsets)``.
+
+    Sketch ``j`` is ``nodes[offsets[j]:offsets[j + 1]]``, read in the order
+    Spark returns the rows.  That is the id order, unsorted, because each
+    ``spark.range`` partition is a contiguous ascending id range, batches
+    keep their order within it and ``toArrow`` keeps the partition order.
+    """
+    lists = df.toArrow().column(1).combine_chunks()
+    offsets = np.asarray(lists.offsets, dtype=np.int64)
+    nodes = np.asarray(lists.values, dtype=np.int32)[offsets[0] : offsets[-1]]
+    return nodes, offsets - offsets[0]
 
 
 def generate_walks(
@@ -186,6 +191,6 @@ def generate_walks(
     alias, d = graph.reverse_alias(), graph.d[cand].copy()
 
     def kernel(ids):
-        return [ids, list_array(*reverse_walks(alias, d, seed, ids, t, lam=lam))]
+        return reverse_walks(alias, d, seed, ids, t, lam=lam)
 
-    return map_id_range(spark, graph.n * lam if lam else theta, kernel, WALK_SCHEMA)
+    return map_id_range(spark, graph.n * lam if lam else theta, kernel, ("walk_id", "path"))

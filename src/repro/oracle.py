@@ -9,7 +9,8 @@ correct".
 
 Alias every SQL output column with the name ``got`` uses and project to
 scalar columns: array/map/struct columns are not orderable, so they cannot
-be compared here.  Floats are compared after rounding to 6 decimals.
+be compared here.  Floats are compared after rounding to 6 decimals; to
+compare bit for bit, project an exact integer image of them.
 """
 import duckdb
 import numpy as np

@@ -11,7 +11,8 @@ duel and contribution rules against the same rules written as SQL.
 * β (``rank``) = 1 + #{x ≠ q : b_x ≥ b_q} per user (Eq. 4).
 * Cumulative, plurality, p-approval and positional-p-approval sum a
   per-user term (``unit_contribution``): the opinion itself, or
-  ω[β]·1[β ≤ p].  ``plurality = p_approval(p=1)``; ``p_approval`` is
+  ω[β]·1[β ≤ p] (``positional_weights`` checks ω).
+  ``plurality = p_approval(p=1)``; ``p_approval`` is
   ``positional_p_approval`` with ω ≡ 1.
 * Copeland counts the opponents q beats in pairwise duels (``duels``); the
   win rule is strict (``>`` of win counts, Eq. 7).
@@ -44,6 +45,15 @@ def rank(b: np.ndarray, others: np.ndarray) -> np.ndarray:
     return 1 + (_against(others, b) >= b).sum(axis=0)
 
 
+def positional_weights(omega, p: int) -> np.ndarray:
+    """ω as float64; raises ``ValueError`` unless it holds at least ``p``
+    non-negative, non-increasing weights (the paper's ω₁ ≥ … ≥ ω_p ≥ 0)."""
+    om = np.asarray(omega, dtype=np.float64)
+    if om.ndim != 1 or len(om) < p or not (om >= 0).all() or (np.diff(om) > 0).any():
+        raise ValueError(f"positional weights must be ω1 ≥ … ≥ ωp ≥ 0 with p={p}: {om}")
+    return om
+
+
 def unit_contribution(
     b: np.ndarray,
     others: np.ndarray | None,
@@ -64,8 +74,8 @@ def unit_contribution(
     beta = rank(b, others)
     pp = 1 if score == "plurality" else p
     if score == "positional_p_approval" and omega is not None:
-        om = np.asarray(omega, dtype=np.float64)
-        return np.where(beta <= pp, om[np.minimum(beta, len(om)) - 1], 0.0)
+        om = positional_weights(omega, pp)
+        return np.where(beta <= pp, om[np.minimum(beta, pp) - 1], 0.0)
     return (beta <= pp).astype(np.float64)
 
 

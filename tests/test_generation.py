@@ -3,15 +3,25 @@
 For every sketch kind — RW walks, RS walks, IC RR sets, LT RR paths — the
 Spark output equals the driver kernel array for array, also when each
 partition holds several small Arrow batches, and a kernel called on split
-id ranges equals one call on the whole range.
+id ranges equals one call on the whole range.  Spark's rows are read in the
+order it returns them: ``collect_sketches`` does not sort, so that order
+must be the id order.
 """
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines.im import generate_rr_sets, rr_sets
-from repro.core.sketch import collect_sketches
 from repro.graphs.generators import random_instance
-from repro.opinion.walks import generate_walks, reverse_walks, stream_keys, uniforms
+from repro.opinion.walks import (
+    LANES,
+    collect_sketches,
+    generate_walks,
+    reverse_walks,
+    stream_keys,
+    uniforms,
+)
+from repro.oracle import assert_equivalent
 
 KINDS = ["rw", "rs", "ic", "lt"]
 T, SEED, LAM, COUNT = 5, 9, 7, 500
@@ -37,17 +47,15 @@ def _driver(graph, kind, ids):
 
 
 def _spark(spark, graph, kind):
-    """The Spark DataFrame's sorted ids and its sketches, collected as
-    ``_driver`` returns them."""
+    """The Spark DataFrame's ids, in the order Spark returns them, and its
+    sketches, collected as ``_driver`` returns them."""
     if kind in ("ic", "lt"):
         df = generate_rr_sets(spark, graph, kind, COUNT, seed=SEED)
-        order, column = "sketch_id", "nodes"
     else:
         size = {"lam": LAM} if kind == "rw" else {"theta": COUNT}
         df = generate_walks(spark, graph, 0, T, seed=SEED, **size)
-        order, column = "walk_id", "path"
-    nodes, offsets = collect_sketches(df, order, column)
-    ids = np.sort(df.select(order).toArrow().column(0).to_numpy())
+    nodes, offsets = collect_sketches(df)
+    ids = df.toArrow().column(0).to_numpy()
     return ids, {"nodes": nodes, "offsets": offsets}
 
 
@@ -66,6 +74,66 @@ def test_splitmix64_reference_outputs():
     assert stream_keys(1234567, np.arange(3)).tolist() == [
         6457827717110365317, 3203168211198807973, 9817491932198370423,
     ]
+
+
+# SplitMix64 restated in DuckDB SQL over UBIGINT.  DuckDB has no wrapping
+# 64-bit multiply: ``mul64`` splits both operands into 32-bit halves and drops
+# the high-times-high product, a multiple of 2^64, so the rest (below 2^98)
+# fits a HUGEINT; it then reduces mod 2^64.
+SPLITMIX64 = """
+CREATE MACRO mul64(a, b) AS ((
+    (a::HUGEINT % 4294967296) * (b::HUGEINT % 4294967296)
+    + ((a::HUGEINT // 4294967296) * (b::HUGEINT % 4294967296)
+       + (a::HUGEINT % 4294967296) * (b::HUGEINT // 4294967296)) * 4294967296
+) % 18446744073709551616)::UBIGINT;
+CREATE MACRO add64(a, b) AS ((a::HUGEINT + b::HUGEINT) % 18446744073709551616)::UBIGINT;
+"""
+
+
+def _splitmix64_sql(rows: str, keep: str) -> str:
+    """Output ``i`` of SplitMix64 seeded with ``state``, as ``z``, for each
+    row of the relation ``rows``, carrying its columns ``keep``."""
+    return f"""
+    SELECT {keep}, xor(z, z >> 31) AS z FROM (
+    SELECT {keep}, mul64(xor(z, z >> 27), {0x94D049BB133111EB}) AS z FROM (
+    SELECT {keep}, mul64(xor(z, z >> 30), {0xBF58476D1CE4E5B9}) AS z FROM (
+    SELECT {keep}, add64(state, mul64(i + 1, {0x9E3779B97F4A7C15})) AS z FROM {rows})))"""
+
+
+def _stream_keys_sql(seed: int) -> str:
+    """``(id, key)`` for each id of ``ids``: output ``id`` of SplitMix64(seed)."""
+    rows = f"(SELECT id, {seed}::UBIGINT AS state, id::UBIGINT AS i FROM ids)"
+    return f"SELECT id, z AS key FROM ({_splitmix64_sql(rows, 'id')})"
+
+
+def _uniforms_sql(seed: int) -> str:
+    """``(id, step, lane, u)`` for each id of ``ids`` and row of ``draws``:
+    output ``4·step + lane`` of SplitMix64(key), top 53 bits scaled to [0, 1)."""
+    rows = f"""(SELECT id, step, lane, key AS state, (4 * step + lane)::UBIGINT AS i
+        FROM ({_stream_keys_sql(seed)}) CROSS JOIN draws)"""
+    return f"""SELECT id, step, lane, (z >> 11)::DOUBLE * pow(2, -53) AS u
+        FROM ({_splitmix64_sql(rows, 'id, step, lane')})"""
+
+
+def test_splitmix64_matches_duckdb_bit_for_bit():
+    """Stream keys and the uniforms of every lane at several steps equal their
+    DuckDB restatement exactly: a uniform is compared as u·2⁵³, an integer."""
+    seed = 1234567
+    ids = np.concatenate([np.arange(286), [2**31, 2**32 + 5, 2**62, 2**63 - 1]])
+    keys = stream_keys(seed, ids)
+    id_table = pd.DataFrame({"id": ids})
+    got = pd.DataFrame({"id": ids, "key": keys})
+    assert_equivalent(got, SPLITMIX64 + _stream_keys_sql(seed), ids=id_table)
+
+    draws = pd.DataFrame([(s, lane) for s in (0, 1, 7, 19) for lane in range(LANES)],
+                         columns=["step", "lane"])
+    got = pd.concat(
+        pd.DataFrame({"id": ids, "step": s, "lane": lane,
+                      "u53": (uniforms(keys, s, lane) * 2.0**53).astype(np.int64)})
+        for s, lane in draws.itertuples(index=False)
+    )
+    sql = f"SELECT id, step, lane, (u * pow(2, 53))::BIGINT AS u53 FROM ({_uniforms_sql(seed)})"
+    assert_equivalent(got, SPLITMIX64 + sql, ids=id_table, draws=draws)
 
 
 def test_uniforms_in_unit_interval_and_distinct_per_lane():
@@ -93,7 +161,8 @@ def test_spark_equals_driver_with_small_batches(spark, graph, kind):
     finally:
         spark.conf.unset(key)
     assert _count(graph, kind) > 7 * spark.sparkContext.defaultParallelism
-    _assert_same(cols, _driver(graph, kind, np.arange(_count(graph, kind))))
+    np.testing.assert_array_equal(ids, np.arange(_count(graph, kind)))
+    _assert_same(cols, _driver(graph, kind, ids))
 
 
 @pytest.mark.parametrize("kind", KINDS)

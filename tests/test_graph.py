@@ -62,6 +62,28 @@ class TestConstruction:
                 [[0.0, 0.0]], [[0.0, 0.0]],
             )
 
+    @pytest.mark.parametrize("field", ["b0", "d"])
+    def test_rejects_nan_opinions_and_stubbornness(self, field):
+        """NaN passes a ``< 0 or > 1`` test and FJ would carry it forward."""
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            _tiny(**{field: [[0.1, np.nan, 0.3, 0.4]]})
+
+    def test_rejects_nan_weight(self):
+        """A NaN weight is not silently dropped as if it were zero."""
+        with pytest.raises(ValueError, match="finite"):
+            OpinionGraph.from_edges(
+                3, np.array([0, 1]), np.array([2, 2]), np.array([1.0, np.nan]),
+                [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]],
+            )
+
+    def test_rejects_infinite_weight(self):
+        """An infinite weight would normalize to inf / inf = NaN in W."""
+        with pytest.raises(ValueError, match="finite"):
+            OpinionGraph.from_edges(
+                3, np.array([0, 1]), np.array([2, 2]), np.array([1.0, np.inf]),
+                [[0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]],
+            )
+
     def test_rejects_out_of_range_node_ids(self):
         with pytest.raises(ValueError):
             OpinionGraph.from_edges(

@@ -5,15 +5,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-# Spark stays where it partitions real work: walk and RR-set generation,
-# and the one place that collects and builds the walk sketches.  Everything
-# else, RW/RS and exact DM evaluation included, is NumPy on the driver, so a
-# new Spark dependency has to be added here on purpose.
-SPARK_MODULES = {
-    "opinion/walks.py",
-    "baselines/im.py",
-    "core/sketch.py",
-}
+# Spark stays where it partitions real work: sketch generation, whose one
+# transport (``map_id_range`` out, ``collect_sketches`` back) lives in
+# opinion/walks.py.  Everything else, the RR-set kernels, RW/RS and exact DM
+# evaluation included, is NumPy on the driver, so a new Spark dependency has
+# to be added here on purpose.
+SPARK_MODULES = {"opinion/walks.py"}
 
 
 def _imports_pyspark(path: Path) -> bool:

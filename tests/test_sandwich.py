@@ -205,6 +205,18 @@ class TestSandwichSelect:
         assert res.f_su == res.f_sf == f
         assert res.ratio == 1.0
 
+    def test_rejects_increasing_positional_weights(self):
+        """UB scales the coverage by ω₁, an upper bound only when ω₁ is the
+        largest weight: with ω = [0.2, 1.0], F(S_U)/UB(S_U) would be 1.55."""
+        g = random_instance(60, r=3, seed=4)
+        with pytest.raises(ValueError, match="positional weights"):
+            sandwich_select(None, g, 0, 2, 2, "positional_p_approval", p=2, omega=[0.2, 1.0])
+
+    def test_positional_ratio_is_at_most_one(self):
+        g = random_instance(60, r=3, seed=4)
+        res = sandwich_select(None, g, 0, 2, 2, "positional_p_approval", p=2, omega=[1.0, 0.2])
+        assert 0 < res.ratio <= 1.0
+
     def test_result_at_least_feasible_greedy(self, spark):
         g = random_instance(30, r=2, seed=24, avg_deg=2.5)
         res = sandwich_select(spark, g, 0, 2, 2, "plurality")

@@ -101,6 +101,17 @@ class TestNumpyScores:
             b, 0, "positional_p_approval", p=2, omega=np.array([1.0, 0.0, 0.0])
         ) == score_np(b, 0, "p_approval", p=1)
 
+    @pytest.mark.parametrize(
+        "omega",
+        [[1.0], [0.2, 1.0], [1.0, -0.5], [1.0, np.nan]],
+        ids=["fewer-than-p", "increasing", "negative", "nan"],
+    )
+    def test_positional_weights_must_be_non_increasing_and_non_negative(self, omega):
+        """The paper's ω₁ ≥ … ≥ ω_p ≥ 0, with one weight per approved rank."""
+        b = fj_diffuse_np(random_instance(60, r=3, seed=4), 2)
+        with pytest.raises(ValueError, match="positional weights"):
+            score_np(b, 0, "positional_p_approval", p=2, omega=np.array(omega))
+
     def test_copeland_bounded_by_r_minus_1(self):
         g = random_instance(50, r=5, seed=5)
         b = fj_diffuse_np(g, 2)

@@ -5,19 +5,20 @@ Spark ≡ driver exactness is in ``test_generation.py``."""
 import numpy as np
 import pytest
 
+from repro.baselines.im import generate_rr_sets
 from repro.core.dm import others_at_horizon
 from repro.core.rs import RSSelector
 from repro.core.rw import RWSelector
-from repro.core.sketch import SketchSet, collect_sketches
+from repro.core.sketch import SketchSet
 from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import fj_diffuse_np
-from repro.opinion.walks import generate_walks, reverse_walks
+from repro.opinion.walks import collect_sketches, generate_walks, reverse_walks
 from tests.reference import truncated_estimate_np, walk_frame
 
 
 def _walk_sketches(walks, g, lam: int):
     """The walks DataFrame collected as RW units (λ walks per start)."""
-    nodes, offsets = collect_sketches(walks, "walk_id", "path")
+    nodes, offsets = collect_sketches(walks)
     return SketchSet(g.n, nodes, offsets, g.b0[0, nodes[offsets[1:] - 1]], per_unit=lam)
 
 
@@ -130,6 +131,16 @@ class TestSparkPipeline:
         w = generate_walks(spark, g, 0, 3, lam=5, seed=1)
         assert w.count() == 40 * 5
         assert set(w.columns) == {"walk_id", "path"}
+
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_generate_rr_sets_schema_and_count(self, spark, model):
+        """perfbench reads ``nodes`` as ``generate_walks``'s ``path``: both
+        come from ``map_id_range``, which builds the schema from the names."""
+        g = random_instance(40, seed=6)
+        rr = generate_rr_sets(spark, g, model, 30, seed=1)
+        assert rr.count() == 30
+        assert set(rr.columns) == {"sketch_id", "nodes"}
+        assert rr.dtypes == [("sketch_id", "bigint"), ("nodes", "array<int>")]
 
     def test_walks_per_start(self, spark):
         g = random_instance(30, seed=7)
