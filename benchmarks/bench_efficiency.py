@@ -17,10 +17,16 @@ paths that no perfbench workload runs: plain greedy on the reach-local
 kernel (GED-T on twitter-sd-lite, k = 10) and CELF on dense BLAS
 (dblp-lite, k = 6).  It records the evaluator calls and candidates in
 ``extra_info``.
+
+``test_rr_sets_time`` times the driver RR-set kernel ``baselines.im.rr_sets``
+(2 000 sets, seed 3) for IC and LT on the three small lite graphs; perfbench
+times RR-set generation only inside its Spark job.  It records the set
+count and node total in ``extra_info``.
 """
 import numpy as np
 import pytest
 
+from repro.baselines.im import rr_sets
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.experiments.datasets import TARGETS, load
 from repro.experiments.tables import method_selector
@@ -81,3 +87,15 @@ def test_greedy_dm_time(benchmark, dataset, k, celf):
     assert len(seeds) == k and trace[-1] == ev.score_of(seeds)
     if not celf:
         assert ev.batches == [g.n - i for i in range(k)]
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+@pytest.mark.parametrize("dataset", ["twitter-sd-lite", "yelp-lite", "dblp-lite"])
+def test_rr_sets_time(benchmark, dataset, model):
+    g = load(dataset)
+    alias, ids = g.reverse_alias(), np.arange(2000)
+    nodes, offsets = benchmark.pedantic(
+        rr_sets, args=(alias, g.w, model, 3, ids), rounds=7, iterations=1, warmup_rounds=1
+    )
+    benchmark.extra_info.update(sets=len(offsets) - 1, nodes=len(nodes))
+    assert len(offsets) == len(ids) + 1

@@ -4,14 +4,15 @@ The paper compares against seed selection under the Independent Cascade
 and Linear Threshold diffusion models, each coupled with IMM [3].  We
 implement the reverse-reachable (RR) set machinery:
 
-* IC RR set from a uniformly random root: its reverse reachable set in a
-  live-edge graph where each incoming edge (u → v) is live with
-  probability w_uv — the shared frontier BFS ``graphs.graph.reach`` over
-  the reverse CSR, unbounded in hops, with a per-set edge coin.
-* LT RR set: a reverse path — at each node pick exactly one in-neighbor
-  with probability equal to its edge weight (in-weights sum to 1), stop on
-  a revisit.  (Our graphs carry a self-loop on in-degree-0 nodes, which
-  simply ends the path.)
+* An RR set from a uniformly random root is its reverse reach in a
+  live-edge graph (Kempe, Kleinberg & Tardos, KDD 2003): the shared
+  frontier BFS ``graphs.graph.reach`` over the reverse CSR, unbounded in
+  hops, with a per-set ``live`` rule.  IC keeps each in-edge (u → v) with
+  probability w_uv (a coin per edge slot).  LT keeps exactly one in-edge
+  per node, drawn by weight (in-weights sum to 1), so the set is a reverse
+  path that stops before its first revisit.  (Our graphs carry a self-loop
+  on in-degree-0 nodes, which simply ends the path.)  Sets come out
+  ascending.
 * Generation: ``rr_sets`` builds a batch of sets by frontier expansion
   over all of them at once; every coin is keyed by (seed, set id, …) as
   in ``opinion.walks``, so set ``i`` is the same on the driver and in any
@@ -39,7 +40,6 @@ from repro.opinion.walks import (
     COIN,
     SLOT,
     collect_sketches,
-    flatten_paths,
     map_id_range,
     stream_keys,
     uniform_nodes,
@@ -47,58 +47,36 @@ from repro.opinion.walks import (
 )
 
 
-def _member(seen: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(pos, hit)``: insertion points of ``keys`` in sorted ``seen`` and
-    whether each key is already there."""
-    pos = np.searchsorted(seen, keys)
-    return pos, seen[np.minimum(pos, len(seen) - 1)] == keys
-
-
-def _lt_paths(alias: AliasTable, keys: np.ndarray, roots: np.ndarray):
-    """LT RR paths: each step draws one in-neighbor by weight (the alias
-    draw of step ``s`` reads lanes ``SLOT``/``ACCEPT``) and the path stops
-    before its first revisit.  Nodes come out in path order."""
-    n = len(alias.indptr) - 1
-    rows = np.arange(len(roots))
-    seen = rows * n + roots
-    cur = roots
-    steps = [(rows, cur)]
-    for step in range(n):  # a path of distinct nodes has at most n
-        k = keys[rows]
-        cur = alias.sample(cur, uniforms(k, step, SLOT), uniforms(k, step, ACCEPT))
-        pos, hit = _member(seen, rows * n + cur)
-        rows, cur, pos = rows[~hit], cur[~hit], pos[~hit]
-        if not len(rows):
-            break
-        seen = np.insert(seen, pos, rows * n + cur)
-        steps.append((rows, cur))
-    return flatten_paths(len(roots), steps)
-
-
 def rr_sets(
     alias: AliasTable, w: np.ndarray, model: str, seed: int, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RR sets ``ids`` of ``model`` as flat ``(nodes, offsets)``.
+    """RR sets ``ids`` of ``model`` as flat sorted ``(nodes, offsets)``.
 
-    Set ``ids[j]`` is ``nodes[offsets[j]:offsets[j + 1]]``; its root, drawn
-    uniformly from the reserved start lane, is always in it.  ``w`` is the
-    edge weight in reverse-CSR (dst-sorted) order.
+    Set ``ids[j]`` is ``nodes[offsets[j]:offsets[j + 1]]``, ascending; its
+    root, drawn uniformly from the reserved start lane, is always in it.
+    ``w`` is the edge weight in reverse-CSR (dst-sorted) order.
     """
     if model not in ("ic", "lt"):
         raise ValueError(f"unknown IM model: {model}")
     n = len(alias.indptr) - 1
     keys = stream_keys(seed, ids)
-    roots = uniform_nodes(keys, n)
-    if model == "lt":
-        return _lt_paths(alias, keys, roots)
 
-    # IC: the root's reverse reach in the set's live-edge graph.  The coin
-    # of reverse-CSR edge slot e in set j is uniform (e, COIN) of the set's
-    # stream, so the set does not depend on the visiting order.
-    def live(rows, slot):
+    def ic(rows, slot, hop):
+        # The coin of reverse-CSR edge slot e in set j is uniform (e, COIN)
+        # of the set's stream, so the set does not depend on visiting order.
         return uniforms(keys[rows], slot, COIN) < w[slot]
 
-    return reach(alias.indptr, alias.indices, roots, n, live=live)
+    def lt(rows, slot, hop):
+        # An LT set's frontier is one node, so its in-edges are one run of
+        # ``rows``; the set keeps the slot its alias draw at step = hop picks.
+        run = np.flatnonzero(np.diff(rows, prepend=-1))
+        node = np.searchsorted(alias.indptr, slot[run], side="right") - 1
+        k = keys[rows[run]]
+        pick = alias.draw(node, uniforms(k, hop, SLOT), uniforms(k, hop, ACCEPT))
+        return slot == np.repeat(pick, np.diff(run, append=len(rows)))
+
+    live = ic if model == "ic" else lt
+    return reach(alias.indptr, alias.indices, uniform_nodes(keys, n), n, live=live)
 
 
 def generate_rr_sets(
@@ -110,12 +88,9 @@ def generate_rr_sets(
     seed: int = 0,
 ):
     """θ RR sets as a DataFrame ``(sketch_id, nodes)``: set ``i`` is
-    ``rr_sets`` at id ``i``, whatever the partitioning.  θ below 1 raises
-    before any job."""
+    ``rr_sets`` at id ``i``, whatever the partitioning."""
     if model not in ("ic", "lt"):
         raise ValueError(f"unknown IM model: {model}")
-    if theta < 1:
-        raise ValueError(f"a sketch budget must be positive: theta={theta}")
     alias, w = graph.reverse_alias(), graph.w
 
     def kernel(ids):

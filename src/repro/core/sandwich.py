@@ -7,7 +7,8 @@ For the plurality variants (positional-p-approval and special cases):
   the exact evaluator with a user mask.
 * UB(S) = ω[1] · |N_S^(t) ∪ V_q^(t)|           (Def. 4) — a coverage
   function over t-hop forward-reachable sets; maximized by greedy
-  max-coverage on the shared sketch engine (``core.sketch``).
+  max-coverage on the shared sketch engine (``core.sketch``).  ω ≡ 1
+  for plurality and p-approval, whatever ``omega`` the caller passes.
 
 For Copeland:
 
@@ -18,9 +19,9 @@ Algorithm 3 then returns argmax_F over {S_U, S_L, S_F}; the empirical
 quality ratio F(S_U)/UB(S_U) (§IV-D) is reported alongside.
 
 Reachability is ``graphs.graph.reach``, the frontier BFS that the exact
-evaluator's reach-local kernel and the IC RR sets also run.  The coverage
-sets are the uncovered users' t-hop reach over the *reverse* CSR — user
-u's set holds every node v with u ∈ N_v^(t) — in the flat format
+evaluator's reach-local kernel and the IC and LT RR sets also run.  The
+coverage sets are the uncovered users' t-hop reach over the *reverse* CSR —
+user u's set holds every node v with u ∈ N_v^(t) — in the flat format
 ``SketchSet`` reads, so no (n × n) mask is built.  UB(S) counts the base
 set together with the forward reach of S.  The DuckDB oracle tests check
 ``reach`` against t-hop reachability written as a recursive CTE.
@@ -130,7 +131,7 @@ def sandwich_select(
         fav = None
     else:
         base = favorable_users_np(graph, target, t, pp)
-        coeff = float(omega_arr[0])
+        coeff = float(omega_arr[0]) if score == "positional_p_approval" else 1.0
         fav = base
 
     # S_U: greedy max-coverage on UB.

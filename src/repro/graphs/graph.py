@@ -17,8 +17,8 @@ export the instance as pandas tables for the DuckDB oracle.
 ``reach`` is the one multi-source frontier BFS: t-hop reachable sets
 N_v^(t) (Def. 2) over the forward CSR for DM's reach-local kernel and the
 sandwich UB, the same over the reverse CSR for the sandwich's coverage
-sets, and live-edge reverse reachability for the IC RR sets.  It returns
-flat sorted sets ``(nodes, offsets)``.
+sets, and live-edge reverse reachability for the IC and LT RR sets.  It
+returns flat sorted sets ``(nodes, offsets)``.
 
 Normalization convention: the paper states that users without in-neighbors
 retain their initial opinions (DeGroot); we realize this with an implicit
@@ -48,10 +48,8 @@ class AliasTable:
     prob: np.ndarray  # (nnz,) float64 — alias acceptance probabilities
     alias: np.ndarray  # (nnz,) int32 — alias slot (local index within row)
 
-    def sample(
-        self, nodes: np.ndarray, u_slot: np.ndarray, u_accept: np.ndarray
-    ) -> np.ndarray:
-        """One in-neighbor for each node in ``nodes``, from two uniforms each.
+    def draw(self, nodes: np.ndarray, u_slot: np.ndarray, u_accept: np.ndarray) -> np.ndarray:
+        """The reverse-CSR slot of one in-edge of each node in ``nodes``.
 
         ``u_slot`` picks the alias slot and ``u_accept`` decides between the
         slot and its alias.
@@ -59,8 +57,13 @@ class AliasTable:
         lo = self.indptr[nodes]
         # Every node has >=1 in-edge after self-loop normalization.
         slot = (u_slot * (self.indptr[nodes + 1] - lo)).astype(np.int64)
-        local = np.where(u_accept < self.prob[lo + slot], slot, self.alias[lo + slot])
-        return self.indices[lo + local]
+        return lo + np.where(u_accept < self.prob[lo + slot], slot, self.alias[lo + slot])
+
+    def sample(
+        self, nodes: np.ndarray, u_slot: np.ndarray, u_accept: np.ndarray
+    ) -> np.ndarray:
+        """One in-neighbor for each node in ``nodes``: the source of its ``draw``."""
+        return self.indices[self.draw(nodes, u_slot, u_accept)]
 
 
 def _build_alias_row(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,9 +346,12 @@ def spmv_dst(graph: OpinionGraph, x: np.ndarray) -> np.ndarray:
     return segment_sum(x[..., graph.src] * graph.w, graph.dst, graph.n)
 
 
-# CSR entries one expansion hop may hold per root chunk (≈ 8 bytes each in
-# several temporaries), which bounds ``reach``'s memory.  Every node has an
-# in-edge, so m ≥ n and a chunk's (roots × n) ``seen`` mask also fits in it.
+# Entries one root chunk of ``reach`` may hold.  Unfiltered, a hop can
+# expand every CSR entry of the chunk (≈ 8 bytes each in several
+# temporaries), so a chunk has ``_EXPAND_BUDGET // m`` roots; m ≥ n, so its
+# (roots × n) ``seen`` mask fits too.  A live-edge set keeps about one
+# in-edge per node (in-weights sum to 1), so there the mask is the bound
+# and a chunk has ``_EXPAND_BUDGET // n`` roots.
 _EXPAND_BUDGET = 1 << 20
 
 
@@ -367,7 +373,7 @@ def reach(
     hops: int,
     *,
     blocked: np.ndarray | None = None,
-    live: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    live: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes within ``hops`` CSR hops of each root, as flat sorted sets.
 
@@ -376,25 +382,27 @@ def reach(
     is N_v^(t) of Def. 2; over the reverse CSR ``(dst_indptr, src)``, the
     nodes that reach the root.  A ``blocked`` node is never entered, so
     paths through it are cut; a root always keeps itself.  With ``live``,
-    edge slot ``e`` is followed from root ``j`` only where
-    ``live(j, e)`` holds (a live-edge graph per root; ``hops`` ≥ n − 1 is
-    unbounded).  All roots of a chunk expand together, one hop at a time,
-    over deduplicated (root, node) frontier pairs; chunks hold
-    ``_EXPAND_BUDGET`` CSR entries per hop.
+    edge slot ``e`` is followed from root ``j`` at hop ``h`` (from 0, the
+    root's own edges) only where ``live(j, e, h)`` holds (a live-edge graph
+    per root; ``hops`` ≥ n − 1 is unbounded).  ``live`` sees each frontier
+    node's edges as one consecutive run, frontier nodes in (root, node)
+    order.  All roots of a chunk expand together, one hop at a time, over
+    deduplicated (root, node) frontier pairs; chunks hold ``_EXPAND_BUDGET``
+    CSR entries per hop, or ``seen`` entries with ``live``.
     """
     n = len(indptr) - 1
     roots = np.asarray(roots, dtype=np.int64)
-    step = max(1, _EXPAND_BUDGET // max(len(nbr), 1))
+    step = max(1, _EXPAND_BUDGET // (n if live is not None else max(len(nbr), 1)))
     nodes, counts = [np.zeros(0, dtype=np.int32)], [np.zeros(1, dtype=np.int64)]
     for lo in range(0, len(roots), step):
         size = min(step, len(roots) - lo)
         seen = np.zeros(size * n, dtype=bool)  # row-major (chunk root, node)
         rows, frontier = np.arange(size), roots[lo : lo + size]
         seen[rows * n + frontier] = True
-        for _ in range(hops):
+        for hop in range(hops):
             owner, slot = out_edges(indptr, frontier)
             if live is not None:
-                keep = live(lo + rows[owner], slot)
+                keep = live(lo + rows[owner], slot, hop)
                 owner, slot = owner[keep], slot[keep]
             tgt = nbr[slot]
             key = rows[owner] * n + tgt

@@ -23,9 +23,11 @@ function of ``(seed, id, step, lane)``:
 
 A walk step reads lane ``COIN`` (stubbornness coin), then ``SLOT`` and
 ``ACCEPT`` (the alias draw); an IC RR set reads lane ``COIN`` with the
-reverse-CSR edge slot as its step.  Lane ``START`` at step 0 is reserved for a
-uniformly drawn start node (RS sketches, IM roots).  A sketch therefore
-does not depend on which other ids share its batch, partition or core.
+reverse-CSR edge slot as its step, and an LT RR set draws a node's in-edge
+on ``SLOT`` and ``ACCEPT`` with the node's hop from the root as its step.
+Lane ``START`` at step 0 is reserved for a uniformly drawn start node (RS
+sketches, IM roots).  A sketch therefore does not depend on which other
+ids share its batch, partition or core.
 
 Spark layering: this is the only module that imports Spark.
 ``map_id_range`` runs a flat ``(nodes, offsets)`` kernel (``reverse_walks``
@@ -80,7 +82,7 @@ def uniform_nodes(keys: np.ndarray, n: int) -> np.ndarray:
     return (uniforms(keys, 0, START) * n).astype(np.int64)
 
 
-def flatten_paths(count: int, steps: list[tuple[np.ndarray, np.ndarray]]):
+def _flatten_paths(count: int, steps: list[tuple[np.ndarray, np.ndarray]]):
     """Flat ``(nodes, offsets)`` of ``count`` paths grown one step at a time.
 
     ``steps[s] = (idx, node)`` lists the paths still growing at step ``s``
@@ -125,7 +127,7 @@ def reverse_walks(
             break
         cur = alias.sample(cur, uniforms(k, step, SLOT), uniforms(k, step, ACCEPT))
         steps.append((idx, cur))
-    return flatten_paths(len(ids), steps)
+    return _flatten_paths(len(ids), steps)
 
 
 def map_id_range(
@@ -138,8 +140,11 @@ def map_id_range(
 
     The ids come from ``spark.range`` in ``defaultParallelism`` partitions,
     one Arrow batch at a time; ``kernel(ids)`` returns flat ``(nodes, offsets)``
-    and ``names`` names the two columns.
+    and ``names`` names the two columns.  A ``count`` (the sketch budget)
+    below 1 raises before any job.
     """
+    if count < 1:
+        raise ValueError(f"a sketch budget must be positive: {count} sketches")
 
     def gen(batches):
         for batch in batches:
@@ -186,11 +191,10 @@ def generate_walks(
     """
     if (lam is None) == (theta is None):
         raise ValueError("pass exactly one of lam= or theta=")
-    if (theta if lam is None else lam) < 1:
-        raise ValueError(f"a sketch budget must be positive: lam={lam}, theta={theta}")
     alias, d = graph.reverse_alias(), graph.d[cand].copy()
 
     def kernel(ids):
         return reverse_walks(alias, d, seed, ids, t, lam=lam)
 
-    return map_id_range(spark, graph.n * lam if lam else theta, kernel, ("walk_id", "path"))
+    count = theta if lam is None else graph.n * lam
+    return map_id_range(spark, count, kernel, ("walk_id", "path"))

@@ -59,32 +59,35 @@ class TestRRSets:
         for j, (root, s) in enumerate(zip(roots, sets)):
             assert s == _bfs_rr_set(g, 6, j, root)
 
-    def test_ic_sets_do_not_depend_on_root_chunks(self, monkeypatch):
-        """A budget of a few sets per chunk gives the same IC sets."""
+    @pytest.mark.parametrize("model", ["ic", "lt"])
+    def test_rr_sets_do_not_depend_on_root_chunks(self, monkeypatch, model):
+        """A budget of a few sets per chunk gives the same RR sets."""
         g = random_instance(40, seed=11, avg_deg=4.0)
         alias, ids = g.reverse_alias(), np.arange(300)
-        whole = rr_sets(alias, g.w, "ic", 6, ids)
-        monkeypatch.setattr(graph_mod, "_EXPAND_BUDGET", 3 * g.m)
-        chunked = rr_sets(alias, g.w, "ic", 6, ids)
+        whole = rr_sets(alias, g.w, model, 6, ids)
+        monkeypatch.setattr(graph_mod, "_EXPAND_BUDGET", 3 * g.n)
+        chunked = rr_sets(alias, g.w, model, 6, ids)
         for a, b in zip(whole, chunked):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
     def test_lt_is_a_path_of_distinct_nodes(self):
-        """Each LT set is a reverse path of distinct nodes that starts at
-        its root (so the root is in its set), drawn with the walk's alias
-        lanes; the draw after its last node is the first revisit."""
+        """Each LT set holds the nodes of a reverse path of distinct nodes,
+        ascending: from its root, step i draws the in-neighbor of the path's
+        i-th node with the walk's alias lanes, up to the first revisit."""
         g = random_instance(30, seed=1)
         alias = g.reverse_alias()
         sets, roots = _rr(g, "lt", 1, 300)
+        assert max(map(len, sets)) > 3
         for j, (root, s) in enumerate(zip(roots, sets)):
-            assert s[0] == root and len(s) == len(set(s))
             key = stream_keys(1, np.array([j]))
-            draws = [
-                alias.sample(np.array([v]), uniforms(key, i, SLOT), uniforms(key, i, ACCEPT))[0]
-                for i, v in enumerate(s)
-            ]
-            assert draws[:-1] == s[1:]
-            assert draws[-1] in s
+            path = [root]
+            for step in range(g.n):
+                u = uniforms(key, step, SLOT), uniforms(key, step, ACCEPT)
+                v = alias.sample(np.array([path[-1]]), *u)[0]
+                if v in path:
+                    break
+                path.append(v)
+            assert s == sorted(path)
 
     def test_ic_respects_reverse_reachability(self):
         g = running_example()

@@ -1,6 +1,6 @@
 """Sketch generation is a pure function of (graph, seed, sketch id).
 
-For every sketch kind — RW walks, RS walks, IC RR sets, LT RR paths — the
+For every sketch kind — RW walks, RS walks, IC RR sets, LT RR sets — the
 Spark output equals the driver kernel array for array, also when each
 partition holds several small Arrow batches, and a kernel called on split
 id ranges equals one call on the whole range.  Spark's rows are read in the

@@ -217,6 +217,15 @@ class TestSandwichSelect:
         res = sandwich_select(None, g, 0, 2, 2, "positional_p_approval", p=2, omega=[1.0, 0.2])
         assert 0 < res.ratio <= 1.0
 
+    @pytest.mark.parametrize("score", ["p_approval", "plurality"])
+    def test_ratio_at_most_one_when_score_ignores_omega(self, score):
+        """Only positional-p-approval reads ω, so UB's coefficient is 1 for
+        the others: ω₁ = 0.3 as the coefficient would give ratios of 1.887
+        (p-approval) and 1.156 (plurality)."""
+        g = random_instance(60, r=3, seed=4)
+        res = sandwich_select(None, g, 0, 2, 2, score, p=2, omega=[0.3, 0.3, 0.3])
+        assert 0 < res.ratio <= 1.0
+
     def test_result_at_least_feasible_greedy(self, spark):
         g = random_instance(30, r=2, seed=24, avg_deg=2.5)
         res = sandwich_select(spark, g, 0, 2, 2, "plurality")
