@@ -12,16 +12,20 @@ nodes and reach-local above it.
 dblp-lite (n²/m = 20), the layered kernel on yelp-lite (n²/m = 118).  No
 selection benchmark reaches the dense kernel otherwise.
 
-``test_greedy_dm_time`` times ``greedy_dm`` (cumulative, t = 20) on the two
-paths that no perfbench workload runs: plain greedy on the reach-local
-kernel (GED-T on twitter-sd-lite, k = 10) and CELF on dense BLAS
-(dblp-lite, k = 6).  It records the evaluator calls and candidates in
-``extra_info``.
+``test_greedy_dm_time`` times ``greedy_dm`` at t = 20 on three paths: plain
+greedy on the reach-local kernel (cumulative GED-T on twitter-sd-lite,
+k = 10), CELF on dense BLAS (cumulative, dblp-lite, k = 6), and plain
+greedy pruned by ``ExactEvaluator.bound`` on the layered kernel (plurality,
+yelp-lite, trailing target, k = 4: perfbench's yelp-plurality DM).  It
+records the evaluator calls and candidates in ``extra_info``.
 
 ``test_rr_sets_time`` times the driver RR-set kernel ``baselines.im.rr_sets``
 (2 000 sets, seed 3) for IC and LT on the three small lite graphs; perfbench
 times RR-set generation only inside its Spark job.  It records the set
 count and node total in ``extra_info``.
+
+``benchmarks/record_efficiency.py`` runs this file and appends the medians
+to ``BENCH_efficiency.json``.
 """
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ import pytest
 from repro.baselines.im import rr_sets
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.experiments.datasets import TARGETS, load
-from repro.experiments.tables import method_selector
+from repro.experiments.tables import method_selector, trailing_candidate
 
 _K, _T = 5, 8
 
@@ -70,13 +74,22 @@ class _Counted:
     def score_of(self, seeds):
         return self.ev.score_of(seeds)
 
+    def bound(self, seeds):
+        return self.ev.bound(seeds)
+
 
 @pytest.mark.parametrize(
-    "dataset, k, celf", [("twitter-sd-lite", 10, False), ("dblp-lite", 6, True)]
+    "dataset, score, k, celf",
+    [
+        ("twitter-sd-lite", "cumulative", 10, False),
+        ("dblp-lite", "cumulative", 6, True),
+        ("yelp-lite", "plurality", 4, False),
+    ],
 )
-def test_greedy_dm_time(benchmark, dataset, k, celf):
+def test_greedy_dm_time(benchmark, dataset, score, k, celf):
     g = load(dataset)
-    ev = _Counted(ExactEvaluator(None, g, TARGETS[dataset], 20, "cumulative"))
+    target = TARGETS[dataset] if score == "cumulative" else trailing_candidate(g, 20, score)
+    ev = _Counted(ExactEvaluator(None, g, target, 20, score))
 
     def run():
         ev.batches.clear()
@@ -85,8 +98,10 @@ def test_greedy_dm_time(benchmark, dataset, k, celf):
     seeds, trace = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
     benchmark.extra_info.update(eval_calls=len(ev.batches), cands_evaluated=sum(ev.batches))
     assert len(seeds) == k and trace[-1] == ev.score_of(seeds)
-    if not celf:
+    if score == "cumulative" and not celf:  # GED-T: no bound, every candidate each round
         assert ev.batches == [g.n - i for i in range(k)]
+    if score != "cumulative":  # one full batch, then at most two a round
+        assert ev.batches[0] == g.n and len(ev.batches) <= 2 * k - 1
 
 
 @pytest.mark.parametrize("model", ["ic", "lt"])

@@ -4,8 +4,12 @@ Paper Alg. 1 + §III-C: each greedy round scores every candidate seed by
 recomputing exact opinions at the horizon (t FJ steps) with the candidate
 added to the current seed set, and picks the max marginal gain.
 ``greedy_dm`` is one lazy-greedy loop: CELF [49] for the (submodular)
-cumulative score, and plain greedy as the case in which every candidate
-is re-scored each round.
+cumulative score, and plain greedy for the rank scores.  Those are not
+submodular, but each user's horizon opinion is (the §V reverse-walk
+coverage view), so ``ExactEvaluator.bound`` caps F(S ∪ {v}) from the
+run's first all-candidate batch, and a plain round re-scores only the
+candidates whose cap can still win it: UBLF's upper-bound pruning
+(Zhou et al., ICDM 2013), of which CELF is the cumulative special case.
 
 Everything runs on the driver, as in the paper's single-process DM.
 ``ExactEvaluator`` is the one exact F(S ∪ {v}) (DM, GED-T, Table VI, the
@@ -20,12 +24,14 @@ chosen from the graph's n and m at call time:
 * otherwise, when n²/m ≥ ``LAYERED_SPARSITY``, ``_layered``: an (n × batch)
   opinion block, one column per candidate, whose FJ aggregation adds the
   in-edges layer by layer (``OpinionGraph.in_layers``), t·batch·m flops;
-* otherwise ``_dense``: a (batch × n) opinion matrix advanced jointly with
-  BLAS, t·batch·n² flops.
+* otherwise ``_dense``: a (batch × n) opinion matrix advanced with BLAS in
+  fixed ``_DENSE_BLOCK``-row blocks, t·batch·n² flops.
 
 The row kernels pin each row's own seed to 1.  ``_layered``'s rows are
 bit-identical to ``fj_diffuse_np`` with the candidate seeded; the other
-two differ from it only in float rounding (DESIGN.md §2).  F comes from
+two differ from it only in float rounding (DESIGN.md §2).  On every
+kernel a candidate's F is the same bits in any batch, so the greedy loop
+compares values scored in different batches.  F comes from
 ``voting.scores.score_rows``; the reach-local change is a plain Σδ for the
 cumulative score and ``voting.scores.score_change`` (one group per
 candidate row, one unit per reached node) for the rank scores.
@@ -53,6 +59,20 @@ from repro.voting.scores import score_change, score_rows
 DENSE_N_THRESHOLD = 1500
 LAYERED_SPARSITY = 64
 
+# ``_dense`` multiplies blocks of exactly this many rows.  OpenBLAS picks its
+# kernel (gemv for one row, a small-matrix GEMM, tile tails) from the
+# product's shape, and the kernels sum in different orders: unblocked, a
+# lone candidate's F differed from its all-candidate-batch F by up to
+# 5.7e-14 on dblp-lite, and padding a batch to a multiple of 16 rows still
+# changed 92 of 167 lone rows on a random n = 500 graph.  Blocks of 32 rows
+# changed none and cost the same as one product (dblp-lite, t = 20).
+_DENSE_BLOCK = 32
+# ``bound`` adds this to every user's opinion: far above the kernels'
+# rounding (about 1e-14 at t = 20), so the bound holds for their F too.
+_SLACK = 1e-9
+# Candidate rows per ``bound`` block over the kept (batch × n) Δ.
+_BOUND_ROWS = 64
+
 
 def others_at_horizon(graph: OpinionGraph, target: int, t: int) -> np.ndarray:
     """Exact horizon opinions of all non-target candidates (no seeds)."""
@@ -69,6 +89,11 @@ class ExactEvaluator:
     it is constant across the greedy run); ``user_mask`` restricts the
     cumulative sum to a user subset (the sandwich LB, Def. 3).  The leading
     ``spark`` argument is unused; perfbench still passes it.
+
+    For the rank scores a batch that holds every node outside S₀ (the
+    seeds it is scored against) also keeps Δ_u(v) = b_u[S₀ ∪ {v}] − b_u[S₀]
+    for ``bound``: one (batch × n) array on the row kernels, the per-pair
+    change on the reach-local one.  The next such batch replaces it.
     """
 
     # No batch runs on Spark; perfbench's TimedEvaluator reads this.
@@ -98,19 +123,58 @@ class ExactEvaluator:
         self.others = (
             None if score == "cumulative" else others_at_horizon(graph, target, t)
         )
+        # (S₀, candidates, Δ): Δ rows, or (row, node, δ) pairs on reach-local.
+        self._delta = None
 
     def __call__(self, seeds: Sequence[int], cand_seeds: Sequence[int]) -> np.ndarray:
         cands = np.asarray(cand_seeds, dtype=np.int64)
         n, m = self.graph.n, self.graph.m
+        keep_delta = self.score != "cumulative" and (
+            np.union1d(np.asarray(seeds, dtype=np.int64), cands).size == n
+        )
         if n > DENSE_N_THRESHOLD:
-            return self._reach_local(seeds, cands)
-        rows = self._layered if LAYERED_SPARSITY * m <= n * n else self._dense
-        return self._score(rows(seeds, cands))
+            return self._reach_local(seeds, cands, keep_delta)
+        rows = (self._layered if LAYERED_SPARSITY * m <= n * n else self._dense)(seeds, cands)
+        vals = self._score(rows)
+        if keep_delta:
+            rows -= self._horizon(seeds)
+            self._delta = (frozenset(seeds), cands, rows)
+        return vals
 
     def score_of(self, seeds: Sequence[int]) -> float:
         """Exact F(S) (no extra candidate)."""
+        return float(self._score(self._horizon(seeds)))
+
+    def bound(self, seeds: Sequence[int]) -> np.ndarray | None:
+        """An upper bound on F(S ∪ {v}) for every node v, as an (n,) array
+        (+inf for a node the kept batch did not score).
+
+        ``None`` for the cumulative score, or when S does not contain the S₀
+        of the kept Δ.  Each user's horizon opinion is monotone submodular in
+        S, so b_u[S ∪ {v}] − b_u[S] ≤ Δ_u(v) for S ⊇ S₀, and every rank score
+        is monotone in each target opinion: F scored at b[S] + Δ_v, plus
+        ``_SLACK`` on every user, is ≥ the kernels' F(S ∪ {v}).
+        """
+        if self._delta is None or not self._delta[0] <= set(seeds):
+            return None
+        _, cands, delta = self._delta
+        up = self._horizon(seeds) + _SLACK
+        out = np.full(self.graph.n, np.inf)
+        if isinstance(delta, tuple):
+            prow, pnode, d = delta
+            out[cands] = self._score(up) + score_change(
+                up, self.others, self.score, prow, pnode, up[pnode] + d, len(cands),
+                p=self.p, omega=self.omega,
+            )
+            return out
+        for lo in range(0, len(cands), _BOUND_ROWS):
+            out[cands[lo : lo + _BOUND_ROWS]] = self._score(up + delta[lo : lo + _BOUND_ROWS])
+        return out
+
+    def _horizon(self, seeds) -> np.ndarray:
+        """The target's exact horizon opinions b[S] (n,)."""
         g = self.graph.with_seeds(self.target, seeds)
-        return float(self._score(fj_diffuse_np(g, self.t, cand=self.target)))
+        return fj_diffuse_np(g, self.t, cand=self.target)
 
     def _score(self, b: np.ndarray) -> np.ndarray:
         """F of each row of target opinions ``b``."""
@@ -119,19 +183,28 @@ class ExactEvaluator:
         )
 
     def _dense(self, seeds, cand_seeds):
-        """Every candidate's (batch × n) opinion row, advanced jointly with BLAS."""
+        """Every candidate's (batch × n) opinion row, advanced with BLAS in
+        blocks of ``_DENSE_BLOCK`` rows.
+
+        Every product has the same shape (the last block is padded by
+        repeating its last candidate; the pad rows are dropped), so a row
+        takes the same OpenBLAS path alone as in any wider batch.
+        """
         graph, t = self.graph, self.t
         g = graph.with_seeds(self.target, seeds)
         b0, d = g.b0[self.target], g.d[self.target]
         nb = len(cand_seeds)
-        rows = np.arange(nb)
-        M = np.tile(b0, (nb, 1))
-        M[rows, cand_seeds] = 1.0
+        cands = np.concatenate([cand_seeds, np.repeat(cand_seeds[-1:], -nb % _DENSE_BLOCK)])
         W = graph.dense_w()
-        for _ in range(t):
-            M = (1.0 - d) * (M @ W) + d * b0
-            M[rows, cand_seeds] = 1.0  # seed row: d=1, b0=1 ⇒ stays 1
-        return M
+        rows, out = np.arange(_DENSE_BLOCK), []
+        for block in cands.reshape(-1, _DENSE_BLOCK):
+            M = np.tile(b0, (_DENSE_BLOCK, 1))
+            M[rows, block] = 1.0
+            for _ in range(t):
+                M = (1.0 - d) * (M @ W) + d * b0
+                M[rows, block] = 1.0  # seed row: d=1, b0=1 ⇒ stays 1
+            out.append(M)
+        return np.concatenate(out or [np.empty((0, graph.n))])[:nb]
 
     def _layered(self, seeds, cand_seeds):
         """Every candidate's (batch × n) opinion row, bit-identical to
@@ -164,7 +237,7 @@ class ExactEvaluator:
             B, agg = agg, B
         return np.ascontiguousarray(B[lay.rank].T)
 
-    def _reach_local(self, seeds, cand_seeds):
+    def _reach_local(self, seeds, cand_seeds, keep_delta=False):
         """F(S ∪ {v}) = F(S) + the change seeding v makes inside its t-hop reach.
 
         FJ is linear: with S fixed, seeding v changes b^(s) by δ^(s), where
@@ -172,7 +245,8 @@ class ExactEvaluator:
         δ_j^(s+1) = (1 − d_j)·Σ_i w_ij·δ_i^(s).  δ^(t) is therefore zero
         outside N_v^(t) taken without passing through S.  One base trajectory
         b^(0..t)[S] serves the whole batch; δ lives on (candidate, node) pairs
-        and moves along the edges between them.
+        and moves along the edges between them.  ``keep_delta`` keeps the pairs'
+        δ^(t) as ``bound``'s Δ.
         """
         graph, t = self.graph, self.t
         n, nb = graph.n, len(cand_seeds)
@@ -204,6 +278,8 @@ class ExactEvaluator:
         for s in range(1, t + 1):
             delta = keep * segment_sum(delta[esrc] * ew, etgt, len(keys))
             delta[roots] = 1.0 - root_b[s]
+        if keep_delta:
+            self._delta = (frozenset(seeds), cand_seeds, (prow, pnode, delta))
 
         base = self._score(b)
         if self.score == "cumulative":  # linear: F rises by Σδ over the reached users
@@ -238,9 +314,16 @@ def greedy_dm(
     gain over the F(S) it was scored against and the round it was scored
     in.  A round re-scores the stale candidates ranked above the first
     fresh one (by gain, ties to the smaller id) in one batch, in ascending
-    id order, until the top candidate is fresh, and picks it.  The batch
-    holds every stale candidate on a run's first batch and on plain
-    greedy, and at most 32 otherwise.
+    id order, until the top candidate is fresh, and picks it.  A run's
+    first batch holds every candidate; CELF's later batches hold at most 32.
+
+    Plain greedy ranks a stale candidate by the gain of the evaluator's
+    ``bound(S)`` over F(S).  Its rounds make at most two calls: the top 32,
+    then every stale candidate ranked above the best one scored, whose
+    bound can still beat or tie it.  The picks and trace are those of
+    scoring every candidate.  An evaluator without ``bound``, or whose
+    ``bound`` returns ``None`` (the cumulative score: GED-T), has every
+    candidate scored each round.
     """
     n = evaluator.graph.n
     seeds: list[int] = list(init or [])
@@ -250,20 +333,27 @@ def greedy_dm(
         return seeds[:k], []
     trace: list[float] = []
     base = evaluator.score_of(seeds)
+    bound = None if celf else getattr(evaluator, "bound", None)
     # Unscored candidates rank first; picked ones rank last and are never stale.
     val, gain, when = np.zeros(n), np.full(n, np.inf), np.full(n, -1)
     gain[seeds], when[seeds] = -np.inf, k
-    lazy = False  # a run's first batch scores every candidate
+    first = True  # a run's first batch scores every candidate
     for rnd in range(len(seeds), k):
+        ub = None if first or bound is None else bound(seeds)
+        if ub is not None:
+            stale = when < rnd
+            gain[stale] = ub[stale] - base
+        lazy, cap = not first and (celf or ub is not None), 32
         while when[top := int(np.argmax(gain))] < rnd:
-            if lazy:  # the stale run ranked above the first fresh candidate, ≤ 32
-                ranked = np.argsort(-gain, kind="stable")[:32]
+            if lazy:  # the stale run ranked above the first fresh candidate
+                ranked = np.argsort(-gain, kind="stable")[:cap]
                 batch = np.sort(ranked[np.logical_and.accumulate(when[ranked] < rnd)])
+                cap = 32 if celf else n  # pruned: the rest of the run in one batch
             else:
                 batch = np.flatnonzero(when < rnd)
             val[batch] = evaluator(seeds, batch)
             gain[batch], when[batch] = val[batch] - base, rnd
-            lazy = celf
+        first = False
         base = float(val[top])  # the evaluator's F, not a running sum of gains
         seeds.append(top)
         trace.append(base)

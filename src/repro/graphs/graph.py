@@ -388,7 +388,9 @@ def reach(
     node's edges as one consecutive run, frontier nodes in (root, node)
     order.  All roots of a chunk expand together, one hop at a time, over
     deduplicated (root, node) frontier pairs; chunks hold ``_EXPAND_BUDGET``
-    CSR entries per hop, or ``seen`` entries with ``live``.
+    CSR entries per hop, or ``seen`` entries with ``live``.  A chunk's sets
+    are read off its ``seen`` mask, or, with ``live``, by sorting the keys
+    each hop added.
     """
     n = len(indptr) - 1
     roots = np.asarray(roots, dtype=np.int64)
@@ -398,7 +400,8 @@ def reach(
         size = min(step, len(roots) - lo)
         seen = np.zeros(size * n, dtype=bool)  # row-major (chunk root, node)
         rows, frontier = np.arange(size), roots[lo : lo + size]
-        seen[rows * n + frontier] = True
+        found = [rows * n + frontier]  # the keys each hop adds, with ``live``
+        seen[found[0]] = True
         for hop in range(hops):
             owner, slot = out_edges(indptr, frontier)
             if live is not None:
@@ -413,8 +416,12 @@ def reach(
             if not len(key):
                 break
             seen[key] = True
+            if live is not None:
+                found.append(key)
             rows, frontier = np.divmod(key, n)
-        rows, node = np.divmod(np.flatnonzero(seen), n)
+        # Live-edge sets are small: sorting their keys beats scanning the mask.
+        keys = np.sort(np.concatenate(found)) if live is not None else np.flatnonzero(seen)
+        rows, node = np.divmod(keys, n)
         nodes.append(node.astype(np.int32))
         counts.append(np.bincount(rows, minlength=size))
     return np.concatenate(nodes), np.cumsum(np.concatenate(counts))

@@ -358,14 +358,44 @@ class _CallLog:
         return self.ev.score_of(seeds)
 
 
-def _tied_hubs():
-    """Three identical components, hub h → leaves 3 + 2h and 4 + 2h: the
-    hubs are interchangeable, and every opinion is a short dyadic fraction,
-    so their scores tie exactly."""
-    hubs = np.arange(3)
-    src, dst = np.repeat(hubs, 2), np.arange(3, 9)
-    b0 = np.array([[0.25] * 3 + [0.0] * 6, [0.4] * 9])
-    return OpinionGraph.from_edges(9, src, dst, np.ones(6), b0, np.full((2, 9), 0.5))
+class _BoundLog(_CallLog):
+    """``_CallLog`` that also passes ``bound`` through, so plain greedy prunes."""
+
+    def bound(self, seeds):
+        return self.ev.bound(seeds)
+
+
+def _exhaustive(ev, k, init=()):
+    """Reference plain greedy: every round scores every unselected
+    candidate and picks the largest gain over F(S), ties to the smaller id."""
+    seeds, trace = list(init), []
+    base = ev.score_of(seeds)
+    while len(seeds) < k:
+        cands = np.array([v for v in range(ev.graph.n) if v not in seeds])
+        vals = ev(seeds, cands)
+        top = int(np.argmax(vals - base))
+        seeds.append(int(cands[top]))
+        base = float(vals[top])
+        trace.append(base)
+    return seeds, trace
+
+
+def _force_kernel(monkeypatch, kernel):
+    """Make ``ExactEvaluator.__call__`` dispatch every batch to ``kernel``."""
+    import repro.core.dm as dm_mod
+
+    monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", 0 if kernel == "reach_local" else 10**9)
+    monkeypatch.setattr(dm_mod, "LAYERED_SPARSITY", 0 if kernel == "layered" else 10**9)
+
+
+def _tied_hubs(lead=0):
+    """``lead`` isolated nodes, then three identical components, hub h →
+    two leaves: the hubs are interchangeable, and every opinion is a short
+    dyadic fraction, so their scores tie exactly."""
+    n, hubs = lead + 9, lead + np.arange(3)
+    src, dst = np.repeat(hubs, 2), lead + np.arange(3, 9)
+    b0 = np.array([[0.0] * lead + [0.25] * 3 + [0.0] * 6, [0.4] * n])
+    return OpinionGraph.from_edges(n, src, dst, np.ones(6), b0, np.full((2, n), 0.5))
 
 
 class TestLazyGreedy:
@@ -391,9 +421,26 @@ class TestLazyGreedy:
         greedy_dm(ev, 4, celf=True, init=init)
         assert len(ev.calls) == 1
 
-    def test_plain_greedy_scores_every_unselected_each_round(self):
+    def test_plain_greedy_scores_every_unselected_then_at_most_two_batches(self):
+        """A pruned round scores the top 32 by bound, then in one more batch
+        what can still win; the picks and trace are exhaustive greedy's."""
+        g = random_instance(80, r=3, seed=13)
+        exact = ExactEvaluator(None, g, 0, 3, "plurality")
+        ev = _BoundLog(exact)
+        seeds, trace = greedy_dm(ev, 6, celf=False, init=[7])
+        assert (seeds, trace) == _exhaustive(exact, 6, init=[7])
+        assert ev.calls[0] == ([7], [v for v in range(g.n) if v != 7])
+        for i in range(2, 6):
+            calls = [c for s, c in ev.calls if s == seeds[:i]]
+            assert 1 <= len(calls) <= 2 and len(calls[0]) <= 32
+            assert all(c == sorted(c) for c in calls)
+        assert sum(len(c) for _, c in ev.calls[1:]) < 4 * (g.n - 3)
+
+    def test_ged_t_scores_every_unselected_each_round(self):
+        """Plain greedy on the cumulative score (GED-T) has no bound: every
+        round scores every unselected candidate."""
         g = random_instance(40, r=3, seed=13)
-        ev = _CallLog(ExactEvaluator(None, g, 0, 3, "plurality"))
+        ev = _BoundLog(ExactEvaluator(None, g, 0, 3, "cumulative"))
         seeds, _ = greedy_dm(ev, 5, celf=False, init=[7])
         assert seeds[0] == 7
         assert ev.calls == [
@@ -412,9 +459,9 @@ class TestLazyGreedy:
 
 
 class TestBatchIndependence:
-    """A candidate's F is the same in any batch, so the lazy loop may
-    compare values scored in different batches: bit for bit on the layered
-    and reach-local kernels, within rounding on dense BLAS."""
+    """A candidate's F is the same in any batch, bit for bit on every
+    kernel, so the lazy loop may compare values scored in different
+    batches (``_dense`` runs whole ``_DENSE_BLOCK`` row blocks)."""
 
     @pytest.mark.parametrize("case", list(_KERNEL_CASES))
     def test_value_does_not_depend_on_the_batch(self, case):
@@ -427,7 +474,118 @@ class TestBatchIndependence:
             batches = [subset] + [np.array([v]) for v in range(g.n)]
             for cands in batches:
                 for name, got in _kernels(ev, seeds, cands).items():
-                    if name == "dense":
-                        np.testing.assert_allclose(got, whole[name][cands], rtol=1e-12, atol=1e-12)
-                    else:
-                        np.testing.assert_array_equal(got, whole[name][cands], err_msg=name)
+                    np.testing.assert_array_equal(got, whole[name][cands], err_msg=name)
+
+    def test_dense_rows_do_not_depend_on_the_batch(self):
+        """On a graph where OpenBLAS's kernel choice shows (n = 200; on the
+        40-node graph above every path happens to agree), a candidate's
+        ``_dense`` row is the same bits alone, in a permuted subset and in
+        the whole batch."""
+        g = random_instance(200, r=3, seed=5, avg_deg=20.0)
+        ev = ExactEvaluator(None, g, 0, 3, "cumulative")
+        for seeds in ([], [3, 50]):
+            whole = ev._dense(seeds, np.arange(g.n))
+            sub = np.random.default_rng(1).permutation(g.n)[:103]
+            np.testing.assert_array_equal(ev._dense(seeds, sub), whole[sub])
+            for v in range(0, g.n, 3):
+                np.testing.assert_array_equal(ev._dense(seeds, np.array([v]))[0], whole[v])
+
+
+_BOUND_SCORES = ["plurality", "p_approval", "positional_p_approval", "copeland"]
+
+
+class TestBound:
+    """``ExactEvaluator.bound`` and the pruned plain greedy it drives."""
+
+    @pytest.mark.parametrize("kernel", ["dense", "layered", "reach_local"])
+    @pytest.mark.parametrize("case", _BOUND_SCORES)
+    def test_bound_is_at_least_f_for_every_superset(self, monkeypatch, kernel, case):
+        """bound(S)[v] ≥ F(S ∪ {v}) for every v and every S ⊇ S₀, |S| ≤ 2,
+        with F from a second evaluator on the same kernel."""
+        score, kw = _KERNEL_CASES[case]
+        _force_kernel(monkeypatch, kernel)
+        below = 0
+        for gseed, s0 in itertools.product([40, 41], [[], [3]]):
+            g = random_instance(16, r=3, seed=gseed)
+            ev = ExactEvaluator(None, g, 1, 3, score, **kw)
+            ref = ExactEvaluator(None, g, 1, 3, score, **kw)
+            rest = [v for v in range(g.n) if v not in s0]
+            ev(s0, rest)  # the all-candidate batch that keeps Δ at S₀
+            for size in range(3 - len(s0)):
+                for extra in itertools.combinations(rest, size):
+                    seeds = s0 + list(extra)
+                    cands = [v for v in range(g.n) if v not in seeds]
+                    ub, f = ev.bound(seeds)[cands], ref(seeds, cands)
+                    assert np.isfinite(ub).all()
+                    assert (ub >= f).all(), (seeds, ub - f)
+                    below += int((ub < f.max()).sum())
+        assert below  # the bound rules candidates out
+
+    @pytest.mark.parametrize("kernel", ["dense", "layered", "reach_local"])
+    @pytest.mark.parametrize("case", _BOUND_SCORES)
+    def test_pruned_greedy_equals_exhaustive(self, monkeypatch, kernel, case):
+        score, kw = _KERNEL_CASES[case]
+        _force_kernel(monkeypatch, kernel)
+        g = random_instance(70, r=3, seed=42, avg_deg=3.0)
+        ev = ExactEvaluator(None, g, 1, 3, score, **kw)
+        for init in ([], [5]):
+            assert greedy_dm(ev, 5, celf=False, init=init) == _exhaustive(ev, 5, init)
+
+    @pytest.mark.parametrize("score", ["plurality", "copeland"])
+    def test_pruned_greedy_equals_exhaustive_on_exact_ties(self, score):
+        ev = ExactEvaluator(None, _tied_hubs(), 0, 2, score)
+        for init in ([], [2], [0], [5]):
+            assert greedy_dm(ev, 4, celf=False, init=init) == _exhaustive(ev, 4, init)
+
+    def test_second_batch_scores_a_bound_tie_with_a_smaller_id(self):
+        """Round 2's first batch holds 31 decoys and hub 42 (a loose but valid
+        bound ranks them first), so the best F is hub 42's.  Hub 41's bound
+        ties it exactly, and 41 is the smaller id, so the second batch scores
+        41, which ties and wins, as in exhaustive greedy."""
+        loose = list(range(31)) + [42]
+
+        class Loose(_BoundLog):
+            def bound(self, seeds):
+                ub = self.ev.bound(seeds)
+                ub[loose] += 100.0
+                return ub
+
+        exact = ExactEvaluator(None, _tied_hubs(lead=40), 0, 2, "plurality")
+        ev = Loose(exact)
+        assert greedy_dm(ev, 2, celf=False) == _exhaustive(exact, 2) == ([40, 41], [3.0, 6.0])
+        assert [c for _, c in ev.calls[1:]] == [loose, [41]]
+
+    def test_a_vacuous_bound_costs_two_batches_a_round(self):
+        """Where the bound rules nothing out (+inf), a round scores the 32
+        smallest ids, then every other candidate in one more batch."""
+        g = random_instance(80, r=3, seed=13)
+        exact = ExactEvaluator(None, g, 0, 3, "plurality")
+
+        class Vacuous(_CallLog):
+            def bound(self, seeds):
+                return np.full(g.n, np.inf)
+
+        ev = Vacuous(exact)
+        seeds, trace = greedy_dm(ev, 4, celf=False)
+        assert (seeds, trace) == _exhaustive(exact, 4)
+        for i in range(1, 4):
+            rest = [v for v in range(g.n) if v not in seeds[:i]]
+            assert [c for s, c in ev.calls if s == seeds[:i]] == [rest[:32], rest[32:]]
+
+    def test_stand_in_without_bound_gives_the_same_seeds(self):
+        g = random_instance(80, r=3, seed=13)
+        ev = ExactEvaluator(None, g, 0, 3, "p_approval", p=2)
+        log = _CallLog(ev)
+        assert greedy_dm(log, 5, celf=False) == greedy_dm(ev, 5, celf=False)
+        assert [len(c) for _, c in log.calls] == [g.n - i for i in range(5)]
+
+    def test_no_bound_for_cumulative_or_without_s0(self):
+        g = random_instance(40, r=3, seed=13)
+        cum = ExactEvaluator(None, g, 0, 3, "cumulative")
+        cum([], np.arange(g.n))
+        assert cum.bound([]) is None
+        ev = ExactEvaluator(None, g, 0, 3, "plurality")
+        assert ev.bound([]) is None  # no all-candidate batch yet
+        ev([4], [v for v in range(g.n) if v != 4])
+        assert ev.bound([]) is None and ev.bound([1]) is None
+        assert ev.bound([4, 1]).shape == (g.n,)
