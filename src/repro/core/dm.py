@@ -348,7 +348,7 @@ def greedy_dm(
             if lazy:  # the stale run ranked above the first fresh candidate
                 ranked = np.argsort(-gain, kind="stable")[:cap]
                 batch = np.sort(ranked[np.logical_and.accumulate(when[ranked] < rnd)])
-                cap = 32 if celf else n  # pruned: the rest of the run in one batch
+                cap = 32 if celf else n  # pruned: then all that can still win, at once
             else:
                 batch = np.flatnonzero(when < rnd)
             val[batch] = evaluator(seeds, batch)
