@@ -17,6 +17,7 @@ import argparse
 import datetime
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -32,21 +33,23 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
+def _cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
 def _env() -> dict:
     import numpy as np
     import pyspark
 
-    cpu = next(
-        (
-            line.split(":", 1)[1].strip()
-            for line in Path("/proc/cpuinfo").read_text().splitlines()
-            if line.startswith("model name")
-        ),
-        "unknown",
-    ) if Path("/proc/cpuinfo").exists() else "unknown"
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
-        "cpu": cpu,
+        "cpu": _cpu_model(),
         "cores": os.cpu_count(),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "numpy": np.__version__,
