@@ -19,6 +19,14 @@ greedy pruned by ``ExactEvaluator.bound`` on the layered kernel (plurality,
 yelp-lite, trailing target, k = 4: perfbench's yelp-plurality DM).  It
 records the evaluator calls and candidates in ``extra_info``.
 
+Both build a fresh graph and evaluator for every round (``setup``, not
+timed): the row kernels keep their last all-candidate batch on the graph,
+so a reused graph would time a lookup.  ``test_dm_then_sandwich_time``
+times what that sharing saves: perfbench's yelp-plurality order on one
+fresh graph, plain plurality DM (k = 4), then ``sandwich_select`` with
+S_F = the DM seeds.  It records the row kernels' batch sizes and how many
+held every node in ``extra_info``.
+
 ``test_rr_sets_time`` times the driver RR-set kernel ``baselines.im.rr_sets``
 (2 000 sets, seed 3) for IC and LT on the three small lite graphs; perfbench
 times RR-set generation only inside its Spark job.  It records the set
@@ -32,6 +40,7 @@ import pytest
 
 from repro.baselines.im import rr_sets
 from repro.core.dm import ExactEvaluator, greedy_dm
+from repro.core.sandwich import sandwich_select
 from repro.experiments.datasets import TARGETS, load
 from repro.experiments.tables import method_selector, trailing_candidate
 
@@ -54,11 +63,14 @@ def test_selection_time(spark, benchmark, method, n):
 
 @pytest.mark.parametrize("dataset", ["dblp-lite", "yelp-lite"])
 def test_exact_batch_time(benchmark, dataset):
-    g = load(dataset)
-    ev = ExactEvaluator(None, g, 0, 20, "plurality")
-    cands = np.arange(g.n)
-    vals = benchmark.pedantic(ev, args=([], cands), rounds=3, iterations=1, warmup_rounds=1)
-    assert vals.shape == (g.n,)
+    def setup():
+        g = load(dataset)
+        return (ExactEvaluator(None, g, 0, 20, "plurality"), np.arange(g.n)), {}
+
+    vals = benchmark.pedantic(
+        lambda ev, cands: ev([], cands), setup=setup, rounds=3, warmup_rounds=1
+    )
+    assert vals.shape == (load(dataset).n,)
 
 
 class _Counted:
@@ -89,19 +101,48 @@ class _Counted:
 def test_greedy_dm_time(benchmark, dataset, score, k, celf):
     g = load(dataset)
     target = TARGETS[dataset] if score == "cumulative" else trailing_candidate(g, 20, score)
-    ev = _Counted(ExactEvaluator(None, g, target, 20, score))
+    evs = []
 
-    def run():
-        ev.batches.clear()
-        return greedy_dm(ev, k, celf=celf)
+    def setup():
+        evs.append(_Counted(ExactEvaluator(None, load(dataset), target, 20, score)))
+        return (evs[-1], k), {"celf": celf}
 
-    seeds, trace = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
+    seeds, trace = benchmark.pedantic(greedy_dm, setup=setup, rounds=3, warmup_rounds=1)
+    ev = evs[-1]
     benchmark.extra_info.update(eval_calls=len(ev.batches), cands_evaluated=sum(ev.batches))
     assert len(seeds) == k and trace[-1] == ev.score_of(seeds)
     if score == "cumulative" and not celf:  # GED-T: no bound, every candidate each round
         assert ev.batches == [g.n - i for i in range(k)]
     if score != "cumulative":  # one full batch, then at most two a round
         assert ev.batches[0] == g.n and len(ev.batches) <= 2 * k - 1
+
+
+@pytest.mark.parametrize("dataset", ["yelp-lite"])
+def test_dm_then_sandwich_time(benchmark, monkeypatch, dataset):
+    sizes = []
+    for name in ("_dense", "_layered"):
+        kernel = getattr(ExactEvaluator, name)
+        monkeypatch.setattr(
+            ExactEvaluator, name,
+            lambda self, seeds, cands, kernel=kernel: sizes.append(len(cands))
+            or kernel(self, seeds, cands),
+        )
+    g = load(dataset)
+    target = trailing_candidate(g, 20, "plurality")
+
+    def setup():
+        sizes.clear()
+        return (load(dataset),), {}
+
+    def run(graph):
+        dm, _ = greedy_dm(ExactEvaluator(None, graph, target, 20, "plurality"), 4, celf=False)
+        return sandwich_select(
+            None, graph, target, 20, 4, "plurality", selector=lambda kk: dm[:kk]
+        )
+
+    res = benchmark.pedantic(run, setup=setup, rounds=3, warmup_rounds=1)
+    benchmark.extra_info.update(row_batches=list(sizes), full_batches=sizes.count(g.n))
+    assert len(res.seeds) == 4
 
 
 @pytest.mark.parametrize("model", ["ic", "lt"])

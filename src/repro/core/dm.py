@@ -31,13 +31,19 @@ The row kernels pin each row's own seed to 1.  ``_layered``'s rows are
 bit-identical to ``fj_diffuse_np`` with the candidate seeded; the other
 two differ from it only in float rounding (DESIGN.md §2).  On every
 kernel a candidate's F is the same bits in any batch, so the greedy loop
-compares values scored in different batches.  F comes from
-``voting.scores.score_rows``; the reach-local change is a plain Σδ for the
-cumulative score and ``voting.scores.score_change`` (one group per
-candidate row, one unit per reached node) for the rank scores.
+compares values scored in different batches.  For the same reason the
+row kernels run each batch once per graph: the last all-candidate batch
+is kept on the graph, whatever score it was made for, and a later batch
+of any evaluator at the same target, t and seeds reads its rows from it.
+DM, the sandwich's LB and S_F greedy and GED-T so share one
+all-candidate batch at S = ∅; the next such batch replaces it.  F comes
+from ``voting.scores.score_rows``; the reach-local change is a plain Σδ
+for the cumulative score and ``voting.scores.score_change`` (one group
+per candidate row, one unit per reached node) for the rank scores.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -80,6 +86,25 @@ def others_at_horizon(graph: OpinionGraph, target: int, t: int) -> np.ndarray:
     return np.delete(b, target, axis=0)
 
 
+@dataclass
+class _RowBatch:
+    """A row kernel's all-candidate batch, kept on the graph (``_rows``).
+
+    Its rows depend on the kernel, target, t, the seeds S₀ and the target's
+    unseeded b⁰ and d, not on the score.
+    """
+
+    kernel: str  # "_layered" or "_dense"
+    target: int
+    t: int
+    seeds: frozenset  # S₀
+    b0: np.ndarray  # copies of the graph's (unseeded) b0[target] and d[target]
+    d: np.ndarray
+    cands: np.ndarray
+    rows: np.ndarray  # (batch × n) raw horizon opinions b[S₀ ∪ {cands[i]}]
+    base: np.ndarray  # b[S₀]
+
+
 class ExactEvaluator:
     """Exact F(S ∪ {v}) for a batch of candidates v, on the driver.
 
@@ -90,10 +115,13 @@ class ExactEvaluator:
     cumulative sum to a user subset (the sandwich LB, Def. 3).  The leading
     ``spark`` argument is unused; perfbench still passes it.
 
-    For the rank scores a batch that holds every node outside S₀ (the
-    seeds it is scored against) also keeps Δ_u(v) = b_u[S₀ ∪ {v}] − b_u[S₀]
-    for ``bound``: one (batch × n) array on the row kernels, the per-pair
-    change on the reach-local one.  The next such batch replaces it.
+    A row-kernel batch that holds every node outside S₀ (the seeds it is
+    scored against) is kept on the graph with b[S₀], whatever the score;
+    the next such batch on the graph replaces it.  Any evaluator on the
+    graph with the same target and t reads a later batch at S₀ from it,
+    when it holds the batch's candidates, and the rank scores' ``bound``
+    reads Δ_u(v) = b_u[S₀ ∪ {v}] − b_u[S₀] from it.  On the reach-local
+    kernel a rank-score evaluator keeps its own Δ, the per-pair change.
     """
 
     # No batch runs on Spark; perfbench's TimedEvaluator reads this.
@@ -123,23 +151,16 @@ class ExactEvaluator:
         self.others = (
             None if score == "cumulative" else others_at_horizon(graph, target, t)
         )
-        # (S₀, candidates, Δ): Δ rows, or (row, node, δ) pairs on reach-local.
+        # Reach-local only: (S₀, candidates, (row, node, δ) pairs).
         self._delta = None
 
     def __call__(self, seeds: Sequence[int], cand_seeds: Sequence[int]) -> np.ndarray:
         cands = np.asarray(cand_seeds, dtype=np.int64)
-        n, m = self.graph.n, self.graph.m
-        keep_delta = self.score != "cumulative" and (
-            np.union1d(np.asarray(seeds, dtype=np.int64), cands).size == n
-        )
+        n = self.graph.n
+        whole = np.union1d(np.asarray(seeds, dtype=np.int64), cands).size == n
         if n > DENSE_N_THRESHOLD:
-            return self._reach_local(seeds, cands, keep_delta)
-        rows = (self._layered if LAYERED_SPARSITY * m <= n * n else self._dense)(seeds, cands)
-        vals = self._score(rows)
-        if keep_delta:
-            rows -= self._horizon(seeds)
-            self._delta = (frozenset(seeds), cands, rows)
-        return vals
+            return self._reach_local(seeds, cands, whole and self.score != "cumulative")
+        return self._score(self._rows(seeds, cands, whole))
 
     def score_of(self, seeds: Sequence[int]) -> float:
         """Exact F(S) (no extra candidate)."""
@@ -150,26 +171,79 @@ class ExactEvaluator:
         (+inf for a node the kept batch did not score).
 
         ``None`` for the cumulative score, or when S does not contain the S₀
-        of the kept Δ.  Each user's horizon opinion is monotone submodular in
-        S, so b_u[S ∪ {v}] − b_u[S] ≤ Δ_u(v) for S ⊇ S₀, and every rank score
-        is monotone in each target opinion: F scored at b[S] + Δ_v, plus
+        of the kept Δ: on the row kernels the graph's kept batch, made by
+        this evaluator or any other at the same target and t (the next
+        all-candidate batch on the graph replaces it), on the reach-local
+        kernel this evaluator's last all-candidate batch.  Each user's
+        horizon opinion is monotone submodular in S, so
+        b_u[S ∪ {v}] − b_u[S] ≤ Δ_u(v) for S ⊇ S₀, and every rank score is
+        monotone in each target opinion: F scored at b[S] + Δ_v, plus
         ``_SLACK`` on every user, is ≥ the kernels' F(S ∪ {v}).
         """
-        if self._delta is None or not self._delta[0] <= set(seeds):
+        if self.score == "cumulative":
             return None
-        _, cands, delta = self._delta
-        up = self._horizon(seeds) + _SLACK
-        out = np.full(self.graph.n, np.inf)
-        if isinstance(delta, tuple):
-            prow, pnode, d = delta
+        S, out = set(seeds), np.full(self.graph.n, np.inf)
+        if self.graph.n > DENSE_N_THRESHOLD:
+            if self._delta is None or not self._delta[0] <= S:
+                return None
+            _, cands, (prow, pnode, d) = self._delta
+            up = self._horizon(seeds) + _SLACK
             out[cands] = self._score(up) + score_change(
                 up, self.others, self.score, prow, pnode, up[pnode] + d, len(cands),
                 p=self.p, omega=self.omega,
             )
             return out
-        for lo in range(0, len(cands), _BOUND_ROWS):
-            out[cands[lo : lo + _BOUND_ROWS]] = self._score(up + delta[lo : lo + _BOUND_ROWS])
+        kept = self._kept()
+        if kept is None or not kept.seeds <= S:
+            return None
+        up = self._horizon(seeds) + _SLACK
+        for lo in range(0, len(kept.cands), _BOUND_ROWS):
+            hi = lo + _BOUND_ROWS
+            out[kept.cands[lo:hi]] = self._score(up + (kept.rows[lo:hi] - kept.base))
         return out
+
+    def _row_kernel(self) -> str:
+        """The row kernel's name for this graph (``n ≤ DENSE_N_THRESHOLD``)."""
+        n, m = self.graph.n, self.graph.m
+        return "_layered" if LAYERED_SPARSITY * m <= n * n else "_dense"
+
+    def _kept(self) -> _RowBatch | None:
+        """The graph's kept batch, if this evaluator's kernel made it for its
+        target and t from the target's current b⁰ and d (at any S₀)."""
+        g, q, kept = self.graph, self.target, self.graph._rows
+        if (
+            kept is None
+            or (kept.kernel, kept.target, kept.t) != (self._row_kernel(), q, self.t)
+            or not (np.array_equal(kept.b0, g.b0[q]) and np.array_equal(kept.d, g.d[q]))
+        ):
+            return None
+        return kept
+
+    def _rows(self, seeds, cands: np.ndarray, whole: bool) -> np.ndarray:
+        """Every candidate's (batch × n) horizon opinions at S ∪ {v}.
+
+        Read from the graph's kept batch when it was made at S and holds
+        every candidate: the same bits the kernel returns, since a row does
+        not depend on its batch.  Otherwise the row kernel runs, and an
+        all-candidate (``whole``) batch replaces the kept one.
+        """
+        g, kept = self.graph, self._kept()
+        if kept is not None and kept.seeds == frozenset(seeds):
+            at = np.full(g.n, -1)
+            at[kept.cands] = np.arange(len(kept.cands))
+            if (at[cands] >= 0).all():
+                return kept.rows[at[cands]]
+        if whole:
+            g._rows = None  # free the old rows before the kernel makes new ones
+        kernel = self._row_kernel()
+        rows = getattr(self, kernel)(seeds, cands)
+        if whole:
+            q = self.target
+            g._rows = _RowBatch(
+                kernel, q, self.t, frozenset(seeds), g.b0[q].copy(), g.d[q].copy(),
+                cands.copy(), rows, self._horizon(seeds),
+            )
+        return rows
 
     def _horizon(self, seeds) -> np.ndarray:
         """The target's exact horizon opinions b[S] (n,)."""

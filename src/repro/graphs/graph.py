@@ -123,6 +123,10 @@ class OpinionGraph:
         default=None, repr=False
     )
     _in_layers: InLayers | None = field(default=None, repr=False)
+    # The exact evaluator's last all-candidate row batch (``core.dm``): any
+    # evaluator on this graph reads rows from it, and the next such batch
+    # replaces it.
+    _rows: object | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------ #
     # Construction & validation

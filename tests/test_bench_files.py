@@ -1,10 +1,12 @@
 """``BENCH_efficiency.json`` parses and every entry has the recorded fields.
 
 The file is written by ``benchmarks/record_efficiency.py``; no benchmark
-runs here.
+runs here.  Entries recorded from several runs per side list every run's
+median under ``runs``, and ``median_s`` is their median.
 """
 import json
 import re
+import statistics
 from numbers import Real
 from pathlib import Path
 
@@ -26,3 +28,7 @@ def test_efficiency_entries_have_commit_env_and_cases():
             for key in ("median_s", "iqr_s"):
                 assert isinstance(case[key], Real) and case[key] >= 0, (name, key)
             assert isinstance(case["extra_info"], dict)
+            if "runs" in case:
+                runs = case["runs"]
+                assert runs and all(isinstance(r, Real) and r >= 0 for r in runs), name
+                assert case["median_s"] == statistics.median(runs), name

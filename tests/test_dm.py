@@ -1,5 +1,9 @@
 """Tests for the exact (DM) evaluator and greedy/CELF (Alg. 1, §III-C)."""
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,6 +494,33 @@ class TestBatchIndependence:
             for v in range(0, g.n, 3):
                 np.testing.assert_array_equal(ev._dense(seeds, np.array([v]))[0], whole[v])
 
+    def test_dense_rows_do_not_depend_on_openblas_threads(self):
+        """``_dense`` rows on dblp-lite (t = 20, 64 candidates, S ∈ {∅, [3]})
+        are the same bytes with OPENBLAS_NUM_THREADS = 1 and 4, each run in
+        its own process.  NumPy's OpenBLAS build string reads MAX_THREADS=2,
+        so the "4" run may use 2 threads."""
+        code = (
+            "import sys, numpy as np\n"
+            "from repro.core.dm import ExactEvaluator\n"
+            "from repro.experiments.datasets import load\n"
+            "g = load('dblp-lite')\n"
+            "ev = ExactEvaluator(None, g, 0, 20, 'cumulative')\n"
+            "cands = np.random.default_rng(0).permutation(g.n)[:64]\n"
+            "for seeds in ([], [3]):\n"
+            "    sys.stdout.buffer.write(ev._dense(seeds, cands).tobytes())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        rows = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, check=True, timeout=60,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+            ).stdout
+            for threads in ("1", "4")
+        ]
+        assert len(rows[0]) == 2 * 64 * 640 * 8
+        assert rows[0] == rows[1]
+
 
 _BOUND_SCORES = ["plurality", "p_approval", "positional_p_approval", "copeland"]
 
@@ -501,14 +532,15 @@ class TestBound:
     @pytest.mark.parametrize("case", _BOUND_SCORES)
     def test_bound_is_at_least_f_for_every_superset(self, monkeypatch, kernel, case):
         """bound(S)[v] ≥ F(S ∪ {v}) for every v and every S ⊇ S₀, |S| ≤ 2,
-        with F from a second evaluator on the same kernel."""
+        with F from a second evaluator on the same kernel, on its own copy
+        of the graph (its all-candidate batches would replace the kept Δ)."""
         score, kw = _KERNEL_CASES[case]
         _force_kernel(monkeypatch, kernel)
         below = 0
         for gseed, s0 in itertools.product([40, 41], [[], [3]]):
             g = random_instance(16, r=3, seed=gseed)
             ev = ExactEvaluator(None, g, 1, 3, score, **kw)
-            ref = ExactEvaluator(None, g, 1, 3, score, **kw)
+            ref = ExactEvaluator(None, random_instance(16, r=3, seed=gseed), 1, 3, score, **kw)
             rest = [v for v in range(g.n) if v not in s0]
             ev(s0, rest)  # the all-candidate batch that keeps Δ at S₀
             for size in range(3 - len(s0)):
@@ -581,11 +613,129 @@ class TestBound:
 
     def test_no_bound_for_cumulative_or_without_s0(self):
         g = random_instance(40, r=3, seed=13)
+        ev = ExactEvaluator(None, g, 0, 3, "plurality")
+        assert ev.bound([]) is None  # no all-candidate batch on the graph yet
         cum = ExactEvaluator(None, g, 0, 3, "cumulative")
         cum([], np.arange(g.n))
         assert cum.bound([]) is None
-        ev = ExactEvaluator(None, g, 0, 3, "plurality")
-        assert ev.bound([]) is None  # no all-candidate batch yet
         ev([4], [v for v in range(g.n) if v != 4])
         assert ev.bound([]) is None and ev.bound([1]) is None
         assert ev.bound([4, 1]).shape == (g.n,)
+
+
+def _row_batches(monkeypatch):
+    """Record the candidate count of every batch the row kernels run."""
+    sizes = []
+    for name in ("_dense", "_layered"):
+        kernel = getattr(ExactEvaluator, name)
+        monkeypatch.setattr(
+            ExactEvaluator, name,
+            lambda self, seeds, cands, kernel=kernel: sizes.append(len(cands))
+            or kernel(self, seeds, cands),
+        )
+    return sizes
+
+
+def _parent_bound(ev, s0, seeds):
+    """``bound(seeds)`` as computed from Δ kept per evaluator: the kernel's
+    all-candidate rows at S₀ minus b[S₀] in place, then b[S] + slack + Δ."""
+    import repro.core.dm as dm_mod
+
+    cands = np.array([v for v in range(ev.graph.n) if v not in s0])
+    delta = getattr(ev, ev._row_kernel())(s0, cands)
+    delta -= ev._horizon(s0)
+    up = ev._horizon(seeds) + dm_mod._SLACK
+    out = np.full(ev.graph.n, np.inf)
+    for lo in range(0, len(cands), dm_mod._BOUND_ROWS):
+        hi = lo + dm_mod._BOUND_ROWS
+        out[cands[lo:hi]] = ev._score(up + delta[lo:hi])
+    return out
+
+
+class TestSharedBatch:
+    """The row kernels' last all-candidate batch is kept on the graph and
+    read, bit for bit, by any evaluator with the same target, t and S₀."""
+
+    @pytest.mark.parametrize("kernel", ["dense", "layered"])
+    def test_hit_equals_a_fresh_graph(self, monkeypatch, kernel):
+        _force_kernel(monkeypatch, kernel)
+        sizes = _row_batches(monkeypatch)
+        g, hubs = _looped_graph()
+        subset = np.random.default_rng(2).permutation(g.n)[:17]
+        for s0 in ([], hubs):
+            ev = ExactEvaluator(None, g, 0, 3, "cumulative")
+            rest = np.array([v for v in range(g.n) if v not in s0])
+            ev(s0, rest)
+            for cands in (rest, rest[::-1], subset[~np.isin(subset, s0)]):
+                ran = len(sizes)
+                f, rows = ev(s0, cands), ev._rows(s0, cands, False)
+                assert len(sizes) == ran  # read from the kept batch
+                fresh = ExactEvaluator(None, _looped_graph()[0], 0, 3, "cumulative")
+                np.testing.assert_array_equal(f, fresh(s0, cands))
+                np.testing.assert_array_equal(rows, getattr(fresh, "_" + kernel)(s0, cands))
+
+    @pytest.mark.parametrize("kernel", ["dense", "layered"])
+    def test_hit_after_another_score_or_user_mask(self, monkeypatch, kernel):
+        _force_kernel(monkeypatch, kernel)
+        g, _ = _looped_graph()
+        sizes = _row_batches(monkeypatch)
+        ExactEvaluator(None, g, 0, 3, "plurality")([], np.arange(g.n))
+        mask = np.arange(g.n) % 3 == 0
+        cases = [("cumulative", {"user_mask": mask})] + list(_KERNEL_CASES.values())
+        perm = np.random.default_rng(3).permutation(g.n)
+        for score, kw in cases:
+            got = ExactEvaluator(None, g, 0, 3, score, **kw)
+            want = ExactEvaluator(None, _looped_graph()[0], 0, 3, score, **kw)
+            for cands in (np.arange(g.n), perm[:9]):
+                np.testing.assert_array_equal(got([], cands), want([], cands))
+        assert sizes.count(g.n) == 1 + len(cases)  # the first batch, then the fresh graphs'
+
+    def test_no_hit_on_another_target_t_s0_or_changed_opinions(self, monkeypatch):
+        sizes = _row_batches(monkeypatch)
+        sub = np.arange(5, 25)
+
+        def check(target, t, seeds, changed=None):
+            """Keep the batch (target 0, t = 3, S₀ = ∅), set one entry of the
+            ``changed`` array (b0 or d) of the graph and of a reference in
+            place, then score ``sub`` on both."""
+            g, ref = _looped_graph()[0], _looped_graph()[0]
+            ExactEvaluator(None, g, 0, 3, "cumulative")([], np.arange(g.n))
+            for graph in (g, ref):
+                if changed:
+                    getattr(graph, changed)[0, 7] = 0.125
+            ran = len(sizes)
+            got = ExactEvaluator(None, g, target, t, "cumulative")(seeds, sub)
+            want = ExactEvaluator(None, ref, target, t, "cumulative")(seeds, sub)
+            assert len(sizes) == ran + 2  # both ran the kernel
+            np.testing.assert_array_equal(got, want)
+
+        check(1, 3, [])
+        check(0, 2, [])
+        check(0, 3, [2])
+        check(0, 3, [], "b0")
+        check(0, 3, [], "d")
+
+    @pytest.mark.parametrize("kernel", ["dense", "layered"])
+    @pytest.mark.parametrize("score", ["plurality", "copeland"])
+    def test_bound_and_pruned_greedy_unchanged(self, monkeypatch, kernel, score):
+        """``bound`` from the graph's batch (kept by this evaluator, or by the
+        cumulative LB's) equals Δ kept per evaluator, bit for bit, and the
+        pruned greedy's seeds and trace equal exhaustive greedy's on a cold
+        graph, from ∅ and from an init."""
+        _force_kernel(monkeypatch, kernel)
+        for make in (_tied_hubs, lambda: random_instance(70, r=3, seed=42, avg_deg=3.0)):
+            for s0, lb_first in itertools.product(([], [5]), (False, True)):
+                g = make()
+                rest = [v for v in range(g.n) if v not in s0]
+                if lb_first:
+                    ExactEvaluator(None, g, 0, 2, "cumulative", user_mask=np.arange(g.n) % 2 == 0)(
+                        s0, rest
+                    )
+                ev = ExactEvaluator(None, g, 0, 2, score)
+                ev(s0, rest)
+                for extra in ([], [1], [1, 6]):
+                    seeds = s0 + [v for v in extra if v not in s0]
+                    np.testing.assert_array_equal(ev.bound(seeds), _parent_bound(ev, s0, seeds))
+                got = greedy_dm(ExactEvaluator(None, g, 0, 2, score), 4, celf=False, init=s0)
+                cold = ExactEvaluator(None, make(), 0, 2, score)
+                assert got == _exhaustive(cold, 4, s0)

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.dm import ExactEvaluator
+from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.core.sandwich import (
     favorable_users_np,
     greedy_coverage,
@@ -17,6 +17,7 @@ from repro.graphs.graph import reach
 from repro.opinion.fj import fj_diffuse_np
 from repro.oracle import assert_equivalent
 from repro.voting.scores import rank
+from tests.test_dm import _row_batches
 
 
 class TestFavorableSets:
@@ -233,3 +234,35 @@ class TestSandwichSelect:
         best = max(res.f_su, res.f_sf, res.f_sl)
         ev = ExactEvaluator(None, g, 0, 2, "plurality")
         assert np.isclose(ev.score_of(res.seeds), best)
+
+
+def _dm_then_sandwich(g, with_selector):
+    """perfbench's yelp order: plain plurality DM, then the sandwich, whose
+    S_F is the DM seeds or its own greedy."""
+    dm, _ = greedy_dm(ExactEvaluator(None, g, 0, 5, "plurality"), 3, celf=False)
+    selector = (lambda k: dm[:k]) if with_selector else None
+    return dm, sandwich_select(None, g, 0, 5, 3, "plurality", selector=selector)
+
+
+class TestSharedBatch:
+    """The LB and S_F greedy read the all-candidate batch DM kept on the
+    graph, and return what they return on a cold graph."""
+
+    # n²/m = 100 runs the layered kernel, 40 dense BLAS.
+    @pytest.mark.parametrize("avg_deg", [1.0, 4.0])
+    @pytest.mark.parametrize("with_selector", [False, True])
+    def test_warm_equals_cold(self, avg_deg, with_selector):
+        def graph():
+            return random_instance(150, r=3, seed=34, avg_deg=avg_deg)
+
+        dm, warm = _dm_then_sandwich(graph(), with_selector)
+        selector = (lambda k: dm[:k]) if with_selector else None
+        cold = sandwich_select(None, graph(), 0, 5, 3, "plurality", selector=selector)
+        assert warm == cold
+
+    @pytest.mark.parametrize("with_selector", [False, True])
+    def test_dm_then_sandwich_runs_one_all_candidate_batch(self, monkeypatch, with_selector):
+        sizes = _row_batches(monkeypatch)
+        g = random_instance(150, r=3, seed=34, avg_deg=1.0)
+        _dm_then_sandwich(g, with_selector)
+        assert sizes[0] == g.n and sizes.count(g.n) == 1
