@@ -19,9 +19,10 @@ greedy pruned by ``ExactEvaluator.bound`` on the layered kernel (plurality,
 yelp-lite, trailing target, k = 4: perfbench's yelp-plurality DM).  It
 records the evaluator calls and candidates in ``extra_info``.
 
-Both build a fresh graph and evaluator for every round (``setup``, not
-timed): the row kernels keep their last all-candidate batch on the graph,
-so a reused graph would time a lookup.  ``test_dm_then_sandwich_time``
+``test_exact_batch_time`` and ``test_greedy_dm_time`` build a fresh graph
+and evaluator for every round (``setup``, not timed): the row kernels
+keep their last all-candidate batch on the graph, so a reused graph would
+time a lookup.  ``test_dm_then_sandwich_time``
 times what that sharing saves: perfbench's yelp-plurality order on one
 fresh graph, plain plurality DM (k = 4), then ``sandwich_select`` with
 S_F = the DM seeds.  It records the row kernels' batch sizes and how many

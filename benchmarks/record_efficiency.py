@@ -113,7 +113,9 @@ def _cases(runs: list[list[dict]]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_efficiency.json")
-    ap.add_argument("--parent", metavar="REV", help="also time REV's src, alternating with the checkout")
+    ap.add_argument(
+        "--parent", metavar="REV", help="also time REV's src, alternating with the checkout"
+    )
     ap.add_argument("--pairs", type=int, default=1, help="runs per side (default 1)")
     args, pytest_args = ap.parse_known_args(argv)
     if args.pairs < 1:

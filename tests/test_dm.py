@@ -636,9 +636,9 @@ def _row_batches(monkeypatch):
     return sizes
 
 
-def _parent_bound(ev, s0, seeds):
-    """``bound(seeds)`` as computed from Δ kept per evaluator: the kernel's
-    all-candidate rows at S₀ minus b[S₀] in place, then b[S] + slack + Δ."""
+def _bound_from_own_delta(ev, s0, seeds):
+    """``bound(seeds)`` from a Δ computed here: the kernel's all-candidate
+    rows at S₀ minus b[S₀] in place, then F at b[S] + slack + Δ per block."""
     import repro.core.dm as dm_mod
 
     cands = np.array([v for v in range(ev.graph.n) if v not in s0])
@@ -735,7 +735,8 @@ class TestSharedBatch:
                 ev(s0, rest)
                 for extra in ([], [1], [1, 6]):
                     seeds = s0 + [v for v in extra if v not in s0]
-                    np.testing.assert_array_equal(ev.bound(seeds), _parent_bound(ev, s0, seeds))
+                    want = _bound_from_own_delta(ev, s0, seeds)
+                    np.testing.assert_array_equal(ev.bound(seeds), want)
                 got = greedy_dm(ExactEvaluator(None, g, 0, 2, score), 4, celf=False, init=s0)
                 cold = ExactEvaluator(None, make(), 0, 2, score)
                 assert got == _exhaustive(cold, 4, s0)
