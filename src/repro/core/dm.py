@@ -7,7 +7,7 @@ added to the current seed set, and picks the max marginal gain.
 cumulative score, and plain greedy for the rank scores.  Those are not
 submodular, but each user's horizon opinion is (the §V reverse-walk
 coverage view), so ``ExactEvaluator.bound`` caps F(S ∪ {v}) from the
-run's first all-candidate batch, and a plain round re-scores only the
+all-candidate batch at S = ∅, and a plain round re-scores only the
 candidates whose cap can still win it: UBLF's upper-bound pruning
 (Zhou et al., ICDM 2013), of which CELF is the cumulative special case.
 
@@ -31,15 +31,14 @@ The row kernels pin each row's own seed to 1.  ``_layered``'s rows are
 bit-identical to ``fj_diffuse_np`` with the candidate seeded; the other
 two differ from it only in float rounding (DESIGN.md §2).  On every
 kernel a candidate's F is the same bits in any batch, so the greedy loop
-compares values scored in different batches.  For the same reason the
-row kernels run each batch once per graph: the last all-candidate batch
-is kept on the graph, whatever score it was made for, and a later batch
-of any evaluator at the same target, t and seeds reads its rows from it.
-DM, the sandwich's LB and S_F greedy and GED-T so share one
-all-candidate batch at S = ∅; the next such batch replaces it.  F comes
-from ``voting.scores.score_rows``; the reach-local change is a plain Σδ
-for the cumulative score and ``voting.scores.score_change`` (one group
-per candidate row, one unit per reached node) for the rank scores.
+compares values scored in different batches.  For the same reason each
+graph keeps one batch, whatever score it was made for: the all-candidate
+batch at S = ∅ for one target and t (``_Batch``).  DM, GED-T and the
+sandwich's LB and S_F greedy all start from it, and ``bound`` reads its
+Δ; batches at S ≠ ∅ run their kernel and keep nothing.  F comes from
+``voting.scores.score_rows``; the reach-local change is a plain Σδ for
+the cumulative score and ``voting.scores.score_change`` (one group per
+candidate row, one unit per reached node) for the rank scores.
 """
 from __future__ import annotations
 
@@ -76,7 +75,7 @@ _DENSE_BLOCK = 32
 # ``bound`` adds this to every user's opinion: far above the kernels'
 # rounding (about 1e-14 at t = 20), so the bound holds for their F too.
 _SLACK = 1e-9
-# Candidate rows per ``bound`` block over the kept (batch × n) Δ.
+# Candidate rows per ``bound`` block over the kept (n × n) Δ.
 _BOUND_ROWS = 64
 
 
@@ -87,22 +86,18 @@ def others_at_horizon(graph: OpinionGraph, target: int, t: int) -> np.ndarray:
 
 
 @dataclass
-class _RowBatch:
-    """A row kernel's all-candidate batch, kept on the graph (``_rows``).
+class _Batch:
+    """The all-candidate batch at S = ∅ for one target and t, kept on the
+    graph (``_rows``).  Candidate v is row v.  It depends on the kernel,
+    target, t and the target's b⁰ and d, not on the score."""
 
-    Its rows depend on the kernel, target, t, the seeds S₀ and the target's
-    unseeded b⁰ and d, not on the score.
-    """
-
-    kernel: str  # "_layered" or "_dense"
     target: int
     t: int
-    seeds: frozenset  # S₀
-    b0: np.ndarray  # copies of the graph's (unseeded) b0[target] and d[target]
+    b0: np.ndarray  # copies of the graph's b0[target] and d[target]
     d: np.ndarray
-    cands: np.ndarray
-    rows: np.ndarray  # (batch × n) raw horizon opinions b[S₀ ∪ {cands[i]}]
-    base: np.ndarray  # b[S₀]
+    base: np.ndarray  # b[∅]
+    rows: np.ndarray | None  # row kernels: the (n × n) b[{v}]
+    pairs: tuple | None  # reach-local: (prow, pnode, δ, roots), see ``_pairs``
 
 
 class ExactEvaluator:
@@ -115,13 +110,14 @@ class ExactEvaluator:
     cumulative sum to a user subset (the sandwich LB, Def. 3).  The leading
     ``spark`` argument is unused; perfbench still passes it.
 
-    A row-kernel batch that holds every node outside S₀ (the seeds it is
-    scored against) is kept on the graph with b[S₀], whatever the score;
-    the next such batch on the graph replaces it.  Any evaluator on the
-    graph with the same target and t reads a later batch at S₀ from it,
-    when it holds the batch's candidates, and the rank scores' ``bound``
-    reads Δ_u(v) = b_u[S₀ ∪ {v}] − b_u[S₀] from it.  On the reach-local
-    kernel a rank-score evaluator keeps its own Δ, the per-pair change.
+    Every evaluator on a graph reads one batch, kept on the graph: the
+    all-candidate batch at S = ∅ for its target and t, made on first use by
+    whichever evaluator needs it, whatever the score, and made again when
+    the target, t or the target's b⁰ or d changed.  A call at S = ∅ scores
+    it and returns the candidates' F; a call at S ≠ ∅ runs the kernel and
+    keeps nothing.  The rank scores' ``bound`` reads Δ_u(v) = b_u[{v}] −
+    b_u[∅] from it, so a plain greedy resumed with ``init`` on a graph with
+    no kept batch pays for one ∅ batch, and still prunes.
     """
 
     # No batch runs on Spark; perfbench's TimedEvaluator reads this.
@@ -151,55 +147,46 @@ class ExactEvaluator:
         self.others = (
             None if score == "cumulative" else others_at_horizon(graph, target, t)
         )
-        # Reach-local only: (S₀, candidates, (row, node, δ) pairs).
-        self._delta = None
 
     def __call__(self, seeds: Sequence[int], cand_seeds: Sequence[int]) -> np.ndarray:
         cands = np.asarray(cand_seeds, dtype=np.int64)
-        n = self.graph.n
-        whole = np.union1d(np.asarray(seeds, dtype=np.int64), cands).size == n
-        if n > DENSE_N_THRESHOLD:
-            return self._reach_local(seeds, cands, whole and self.score != "cumulative")
-        return self._score(self._rows(seeds, cands, whole))
+        if len(seeds):
+            if self.graph.n > DENSE_N_THRESHOLD:
+                return self._reach_local(seeds, cands)
+            return self._score(getattr(self, self._row_kernel())(seeds, cands))
+        kept = self._batch()
+        if kept.rows is None:
+            return self._pair_score(kept.base, kept.pairs, self.graph.n)[cands]
+        return self._score(kept.rows)[cands]
 
     def score_of(self, seeds: Sequence[int]) -> float:
         """Exact F(S) (no extra candidate)."""
         return float(self._score(self._horizon(seeds)))
 
     def bound(self, seeds: Sequence[int]) -> np.ndarray | None:
-        """An upper bound on F(S ∪ {v}) for every node v, as an (n,) array
-        (+inf for a node the kept batch did not score).
+        """An upper bound on F(S ∪ {v}) for every node v, as an (n,) array;
+        ``None`` for the cumulative score.
 
-        ``None`` for the cumulative score, or when S does not contain the S₀
-        of the kept Δ: on the row kernels the graph's kept batch, made by
-        this evaluator or any other at the same target and t (the next
-        all-candidate batch on the graph replaces it), on the reach-local
-        kernel this evaluator's last all-candidate batch.  Each user's
-        horizon opinion is monotone submodular in S, so
-        b_u[S ∪ {v}] − b_u[S] ≤ Δ_u(v) for S ⊇ S₀, and every rank score is
-        monotone in each target opinion: F scored at b[S] + Δ_v, plus
-        ``_SLACK`` on every user, is ≥ the kernels' F(S ∪ {v}).
+        Δ comes from the graph's kept batch at S = ∅.  Each user's horizon
+        opinion is monotone submodular in S, so b_u[S ∪ {v}] − b_u[S] ≤
+        Δ_u(v), and every rank score is monotone in each target opinion: F
+        scored at b[S] + Δ_v, plus ``_SLACK`` on every user, is ≥ the
+        kernels' F(S ∪ {v}).
         """
         if self.score == "cumulative":
             return None
-        S, out = set(seeds), np.full(self.graph.n, np.inf)
-        if self.graph.n > DENSE_N_THRESHOLD:
-            if self._delta is None or not self._delta[0] <= S:
-                return None
-            _, cands, (prow, pnode, d) = self._delta
-            up = self._horizon(seeds) + _SLACK
-            out[cands] = self._score(up) + score_change(
-                up, self.others, self.score, prow, pnode, up[pnode] + d, len(cands),
+        kept, n = self._batch(), self.graph.n
+        up = self._horizon(seeds) + _SLACK
+        if kept.rows is None:
+            prow, pnode, delta, _ = kept.pairs
+            return self._score(up) + score_change(
+                up, self.others, self.score, prow, pnode, up[pnode] + delta, n,
                 p=self.p, omega=self.omega,
             )
-            return out
-        kept = self._kept()
-        if kept is None or not kept.seeds <= S:
-            return None
-        up = self._horizon(seeds) + _SLACK
-        for lo in range(0, len(kept.cands), _BOUND_ROWS):
+        out = np.empty(n)
+        for lo in range(0, n, _BOUND_ROWS):
             hi = lo + _BOUND_ROWS
-            out[kept.cands[lo:hi]] = self._score(up + (kept.rows[lo:hi] - kept.base))
+            out[lo:hi] = self._score(up + (kept.rows[lo:hi] - kept.base))
         return out
 
     def _row_kernel(self) -> str:
@@ -207,43 +194,30 @@ class ExactEvaluator:
         n, m = self.graph.n, self.graph.m
         return "_layered" if LAYERED_SPARSITY * m <= n * n else "_dense"
 
-    def _kept(self) -> _RowBatch | None:
-        """The graph's kept batch, if this evaluator's kernel made it for its
-        target and t from the target's current b⁰ and d (at any S₀)."""
+    def _batch(self) -> _Batch:
+        """The graph's batch at S = ∅ for this target and t, made here when
+        the graph keeps none for them or the target's b⁰ or d changed."""
         g, q, kept = self.graph, self.target, self.graph._rows
         if (
-            kept is None
-            or (kept.kernel, kept.target, kept.t) != (self._row_kernel(), q, self.t)
-            or not (np.array_equal(kept.b0, g.b0[q]) and np.array_equal(kept.d, g.d[q]))
+            kept is not None
+            and (kept.target, kept.t) == (q, self.t)
+            and np.array_equal(kept.b0, g.b0[q])
+            and np.array_equal(kept.d, g.d[q])
         ):
-            return None
-        return kept
-
-    def _rows(self, seeds, cands: np.ndarray, whole: bool) -> np.ndarray:
-        """Every candidate's (batch × n) horizon opinions at S ∪ {v}.
-
-        Read from the graph's kept batch when it was made at S and holds
-        every candidate: the same bits the kernel returns, since a row does
-        not depend on its batch.  Otherwise the row kernel runs, and an
-        all-candidate (``whole``) batch replaces the kept one.
-        """
-        g, kept = self.graph, self._kept()
-        if kept is not None and kept.seeds == frozenset(seeds):
-            at = np.full(g.n, -1)
-            at[kept.cands] = np.arange(len(kept.cands))
-            if (at[cands] >= 0).all():
-                return kept.rows[at[cands]]
-        if whole:
-            g._rows = None  # free the old rows before the kernel makes new ones
-        kernel = self._row_kernel()
-        rows = getattr(self, kernel)(seeds, cands)
-        if whole:
-            q = self.target
-            g._rows = _RowBatch(
-                kernel, q, self.t, frozenset(seeds), g.b0[q].copy(), g.d[q].copy(),
-                cands.copy(), rows, self._horizon(seeds),
-            )
-        return rows
+            return kept
+        g._rows = kept = None  # free the old batch before the kernel makes the new one
+        everyone, rows, pairs = np.arange(g.n), None, None
+        if g.n > DENSE_N_THRESHOLD:
+            base, pairs = self._pairs([], everyone)
+            # Copied once the kernel's temporaries are freed: kept where the
+            # kernel left them, the pairs pinned about 4 MB of freed heap
+            # (perfbench twitter-cumulative peak RSS, median of 7 seeds on a
+            # 4-core host: 180.7 MB kept as made, 176.2 MB copied).
+            pairs = tuple(a.copy() for a in pairs)
+        else:
+            base, rows = self._horizon([]), getattr(self, self._row_kernel())([], everyone)
+        g._rows = _Batch(q, self.t, g.b0[q].copy(), g.d[q].copy(), base, rows, pairs)
+        return g._rows
 
     def _horizon(self, seeds) -> np.ndarray:
         """The target's exact horizon opinions b[S] (n,)."""
@@ -311,16 +285,21 @@ class ExactEvaluator:
             B, agg = agg, B
         return np.ascontiguousarray(B[lay.rank].T)
 
-    def _reach_local(self, seeds, cand_seeds, keep_delta=False):
-        """F(S ∪ {v}) = F(S) + the change seeding v makes inside its t-hop reach.
+    def _reach_local(self, seeds, cand_seeds):
+        """F(S ∪ {v}) = F(S) + the change seeding v makes inside its t-hop reach."""
+        return self._pair_score(*self._pairs(seeds, cand_seeds), len(cand_seeds))
+
+    def _pairs(self, seeds, cand_seeds):
+        """b^(t)[S], and the change δ^(t) seeding each candidate makes, on
+        (candidate row, node) pairs: ``(b, (prow, pnode, δ, roots))``, where
+        ``roots`` are the pairs of each candidate with itself.
 
         FJ is linear: with S fixed, seeding v changes b^(s) by δ^(s), where
         δ_v^(s) = 1 − b_v^(s)[S], δ is 0 on S, and elsewhere
         δ_j^(s+1) = (1 − d_j)·Σ_i w_ij·δ_i^(s).  δ^(t) is therefore zero
         outside N_v^(t) taken without passing through S.  One base trajectory
         b^(0..t)[S] serves the whole batch; δ lives on (candidate, node) pairs
-        and moves along the edges between them.  ``keep_delta`` keeps the pairs'
-        δ^(t) as ``bound``'s Δ.
+        and moves along the edges between them.
         """
         graph, t = self.graph, self.t
         n, nb = graph.n, len(cand_seeds)
@@ -352,9 +331,11 @@ class ExactEvaluator:
         for s in range(1, t + 1):
             delta = keep * segment_sum(delta[esrc] * ew, etgt, len(keys))
             delta[roots] = 1.0 - root_b[s]
-        if keep_delta:
-            self._delta = (frozenset(seeds), cand_seeds, (prow, pnode, delta))
+        return b, (prow, pnode, delta, roots)
 
+    def _pair_score(self, b, pairs, nb):
+        """F(S ∪ {v}) for ``nb`` candidate rows from ``_pairs``' output."""
+        prow, pnode, delta, roots = pairs
         base = self._score(b)
         if self.score == "cumulative":  # linear: F rises by Σδ over the reached users
             mask = self.user_mask

@@ -123,9 +123,8 @@ class OpinionGraph:
         default=None, repr=False
     )
     _in_layers: InLayers | None = field(default=None, repr=False)
-    # The exact evaluator's last all-candidate row batch (``core.dm``): any
-    # evaluator on this graph reads rows from it, and the next such batch
-    # replaces it.
+    # The exact evaluators' all-candidate batch at S = ∅ for one target and
+    # t (``core.dm._Batch``): every evaluator on this graph reads it.
     _rows: object | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------ #

@@ -274,7 +274,8 @@ class TestKernelPaths:
     )
     def test_dispatch_by_n_and_m(self, monkeypatch, dataset, kernel):
         """Reach-local above DENSE_N_THRESHOLD nodes; below it layered when
-        n²/m ≥ LAYERED_SPARSITY (yelp-lite 118), else dense (dblp-lite 20)."""
+        n²/m ≥ LAYERED_SPARSITY (yelp-lite 118), else dense (dblp-lite 20).
+        The batch is at S ≠ ∅, where the kernel runs on the candidates."""
         from repro.experiments.datasets import load
 
         ev = ExactEvaluator(None, load(dataset), 0, 2, "cumulative")
@@ -282,7 +283,7 @@ class TestKernelPaths:
         for name in ("_dense", "_layered", "_reach_local"):
             fn = getattr(ev, name)
             monkeypatch.setattr(ev, name, lambda *a, fn=fn, name=name: ran.append(name) or fn(*a))
-        ev([], [0, 1])
+        ev([5], [0, 1])
         assert ran == [kernel]
 
     def test_positional_vectorization_matches_score_np(self):
@@ -532,8 +533,8 @@ class TestBound:
     @pytest.mark.parametrize("case", _BOUND_SCORES)
     def test_bound_is_at_least_f_for_every_superset(self, monkeypatch, kernel, case):
         """bound(S)[v] ≥ F(S ∪ {v}) for every v and every S ⊇ S₀, |S| ≤ 2,
-        with F from a second evaluator on the same kernel, on its own copy
-        of the graph (its all-candidate batches would replace the kept Δ)."""
+        after a first batch at S₀, with F from a second evaluator on the
+        same kernel, on its own copy of the graph."""
         score, kw = _KERNEL_CASES[case]
         _force_kernel(monkeypatch, kernel)
         below = 0
@@ -542,7 +543,7 @@ class TestBound:
             ev = ExactEvaluator(None, g, 1, 3, score, **kw)
             ref = ExactEvaluator(None, random_instance(16, r=3, seed=gseed), 1, 3, score, **kw)
             rest = [v for v in range(g.n) if v not in s0]
-            ev(s0, rest)  # the all-candidate batch that keeps Δ at S₀
+            ev(s0, rest)
             for size in range(3 - len(s0)):
                 for extra in itertools.combinations(rest, size):
                     seeds = s0 + list(extra)
@@ -611,22 +612,26 @@ class TestBound:
         assert greedy_dm(log, 5, celf=False) == greedy_dm(ev, 5, celf=False)
         assert [len(c) for _, c in log.calls] == [g.n - i for i in range(5)]
 
-    def test_no_bound_for_cumulative_or_without_s0(self):
-        g = random_instance(40, r=3, seed=13)
-        ev = ExactEvaluator(None, g, 0, 3, "plurality")
-        assert ev.bound([]) is None  # no all-candidate batch on the graph yet
-        cum = ExactEvaluator(None, g, 0, 3, "cumulative")
-        cum([], np.arange(g.n))
-        assert cum.bound([]) is None
-        ev([4], [v for v in range(g.n) if v != 4])
-        assert ev.bound([]) is None and ev.bound([1]) is None
-        assert ev.bound([4, 1]).shape == (g.n,)
+    def test_bound_is_none_only_for_cumulative(self, monkeypatch):
+        """On every kernel a rank score's bound is finite for every node and
+        seed set, also on a graph with no kept batch yet (``bound`` makes it)."""
+        for kernel in ("dense", "layered", "reach_local"):
+            _force_kernel(monkeypatch, kernel)
+            g = random_instance(40, r=3, seed=13)
+            cum = ExactEvaluator(None, g, 0, 3, "cumulative")
+            cum([], np.arange(g.n))
+            assert cum.bound([]) is None and cum.bound([4]) is None
+            ev = ExactEvaluator(None, random_instance(40, r=3, seed=13), 0, 3, "plurality")
+            for seeds in ([4, 1], [], [1]):
+                ub = ev.bound(seeds)
+                assert ub.shape == (g.n,) and np.isfinite(ub).all()
 
 
-def _row_batches(monkeypatch):
-    """Record the candidate count of every batch the row kernels run."""
+def _row_batches(monkeypatch, kernels=("_dense", "_layered")):
+    """Record the candidate count of every batch the row kernels (or the
+    given kernels: ``("_pairs",)`` for reach-local) run."""
     sizes = []
-    for name in ("_dense", "_layered"):
+    for name in kernels:
         kernel = getattr(ExactEvaluator, name)
         monkeypatch.setattr(
             ExactEvaluator, name,
@@ -636,43 +641,55 @@ def _row_batches(monkeypatch):
     return sizes
 
 
-def _bound_from_own_delta(ev, s0, seeds):
+def _bound_from_own_delta(ev, seeds):
     """``bound(seeds)`` from a Δ computed here: the kernel's all-candidate
-    rows at S₀ minus b[S₀] in place, then F at b[S] + slack + Δ per block."""
+    rows at S = ∅ minus b[∅] in place, then F at b[S] + slack + Δ per block."""
     import repro.core.dm as dm_mod
 
-    cands = np.array([v for v in range(ev.graph.n) if v not in s0])
-    delta = getattr(ev, ev._row_kernel())(s0, cands)
-    delta -= ev._horizon(s0)
+    delta = getattr(ev, ev._row_kernel())([], np.arange(ev.graph.n))
+    delta -= ev._horizon([])
     up = ev._horizon(seeds) + dm_mod._SLACK
-    out = np.full(ev.graph.n, np.inf)
-    for lo in range(0, len(cands), dm_mod._BOUND_ROWS):
+    out = np.empty(ev.graph.n)
+    for lo in range(0, ev.graph.n, dm_mod._BOUND_ROWS):
         hi = lo + dm_mod._BOUND_ROWS
-        out[cands[lo:hi]] = ev._score(up + delta[lo:hi])
+        out[lo:hi] = ev._score(up + delta[lo:hi])
     return out
 
 
 class TestSharedBatch:
-    """The row kernels' last all-candidate batch is kept on the graph and
-    read, bit for bit, by any evaluator with the same target, t and S₀."""
+    """Each graph keeps the all-candidate batch at S = ∅ for one target and
+    t, and any evaluator on it reads that batch bit for bit."""
 
-    @pytest.mark.parametrize("kernel", ["dense", "layered"])
+    @pytest.mark.parametrize("kernel", ["dense", "layered", "reach_local"])
     def test_hit_equals_a_fresh_graph(self, monkeypatch, kernel):
+        """Every batch at ∅ (full, reversed, a permuted subset) reads the
+        kept batch, and equals a fresh graph's and the kernel's own F for
+        those candidates; a batch at S ≠ ∅ runs the kernel."""
         _force_kernel(monkeypatch, kernel)
-        sizes = _row_batches(monkeypatch)
+        name = "_pairs" if kernel == "reach_local" else "_" + kernel
+        sizes = _row_batches(monkeypatch, (name,))
         g, hubs = _looped_graph()
+        ev = ExactEvaluator(None, g, 0, 3, "cumulative")
+        every = np.arange(g.n)
         subset = np.random.default_rng(2).permutation(g.n)[:17]
-        for s0 in ([], hubs):
-            ev = ExactEvaluator(None, g, 0, 3, "cumulative")
-            rest = np.array([v for v in range(g.n) if v not in s0])
-            ev(s0, rest)
-            for cands in (rest, rest[::-1], subset[~np.isin(subset, s0)]):
-                ran = len(sizes)
-                f, rows = ev(s0, cands), ev._rows(s0, cands, False)
-                assert len(sizes) == ran  # read from the kept batch
-                fresh = ExactEvaluator(None, _looped_graph()[0], 0, 3, "cumulative")
-                np.testing.assert_array_equal(f, fresh(s0, cands))
-                np.testing.assert_array_equal(rows, getattr(fresh, "_" + kernel)(s0, cands))
+        ev([], every)
+        assert sizes == [g.n]
+        direct = ev._reach_local if kernel == "reach_local" else (
+            lambda s, c: ev._score(getattr(ev, name)(s, c))
+        )
+        for cands in (every, every[::-1], subset):
+            ran = len(sizes)
+            f = ev([], cands)
+            assert len(sizes) == ran  # read from the kept batch
+            fresh = ExactEvaluator(None, _looped_graph()[0], 0, 3, "cumulative")
+            np.testing.assert_array_equal(f, fresh([], cands))
+            np.testing.assert_array_equal(f, direct([], cands))
+        rest = np.setdiff1d(every, hubs)
+        ran = len(sizes)
+        np.testing.assert_array_equal(ev(hubs, rest), direct(hubs, rest))
+        assert sizes[ran:] == [len(rest)] * 2  # the call, then the reference
+        ev([], subset)
+        assert len(sizes) == ran + 2  # the batch at S ≠ ∅ replaced nothing
 
     @pytest.mark.parametrize("kernel", ["dense", "layered"])
     def test_hit_after_another_score_or_user_mask(self, monkeypatch, kernel):
@@ -718,25 +735,26 @@ class TestSharedBatch:
     @pytest.mark.parametrize("kernel", ["dense", "layered"])
     @pytest.mark.parametrize("score", ["plurality", "copeland"])
     def test_bound_and_pruned_greedy_unchanged(self, monkeypatch, kernel, score):
-        """``bound`` from the graph's batch (kept by this evaluator, or by the
-        cumulative LB's) equals Δ kept per evaluator, bit for bit, and the
-        pruned greedy's seeds and trace equal exhaustive greedy's on a cold
-        graph, from ∅ and from an init."""
+        """``bound`` reads Δ from the graph's batch at ∅ (kept by this
+        evaluator, or by the cumulative LB's), bit for bit, and is ≥ F(S ∪ {v});
+        the pruned greedy's seeds and trace equal exhaustive greedy's, from
+        ∅ and from an init, on that graph and on a cold one."""
         _force_kernel(monkeypatch, kernel)
         for make in (_tied_hubs, lambda: random_instance(70, r=3, seed=42, avg_deg=3.0)):
-            for s0, lb_first in itertools.product(([], [5]), (False, True)):
+            for lb_first in (False, True):
                 g = make()
-                rest = [v for v in range(g.n) if v not in s0]
                 if lb_first:
-                    ExactEvaluator(None, g, 0, 2, "cumulative", user_mask=np.arange(g.n) % 2 == 0)(
-                        s0, rest
-                    )
+                    mask = np.arange(g.n) % 2 == 0
+                    ExactEvaluator(None, g, 0, 2, "cumulative", user_mask=mask)([], np.arange(g.n))
                 ev = ExactEvaluator(None, g, 0, 2, score)
-                ev(s0, rest)
-                for extra in ([], [1], [1, 6]):
-                    seeds = s0 + [v for v in extra if v not in s0]
-                    want = _bound_from_own_delta(ev, s0, seeds)
-                    np.testing.assert_array_equal(ev.bound(seeds), want)
-                got = greedy_dm(ExactEvaluator(None, g, 0, 2, score), 4, celf=False, init=s0)
-                cold = ExactEvaluator(None, make(), 0, 2, score)
-                assert got == _exhaustive(cold, 4, s0)
+                ref = ExactEvaluator(None, make(), 0, 2, score)
+                for seeds in ([], [1], [5], [1, 6], [5, 1, 6]):
+                    ub = ev.bound(seeds)
+                    np.testing.assert_array_equal(ub, _bound_from_own_delta(ev, seeds))
+                    cands = [v for v in range(g.n) if v not in seeds]
+                    assert (ub[cands] >= ref(seeds, cands)).all()
+                for init in ([], [5]):
+                    want = _exhaustive(ExactEvaluator(None, make(), 0, 2, score), 4, init)
+                    assert greedy_dm(ev, 4, celf=False, init=init) == want
+                    cold = ExactEvaluator(None, make(), 0, 2, score)
+                    assert greedy_dm(cold, 4, celf=False, init=init) == want

@@ -17,7 +17,7 @@ from repro.graphs.graph import reach
 from repro.opinion.fj import fj_diffuse_np
 from repro.oracle import assert_equivalent
 from repro.voting.scores import rank
-from tests.test_dm import _row_batches
+from tests.test_dm import _CallLog, _row_batches
 
 
 class TestFavorableSets:
@@ -266,3 +266,21 @@ class TestSharedBatch:
         g = random_instance(150, r=3, seed=34, avg_deg=1.0)
         _dm_then_sandwich(g, with_selector)
         assert sizes[0] == g.n and sizes.count(g.n) == 1
+
+    def test_bound_less_dm_then_sandwich_runs_no_empty_batch(self, monkeypatch):
+        """perfbench's traced yelp order: plain DM through a stand-in with no
+        ``bound``, so every round scores every candidate, then the sandwich
+        with S_F = the DM seeds.  DM's rounds at S ≠ ∅ keep nothing, so the
+        LB reads DM's batch at S = ∅ and the sandwich runs none."""
+        from repro.experiments.datasets import load
+        from repro.experiments.tables import trailing_candidate
+
+        sizes = _row_batches(monkeypatch)
+        g = load("yelp-lite")
+        q = trailing_candidate(g, 20, "plurality")
+        log = _CallLog(ExactEvaluator(None, g, q, 20, "plurality"))
+        dm, _ = greedy_dm(log, 4, celf=False)
+        assert [len(c) for _, c in log.calls] == [g.n - i for i in range(4)]
+        ran = len(sizes)
+        sandwich_select(None, g, q, 20, 4, "plurality", selector=lambda k: dm[:k])
+        assert sizes[:ran].count(g.n) == 1 and g.n not in sizes[ran:]

@@ -192,8 +192,10 @@ class TestUnknownScore:
         ran, fn = [], getattr(ev, kernel)
         monkeypatch.setattr(ev, kernel, lambda *a: ran.append(kernel) or fn(*a))
         with pytest.raises(ValueError, match="unknown score"):
-            ev([], [0, 1, 2])
+            ev([5], [0, 1, 2])
         assert ran == [kernel]
+        with pytest.raises(ValueError, match="unknown score"):
+            ev([], [0, 1, 2])  # scoring the kept batch at S = ∅
 
     def test_sketch_select(self, name):
         from repro.core.sketch import SketchSet

@@ -9,10 +9,12 @@ from repro.experiments.tables import (
     table1,
     table3,
     table6,
+    trailing_candidate,
 )
 from repro.core.sandwich import sandwich_select
 from repro.experiments.datasets import TARGETS, load
 from repro.graphs.generators import random_instance
+from tests.test_dm import _row_batches
 
 
 class TestTable1:
@@ -112,6 +114,18 @@ class TestSelectProtocol:
         for k in (-1, graph.n + 1):
             with pytest.raises(ValueError, match="cannot select"):
                 select(k)
+
+
+def test_scores_comparison_runs_one_empty_batch(monkeypatch):
+    """DM and GED-T for three scores on one graph share one all-candidate
+    batch at S = ∅: GED-T's all-candidate rounds at S ≠ ∅ keep nothing."""
+    sizes = _row_batches(monkeypatch)
+    g = load("yelp-lite", nodes=400)
+    q = trailing_candidate(g, 20, "cumulative")
+    scores = ["cumulative", "plurality", "copeland"]
+    df = scores_comparison(None, g, q, 20, [5], scores, methods=("DM", "GED-T"))
+    assert len(df) == 6
+    assert sizes.count(g.n) == 1 and sizes[0] == g.n
 
 
 @pytest.mark.slow
