@@ -32,12 +32,26 @@ held every node in ``extra_info``.
 times RR-set generation only inside its Spark job.  It records the set
 count and node total in ``extra_info``.
 
+``test_generation_time`` measures where sketch generation should leave the
+driver.  For each sketch kind (RW and RS reverse walks at t = 20, IC and LT
+RR sets) on twitter-sd-lite and yelp-lite, it times
+``opinion.walks.sketches`` making ids ``0..ids-1`` on the driver (in
+``DRIVER_BLOCK``-id kernel calls) against one Spark job (``map_id_range`` +
+``collect_sketches``), from 2^13 ids up to 2^20 (RR sets) or 2^22 (walks),
+3 rounds up to 2^17 ids and 1 above.  RW runs ⌈ids/n⌉ walks per node on
+the first ids.  It records the ids and the path nodes in ``extra_info``.
+The smallest size at which Spark wins, over a family's kinds and both
+graphs, sets the family's constant (``opinion.walks.WALK_DRIVER_MAX``,
+``baselines.im.RR_DRIVER_MAX``).  A revision without ``sketches`` skips
+these cases.
+
 ``benchmarks/record_efficiency.py`` runs this file and appends the medians
 to ``BENCH_efficiency.json``.
 """
 import numpy as np
 import pytest
 
+import repro.opinion.walks as walks
 from repro.baselines.im import rr_sets
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.core.sandwich import sandwich_select
@@ -155,3 +169,38 @@ def test_rr_sets_time(benchmark, dataset, model):
     )
     benchmark.extra_info.update(sets=len(offsets) - 1, nodes=len(nodes))
     assert len(offsets) == len(ids) + 1
+
+
+_GENERATION = [
+    (kind, path, 1 << e)
+    for kind, top in (("RW", 22), ("RS", 22), ("IC", 20), ("LT", 20))
+    for e in range(13, top + 1)
+    for path in ("driver", "spark")
+]
+
+
+@pytest.mark.parametrize("dataset", ["twitter-sd-lite", "yelp-lite"])
+@pytest.mark.parametrize(
+    "kind, path, ids", _GENERATION, ids=[f"{k}-{p}-{i}" for k, p, i in _GENERATION]
+)
+def test_generation_time(spark, benchmark, kind, path, ids, dataset):
+    if not hasattr(walks, "sketches"):
+        pytest.skip("this revision has no driver/Spark dispatch")
+    g = load(dataset)
+    alias = g.reverse_alias()
+    if kind in ("IC", "LT"):
+        def kernel(block):
+            return rr_sets(alias, g.w, kind.lower(), 3, block)
+    else:
+        d, lam = g.d[0].copy(), -(-ids // g.n) if kind == "RW" else None
+
+        def kernel(block):
+            return walks.reverse_walks(alias, d, 3, block, 20, lam=lam)
+
+    driver_max = ids if path == "driver" else 0
+    nodes, offsets = benchmark.pedantic(
+        walks.sketches, args=(spark, ids, kernel, ("id", "path"), driver_max),
+        rounds=3 if ids <= 1 << 17 else 1, iterations=1,
+    )
+    benchmark.extra_info.update(ids=ids, path_nodes=len(nodes))
+    assert len(offsets) == ids + 1

@@ -16,11 +16,13 @@ implement the reverse-reachable (RR) set machinery:
 * Generation: ``rr_sets`` builds a batch of sets by frontier expansion
   over all of them at once; every coin is keyed by (seed, set id, …) as
   in ``opinion.walks``, so set ``i`` is the same on the driver and in any
-  Spark partition.  ``generate_rr_sets`` runs the kernel through
-  ``opinion.walks.map_id_range`` (one ``mapInArrow`` job); this module does
-  not import Spark.
-* Seed selection: greedy max-coverage over θ_im RR sets, collected once to
-  the driver in id order (``rr_sketches``) and run by the shared, resumable
+  Spark partition.  ``rr_sketches`` gets the sets from
+  ``opinion.walks.sketches``: up to ``RR_DRIVER_MAX`` sets the driver runs
+  the kernel and no Spark job starts; above it one ``mapInArrow`` job
+  makes and collects them.  ``generate_rr_sets`` builds that job's
+  DataFrame alone.  This module does not import Spark.
+* Seed selection: greedy max-coverage over θ_im RR sets, made once in id
+  order (``rr_sketches``) and run by the shared, resumable
   sketch greedy (``core.sketch``): with every RR set's ``op`` at 0, a node's
   cumulative gain is the number of uncovered RR sets containing it, and a
   pick retires the sets it covers.
@@ -39,12 +41,16 @@ from repro.opinion.walks import (
     ACCEPT,
     COIN,
     SLOT,
-    collect_sketches,
     map_id_range,
+    sketches,
     stream_keys,
     uniform_nodes,
     uniforms,
 )
+
+RR_COLUMNS = ("sketch_id", "nodes")
+# RR sets up to this many ids are generated on the driver (PLACEHOLDER).
+RR_DRIVER_MAX = 1 << 15
 
 
 def rr_sets(
@@ -79,6 +85,18 @@ def rr_sets(
     return reach(alias.indptr, alias.indices, uniform_nodes(keys, n), n, live=live)
 
 
+def _rr_kernel(graph: OpinionGraph, model: str, seed: int):
+    """The ``rr_sets`` kernel of ``generate_rr_sets`` and ``rr_sketches``."""
+    if model not in ("ic", "lt"):
+        raise ValueError(f"unknown IM model: {model}")
+    alias, w = graph.reverse_alias(), graph.w
+
+    def kernel(ids):
+        return rr_sets(alias, w, model, seed, ids)
+
+    return kernel
+
+
 def generate_rr_sets(
     spark,
     graph: OpinionGraph,
@@ -89,14 +107,7 @@ def generate_rr_sets(
 ):
     """θ RR sets as a DataFrame ``(sketch_id, nodes)``: set ``i`` is
     ``rr_sets`` at id ``i``, whatever the partitioning."""
-    if model not in ("ic", "lt"):
-        raise ValueError(f"unknown IM model: {model}")
-    alias, w = graph.reverse_alias(), graph.w
-
-    def kernel(ids):
-        return rr_sets(alias, w, model, seed, ids)
-
-    return map_id_range(spark, theta, kernel, ("sketch_id", "nodes"))
+    return map_id_range(spark, theta, _rr_kernel(graph, model, seed), RR_COLUMNS)
 
 
 def rr_sketches(
@@ -107,12 +118,13 @@ def rr_sketches(
     *,
     seed: int = 0,
 ) -> SketchSet:
-    """θ RR sets, generated and collected once, as a max-coverage ``SketchSet``.
+    """θ RR sets, made once, as a max-coverage ``SketchSet``: on the driver
+    up to ``RR_DRIVER_MAX`` sets, in one Spark job above it.
 
     Its ``select(k)`` is the IMM-lite greedy, resumable like RW's and RS's.
     """
-    rr = generate_rr_sets(spark, graph, model, theta, seed=seed)
-    nodes, offsets = collect_sketches(rr)
+    kernel = _rr_kernel(graph, model, seed)
+    nodes, offsets = sketches(spark, theta, kernel, RR_COLUMNS, RR_DRIVER_MAX)
     return SketchSet(graph.n, nodes, offsets, np.zeros(theta), retire=True)
 
 

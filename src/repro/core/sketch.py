@@ -7,10 +7,11 @@ node with the largest estimated marginal gain and truncate every sketch
 that contains it (Post-Generation Truncation, Thm 9).  ``SketchSet`` holds
 the sketches as flat arrays on the driver — an int32 node array, offsets,
 a per-sketch ``op`` and a per-sketch live length ``cut`` — and runs that
-loop with NumPy.  Spark only generates the sketches
-(``opinion.walks``, the one module that knows about Spark);
-``opinion.walks.collect_sketches`` pulls them to the driver once, in id
-order, after which ``select`` launches no job.
+loop with NumPy.  The sketches come once, in id order, from
+``opinion.walks.sketches`` (the one module that knows about Spark): at lite
+budgets the driver runs the generation kernel itself and no Spark job
+starts; above a measured crossover one Spark job generates and collects
+them.  ``select`` launches no job.
 
 Sketches are grouped into *units* of ``per_unit`` consecutive sketches, the
 things the score counts:
@@ -39,11 +40,13 @@ such node is left, the pick is the smallest unselected id.
 """
 from __future__ import annotations
 
+from functools import cached_property, partial
+
 import numpy as np
 
 from repro.core.dm import others_at_horizon
 from repro.graphs.graph import OpinionGraph
-from repro.opinion.walks import collect_sketches, generate_walks
+from repro.opinion.walks import generate_walks, walk_sketches
 from repro.voting.scores import USER_SUMS, score_change, score_rows
 
 
@@ -162,9 +165,11 @@ class SketchSelector:
     """RW and RS: the greedy over reverse walks truncated at the seeds.
 
     ``lam`` walks from every user (RW, Alg. 4) or ``theta`` walks from
-    uniformly drawn users (RS, Alg. 5, λ_v = 1), generated by Spark as
-    ``(walk_id, path)`` and collected once; units, their users, each walk's
-    ``op`` and the scale all follow from the paths.
+    uniformly drawn users (RS, Alg. 5, λ_v = 1), made once by
+    ``opinion.walks.walk_sketches`` (on the driver at lite budgets, one
+    Spark job above the crossover); units, their users, each walk's ``op``
+    and the scale all follow from the paths.  ``walks``, the same walks as
+    a Spark DataFrame ``(walk_id, path)``, is built on first read.
     """
 
     def __init__(
@@ -181,8 +186,9 @@ class SketchSelector:
         omega=None,
         seed: int = 0,
     ):
-        self.walks = generate_walks(spark, graph, target, t, lam=lam, theta=theta, seed=seed)
-        nodes, offsets = collect_sketches(self.walks)
+        args, kw = (spark, graph, target, t), {"lam": lam, "theta": theta, "seed": seed}
+        self._walk_frame = partial(generate_walks, *args, **kw)
+        nodes, offsets = walk_sketches(*args, **kw)
         per_unit = lam or 1
         users = nodes[offsets[:-1:per_unit]]
         others = None
@@ -200,6 +206,11 @@ class SketchSelector:
             omega=omega,
             scale=graph.n / len(users),
         )
+
+    @cached_property
+    def walks(self):
+        """The walks as a lazy Spark DataFrame ``(walk_id, path)``."""
+        return self._walk_frame()
 
     def select(self, k: int) -> list[int]:
         """Greedy top-k seeds (resumable, see ``SketchSet.select``)."""

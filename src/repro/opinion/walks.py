@@ -29,15 +29,21 @@ Lane ``START`` at step 0 is reserved for a uniformly drawn start node (RS
 sketches, IM roots).  A sketch therefore does not depend on which other
 ids share its batch, partition or core.
 
-Spark layering: this is the only module that imports Spark.
-``map_id_range`` runs a flat ``(nodes, offsets)`` kernel (``reverse_walks``
-here, ``rr_sets`` in ``baselines.im``) on each Arrow batch of the ids of
-``spark.range(N)`` and emits ``(id, node list)`` rows, so the walks
-DataFrame is ``(walk_id, path)``; ``collect_sketches`` hands the rows back
-in id order, with no sort.  Everything else about a walk follows from its
-path (its start is ``path[0]``, its estimate the initial opinion of
-``path[-1]``), so ``core.sketch`` derives it on the driver.  The driver
-calls the same kernel on one id range.
+Where sketches are made: this is the only module that imports Spark.
+``sketches`` is the one dispatch that turns a flat ``(nodes, offsets)``
+kernel (``reverse_walks`` here, ``rr_sets`` in ``baselines.im``) and a
+budget of ``count`` sketch ids into the sketches' arrays.  Up to a kernel
+family's measured crossover (``WALK_DRIVER_MAX`` here, ``RR_DRIVER_MAX`` in
+``baselines.im``) it calls the kernel on the driver, ``DRIVER_BLOCK`` ids at
+a time: at lite budgets a whole kernel pass costs less than launching one
+Spark job.  Above it, ``map_id_range`` runs the kernel on each Arrow batch
+of the ids of ``spark.range(count)`` and emits ``(id, node list)`` rows, and
+``collect_sketches`` hands them back in id order, with no sort, in one
+job.  Both paths give the same arrays, because a sketch depends on its id
+only.  ``generate_walks`` and ``generate_rr_sets`` build the DataFrame
+alone, for callers that read it in Spark.  Everything else about a walk
+follows from its path (its start is ``path[0]``, its estimate the initial
+opinion of ``path[-1]``), so ``core.sketch`` derives it on the driver.
 """
 from __future__ import annotations
 
@@ -51,6 +57,12 @@ from repro.graphs.graph import AliasTable, OpinionGraph
 
 LANES = 4
 COIN, SLOT, ACCEPT, START = range(LANES)
+
+WALK_COLUMNS = ("walk_id", "path")
+# Reverse walks up to this many ids are generated on the driver (PLACEHOLDER).
+WALK_DRIVER_MAX = 1 << 22
+# Ids per driver kernel call (PLACEHOLDER).
+DRIVER_BLOCK = 1 << 15
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -130,6 +142,11 @@ def reverse_walks(
     return _flatten_paths(len(ids), steps)
 
 
+def _check_budget(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"a sketch budget must be positive: {count} sketches")
+
+
 def map_id_range(
     spark: SparkSession,
     count: int,
@@ -143,8 +160,7 @@ def map_id_range(
     and ``names`` names the two columns.  A ``count`` (the sketch budget)
     below 1 raises before any job.
     """
-    if count < 1:
-        raise ValueError(f"a sketch budget must be positive: {count} sketches")
+    _check_budget(count)
 
     def gen(batches):
         for batch in batches:
@@ -172,6 +188,57 @@ def collect_sketches(df: DataFrame) -> tuple[np.ndarray, np.ndarray]:
     return nodes, offsets - offsets[0]
 
 
+def driver_sketches(
+    count: int, kernel: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``kernel`` over ids ``0..count-1`` on the driver, as one call would give.
+
+    The ids go in blocks of ``DRIVER_BLOCK``, so the kernel's per-id
+    temporaries stay bounded whatever the budget.
+    """
+    nodes, offsets = [], [np.zeros(1, dtype=np.int64)]
+    for lo in range(0, count, DRIVER_BLOCK):
+        block_nodes, block_offsets = kernel(np.arange(lo, min(lo + DRIVER_BLOCK, count)))
+        nodes.append(block_nodes)
+        offsets.append(block_offsets[1:] + offsets[-1][-1])
+    return np.concatenate(nodes), np.concatenate(offsets)
+
+
+def sketches(
+    spark: SparkSession | None,
+    count: int,
+    kernel: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    names: tuple[str, str],
+    driver_max: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sketches ``0..count-1`` of ``kernel`` as flat ``(nodes, offsets)``.
+
+    Up to ``driver_max`` ids (the kernel family's measured crossover) run
+    on the driver and start no Spark job; more run as one ``map_id_range``
+    job, collected by ``collect_sketches``.  The arrays are the same either
+    way.  A ``count`` below 1 raises before either path.
+    """
+    _check_budget(count)
+    if count <= driver_max:
+        return driver_sketches(count, kernel)
+    return collect_sketches(map_id_range(spark, count, kernel, names))
+
+
+def _walk_kernel(
+    graph: OpinionGraph, cand: int, t: int, lam: int | None, theta: int | None, seed: int
+):
+    """``(kernel, count)`` of the walks that ``generate_walks`` and
+    ``walk_sketches`` make (see ``generate_walks``)."""
+    if (lam is None) == (theta is None):
+        raise ValueError("pass exactly one of lam= or theta=")
+    alias, d = graph.reverse_alias(), graph.d[cand].copy()
+
+    def kernel(ids):
+        return reverse_walks(alias, d, seed, ids, t, lam=lam)
+
+    return kernel, theta if lam is None else graph.n * lam
+
+
 def generate_walks(
     spark: SparkSession,
     graph: OpinionGraph,
@@ -189,12 +256,24 @@ def generate_walks(
     sketches, Alg. 5).  Walk ``i`` is ``reverse_walks`` at id ``i``,
     whatever the partitioning.  A budget below 1 raises before any job.
     """
-    if (lam is None) == (theta is None):
-        raise ValueError("pass exactly one of lam= or theta=")
-    alias, d = graph.reverse_alias(), graph.d[cand].copy()
+    kernel, count = _walk_kernel(graph, cand, t, lam, theta, seed)
+    return map_id_range(spark, count, kernel, WALK_COLUMNS)
 
-    def kernel(ids):
-        return reverse_walks(alias, d, seed, ids, t, lam=lam)
 
-    count = theta if lam is None else graph.n * lam
-    return map_id_range(spark, count, kernel, ("walk_id", "path"))
+def walk_sketches(
+    spark: SparkSession | None,
+    graph: OpinionGraph,
+    cand: int,
+    t: int,
+    *,
+    lam: int | None = None,
+    theta: int | None = None,
+    seed: int = 0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``generate_walks``'s walks, collected, as flat ``(nodes, offsets)``.
+
+    Made by ``sketches``: on the driver up to ``WALK_DRIVER_MAX`` walks, in
+    one Spark job above it.
+    """
+    kernel, count = _walk_kernel(graph, cand, t, lam, theta, seed)
+    return sketches(spark, count, kernel, WALK_COLUMNS, WALK_DRIVER_MAX)

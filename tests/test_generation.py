@@ -5,19 +5,26 @@ Spark output equals the driver kernel array for array, also when each
 partition holds several small Arrow batches, and a kernel called on split
 id ranges equals one call on the whole range.  Spark's rows are read in the
 order it returns them: ``collect_sketches`` does not sort, so that order
-must be the id order.
+must be the id order.  The sketch consumers (``SketchSelector`` for RW/RS,
+``rr_sketches`` for IC/LT) read those same arrays on either side of their
+family's driver/Spark crossover, and start a Spark job only above it.
 """
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.im import generate_rr_sets, rr_sets
+import repro.baselines.im as im
+import repro.opinion.walks as walks
+from repro.baselines.im import generate_rr_sets, rr_sets, rr_sketches
+from repro.core.sketch import SketchSelector
 from repro.graphs.generators import random_instance
 from repro.opinion.walks import (
     LANES,
     collect_sketches,
+    driver_sketches,
     generate_walks,
     reverse_walks,
+    sketches,
     stream_keys,
     uniforms,
 )
@@ -25,6 +32,13 @@ from repro.oracle import assert_equivalent
 
 KINDS = ["rw", "rs", "ic", "lt"]
 T, SEED, LAM, COUNT = 5, 9, 7, 500
+# The module constant that holds each kind's driver/Spark crossover.
+CROSSOVER = {
+    "rw": (walks, "WALK_DRIVER_MAX"),
+    "rs": (walks, "WALK_DRIVER_MAX"),
+    "ic": (im, "RR_DRIVER_MAX"),
+    "lt": (im, "RR_DRIVER_MAX"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +201,66 @@ def test_walk_budget_below_one_raises_before_any_job(graph, key, value):
 def test_rr_budget_below_one_raises_before_any_job(graph, model):
     with pytest.raises(ValueError, match="budget"):
         generate_rr_sets(None, graph, model, 0)
+
+
+def _consumer(spark, graph, kind):
+    """The ``SketchSet`` that RW/RS (``SketchSelector``) or IC/LT
+    (``rr_sketches``) build for ``kind``."""
+    if kind in ("ic", "lt"):
+        return rr_sketches(spark, graph, kind, COUNT, seed=SEED)
+    size = {"lam": LAM} if kind == "rw" else {"theta": COUNT}
+    return SketchSelector(spark, graph, 0, T, "cumulative", seed=SEED, **size).sketches
+
+
+def _jobs(spark, group, make):
+    """``make()`` and the number of Spark jobs it started (job group ``group``)."""
+    sc = spark.sparkContext
+    try:
+        sc.setJobGroup(group, group)
+        made = make()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    return made, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_consumers_equal_spark_on_both_sides_of_the_crossover(monkeypatch, spark, graph, kind):
+    """The lite budget runs on the driver and starts no job; with the
+    constant below the budget, construction starts exactly one job.  Both
+    read the collected Spark DataFrame's arrays and pick the same seeds."""
+    assert _count(graph, kind) <= getattr(*CROSSOVER[kind])
+    on_driver, jobs = _jobs(spark, f"driver-{kind}", lambda: _consumer(spark, graph, kind))
+    assert jobs == 0
+    monkeypatch.setattr(*CROSSOVER[kind], _count(graph, kind) - 1)
+    on_spark, jobs = _jobs(spark, f"spark-{kind}", lambda: _consumer(spark, graph, kind))
+    assert jobs == 1
+    _, want = _spark(spark, graph, kind)
+    for got in (on_driver, on_spark):
+        _assert_same({"nodes": got.nodes, "offsets": got.offsets}, want)
+    assert on_driver.select(6) == on_spark.select(6)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_driver_blocks_equal_one_call(monkeypatch, graph, kind):
+    """64-id blocks over a count that is no multiple of 64: the last block
+    is short, and the joined arrays equal one kernel call on every id."""
+    monkeypatch.setattr(walks, "DRIVER_BLOCK", 64)
+    count, calls = _count(graph, kind), []
+
+    def kernel(ids):
+        calls.append(len(ids))
+        return tuple(_driver(graph, kind, ids).values())
+
+    nodes, offsets = driver_sketches(count, kernel)
+    assert calls == [64] * (count // 64) + [count % 64] and count % 64
+    _assert_same({"nodes": nodes, "offsets": offsets}, _driver(graph, kind, np.arange(count)))
+
+
+@pytest.mark.parametrize("driver_max", [0, 1 << 30])
+@pytest.mark.parametrize("count", [0, -3])
+def test_sketches_budget_below_one_raises_before_either_path(driver_max, count):
+    calls = []
+    with pytest.raises(ValueError, match="budget"):
+        sketches(None, count, calls.append, walks.WALK_COLUMNS, driver_max)
+    assert calls == []

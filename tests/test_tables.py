@@ -97,10 +97,8 @@ class TestSelectProtocol:
         import repro.baselines.im as im
 
         made = []
-        generate = im.generate_rr_sets
-        monkeypatch.setattr(
-            im, "generate_rr_sets", lambda *a, **kw: made.append(a) or generate(*a, **kw)
-        )
+        generate = im.sketches
+        monkeypatch.setattr(im, "sketches", lambda *a, **kw: made.append(a) or generate(*a, **kw))
         select = self._selector(spark, graph, method, "cumulative")
         got = {k: select(k) for k in (2, 5, 1, 6)}
         assert len(made) == 1
