@@ -1,14 +1,18 @@
 """Shared SparkSession builder for the job entrypoints.
 
 ``spark.driver.memory`` must be set before the JVM launches, so it goes
-into ``PYSPARK_SUBMIT_ARGS`` at import time.  The jobs only run sketch
-generation (``spark.range(...).mapInArrow``) and collect its output with
-``toArrow``: nothing shuffles, joins or converts through pandas, so the
+into ``PYSPARK_SUBMIT_ARGS`` at import time.  Spark runs sketch generation
+only (``spark.range(...).mapInArrow``, collected with ``toArrow``), and only
+for a budget above its kernel family's crossover
+(``opinion.walks.WALK_DRIVER_MAX``, ``baselines.im.RR_DRIVER_MAX``).  At the
+lite budgets these jobs use, generation runs on the driver, so they start
+no generation job; the session is still built, since ``repro`` takes it as
+an argument.  Nothing shuffles, joins or converts through pandas, so the
 session needs no SQL settings.  Greedy rounds and exact evaluation run in
 Python.  The largest jobs here (``run_scores.py`` on dblp-lite, and on
-twitter-sd-lite with ``--ks 10 40 --theta 13000``) peak at ~320 MB of used
-heap and ~730 MB resident on a 4-core host, so the default is 2g.
-Override with ``SPARK_DRIVER_MEM``.
+twitter-sd-lite with ``--ks 10 40 --theta 13000``) peaked at ~320 MB of
+used heap and ~730 MB resident on a 4-core host when Spark generated their
+sketches, so the default is 2g.  Override with ``SPARK_DRIVER_MEM``.
 """
 import os
 

@@ -49,7 +49,12 @@ from repro.opinion.walks import (
 )
 
 RR_COLUMNS = ("sketch_id", "nodes")
-# RR sets up to this many ids are generated on the driver (PLACEHOLDER).
+# Up to this many RR sets are generated on the driver, more in one Spark
+# job.  Spark first won at 2^16 sets, with LT on yelp-lite (0.83 s on the
+# driver against 0.57 s), and at 2^17-2^18 for the other kinds and graphs;
+# at 2^15 the driver won everywhere (yelp LT 0.37 against 0.43 s)
+# (BENCH_efficiency.json, the 4b78c8d entry, test_generation_time; 4 cores,
+# local[4]).
 RR_DRIVER_MAX = 1 << 15
 
 

@@ -1,7 +1,8 @@
 """Random-walk-based greedy seed selection ("RW", paper Alg. 4, §V).
 
-λ reverse walks are generated once per node (empty seed set) and
-collected to the driver once.  Every greedy round then computes
+λ reverse walks are generated once per node (empty seed set), on the
+driver at lite budgets and in one Spark job above the walk crossover
+(``opinion.walks.WALK_DRIVER_MAX``).  Every greedy round then computes
 *estimated* marginal gains over the walks and truncates them at the
 chosen seed (Post-Generation Truncation) — both in ``core.sketch``, with
 the λ walks from one start user forming one unit whose estimate b̂_u is

@@ -9,7 +9,7 @@ the *initial* opinion of the end node (Thm 8: unbiased for ``b^(t)``).
 Post-Generation Truncation (§V-B): walks are generated **once** with the
 empty seed set; for a seed set ``S`` a walk is truncated at the first
 occurrence of a node in ``S`` and its estimate becomes 1 (Thm 9: still
-unbiased).  The greedy algorithms collect the walks to the driver once and
+unbiased).  The greedy algorithms get the walks on the driver once and
 truncate them there (``core.sketch``) — no regeneration.
 
 RNG contract (counter-based; Salmon et al., SC 2011; SplitMix64 of Steele,
@@ -59,9 +59,17 @@ LANES = 4
 COIN, SLOT, ACCEPT, START = range(LANES)
 
 WALK_COLUMNS = ("walk_id", "path")
-# Reverse walks up to this many ids are generated on the driver (PLACEHOLDER).
+# Up to this many reverse walks are generated on the driver, more in one
+# Spark job.  The driver won at every size measured, 2^13 to 2^22 walks, on
+# twitter-sd-lite and yelp-lite, RW and RS (BENCH_efficiency.json, the
+# 4b78c8d entry, test_generation_time; 4 cores, local[4]): at 2^22 RW took
+# 0.92 s against 1.90 s on Spark, RS 1.30 against 1.84 s.  So the constant is
+# the largest size measured.
 WALK_DRIVER_MAX = 1 << 22
-# Ids per driver kernel call (PLACEHOLDER).
+# Ids per driver kernel call.  Timed on the same host for twitter-sd-lite
+# and yelp-lite: 2^15 was the fastest block for walks, or within 15 % of it
+# (twitter RW, 129 800 walks: 27 ms, against 93 ms in 2^12 blocks), and RR
+# sets showed no trend from 2^12 to 2^16.
 DRIVER_BLOCK = 1 << 15
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
