@@ -40,10 +40,10 @@ RR sets) on twitter-sd-lite and yelp-lite, it times
 ``collect_sketches``), from 2^13 ids up to 2^20 (RR sets) or 2^22 (walks),
 3 rounds up to 2^17 ids and 1 above.  RW runs ⌈ids/n⌉ walks per node on
 the first ids.  It records the ids and the path nodes in ``extra_info``.
-The smallest size at which Spark wins, over a family's kinds and both
-graphs, sets the family's constant (``opinion.walks.WALK_DRIVER_MAX``,
-``baselines.im.RR_DRIVER_MAX``).  A revision without ``sketches`` skips
-these cases.
+The smallest size at which Spark wins, over IC, LT and both graphs, sets
+``baselines.im.RR_DRIVER_MAX``.  Walks have no such size up to 2^22, so
+they are always made on the driver.  A revision without ``sketches``
+skips these cases.
 
 ``benchmarks/record_efficiency.py`` runs this file and appends the medians
 to ``BENCH_efficiency.json``.

@@ -1,12 +1,11 @@
 """Shared SparkSession builder for the job entrypoints.
 
 ``spark.driver.memory`` must be set before the JVM launches, so it goes
-into ``PYSPARK_SUBMIT_ARGS`` at import time.  Spark runs sketch generation
+into ``PYSPARK_SUBMIT_ARGS`` at import time.  Spark runs RR-set generation
 only (``spark.range(...).mapInArrow``, collected with ``toArrow``), and only
-for a budget above its kernel family's crossover
-(``opinion.walks.WALK_DRIVER_MAX``, ``baselines.im.RR_DRIVER_MAX``).  At the
-lite budgets these jobs use, generation runs on the driver, so they start
-no generation job; the session is still built, since ``repro`` takes it as
+for a budget above ``baselines.im.RR_DRIVER_MAX``; reverse walks are always
+made on the driver.  At the lite budgets these jobs use, they start no
+generation job; the session is still built, since ``repro`` takes it as
 an argument.  Nothing shuffles, joins or converts through pandas, so the
 session needs no SQL settings.  Greedy rounds and exact evaluation run in
 Python.  The largest jobs here (``run_scores.py`` on dblp-lite, and on

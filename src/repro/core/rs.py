@@ -11,8 +11,7 @@ Estimators (Eqs. 35, 42, 47):
 * Copeland: pairwise duel counts over the θ samples.
 
 ``core.sketch.SketchSelector`` builds the sketches (each start drawn from
-its walk's own counter stream; on the driver up to
-``opinion.walks.WALK_DRIVER_MAX`` walks, in one Spark job above) and runs
+its walk's own counter stream, on the driver with no Spark job) and runs
 the greedy on the driver, with every walk its own unit, ranked against the
 non-target opinions of its start user.
 """

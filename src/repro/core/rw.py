@@ -1,12 +1,10 @@
 """Random-walk-based greedy seed selection ("RW", paper Alg. 4, §V).
 
 λ reverse walks are generated once per node (empty seed set), on the
-driver at lite budgets and in one Spark job above the walk crossover
-(``opinion.walks.WALK_DRIVER_MAX``).  Every greedy round then computes
-*estimated* marginal gains over the walks and truncates them at the
-chosen seed (Post-Generation Truncation) — both in ``core.sketch``, with
-the λ walks from one start user forming one unit whose estimate b̂_u is
-their mean:
+driver with no Spark job.  Every greedy round then computes *estimated*
+marginal gains over the walks and truncates them at the chosen seed
+(Post-Generation Truncation) — both in ``core.sketch``, with the λ walks
+from one start user forming one unit whose estimate b̂_u is their mean:
 
 * cumulative — ``gain(v) = Σ_{walks ∋ v} (1 − op) / λ``.
 * plurality variants — b̂_u rises by ``δ_u(v) = Σ_{walks from u ∋ v}

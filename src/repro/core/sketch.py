@@ -8,10 +8,9 @@ that contains it (Post-Generation Truncation, Thm 9).  ``SketchSet`` holds
 the sketches as flat arrays on the driver — an int32 node array, offsets,
 a per-sketch ``op`` and a per-sketch live length ``cut`` — and runs that
 loop with NumPy.  The sketches come once, in id order, from
-``opinion.walks.sketches`` (the one module that knows about Spark): at lite
-budgets the driver runs the generation kernel itself and no Spark job
-starts; above a measured crossover one Spark job generates and collects
-them.  ``select`` launches no job.
+``opinion.walks`` (the one module that knows about Spark): reverse walks
+are always made on the driver, and RR sets on the driver up to a measured
+crossover, in one Spark job above it.  ``select`` launches no job.
 
 Sketches are grouped into *units* of ``per_unit`` consecutive sketches, the
 things the score counts:
@@ -46,7 +45,7 @@ import numpy as np
 
 from repro.core.dm import others_at_horizon
 from repro.graphs.graph import OpinionGraph
-from repro.opinion.walks import generate_walks, walk_sketches
+from repro.opinion.walks import WALK_COLUMNS, driver_sketches, map_id_range, walk_kernel
 from repro.voting.scores import USER_SUMS, score_change, score_rows
 
 
@@ -165,11 +164,11 @@ class SketchSelector:
     """RW and RS: the greedy over reverse walks truncated at the seeds.
 
     ``lam`` walks from every user (RW, Alg. 4) or ``theta`` walks from
-    uniformly drawn users (RS, Alg. 5, λ_v = 1), made once by
-    ``opinion.walks.walk_sketches`` (on the driver at lite budgets, one
-    Spark job above the crossover); units, their users, each walk's ``op``
-    and the scale all follow from the paths.  ``walks``, the same walks as
-    a Spark DataFrame ``(walk_id, path)``, is built on first read.
+    uniformly drawn users (RS, Alg. 5, λ_v = 1), made once on the driver
+    by ``opinion.walks.driver_sketches``, so construction starts no Spark
+    job; units, their users, each walk's ``op`` and the scale all follow
+    from the paths.  ``walks``, the same walks as a Spark DataFrame
+    ``(walk_id, path)`` of the same kernel, is built on first read.
     """
 
     def __init__(
@@ -186,9 +185,9 @@ class SketchSelector:
         omega=None,
         seed: int = 0,
     ):
-        args, kw = (spark, graph, target, t), {"lam": lam, "theta": theta, "seed": seed}
-        self._walk_frame = partial(generate_walks, *args, **kw)
-        nodes, offsets = walk_sketches(*args, **kw)
+        kernel, count = walk_kernel(graph, target, t, lam=lam, theta=theta, seed=seed)
+        self._walk_frame = partial(map_id_range, spark, count, kernel, WALK_COLUMNS)
+        nodes, offsets = driver_sketches(count, kernel)
         per_unit = lam or 1
         users = nodes[offsets[:-1:per_unit]]
         others = None

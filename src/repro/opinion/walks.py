@@ -30,20 +30,22 @@ sketches, IM roots).  A sketch therefore does not depend on which other
 ids share its batch, partition or core.
 
 Where sketches are made: this is the only module that imports Spark.
-``sketches`` is the one dispatch that turns a flat ``(nodes, offsets)``
-kernel (``reverse_walks`` here, ``rr_sets`` in ``baselines.im``) and a
-budget of ``count`` sketch ids into the sketches' arrays.  Up to a kernel
-family's measured crossover (``WALK_DRIVER_MAX`` here, ``RR_DRIVER_MAX`` in
-``baselines.im``) it calls the kernel on the driver, ``DRIVER_BLOCK`` ids at
-a time: at lite budgets a whole kernel pass costs less than launching one
-Spark job.  Above it, ``map_id_range`` runs the kernel on each Arrow batch
-of the ids of ``spark.range(count)`` and emits ``(id, node list)`` rows, and
-``collect_sketches`` hands them back in id order, with no sort, in one
-job.  Both paths give the same arrays, because a sketch depends on its id
-only.  ``generate_walks`` and ``generate_rr_sets`` build the DataFrame
-alone, for callers that read it in Spark.  Everything else about a walk
-follows from its path (its start is ``path[0]``, its estimate the initial
-opinion of ``path[-1]``), so ``core.sketch`` derives it on the driver.
+``driver_sketches`` calls a flat ``(nodes, offsets)`` kernel
+(``reverse_walks`` here, ``rr_sets`` in ``baselines.im``) on sketch ids
+``0..count-1`` on the driver, ``DRIVER_BLOCK`` ids at a time: at lite
+budgets a whole kernel pass costs less than launching one Spark job.
+``map_id_range`` runs the kernel on each Arrow batch of the ids of
+``spark.range(count)`` and emits ``(id, node list)`` rows, and
+``collect_sketches`` hands them back in id order, with no sort, in one job.
+Both give the same arrays, because a sketch depends on its id only.
+Reverse walks are always made on the driver: it won at every walk count
+measured.  RR sets go through ``sketches``, which takes the Spark job above
+their measured crossover (``RR_DRIVER_MAX`` in ``baselines.im``).
+``walk_kernel`` is the one closure of a walk budget; ``generate_walks`` and
+``generate_rr_sets`` build the Spark DataFrame of a kernel, for callers
+that read it in Spark.  Everything else about a walk follows from its path
+(its start is ``path[0]``, its estimate the initial opinion of
+``path[-1]``), so ``core.sketch`` derives it on the driver.
 """
 from __future__ import annotations
 
@@ -59,13 +61,6 @@ LANES = 4
 COIN, SLOT, ACCEPT, START = range(LANES)
 
 WALK_COLUMNS = ("walk_id", "path")
-# Up to this many reverse walks are generated on the driver, more in one
-# Spark job.  The driver won at every size measured, 2^13 to 2^22 walks, on
-# twitter-sd-lite and yelp-lite, RW and RS (BENCH_efficiency.json, the
-# 4b78c8d entry, test_generation_time; 4 cores, local[4]): at 2^22 RW took
-# 0.92 s against 1.90 s on Spark, RS 1.30 against 1.84 s.  So the constant is
-# the largest size measured.
-WALK_DRIVER_MAX = 1 << 22
 # Ids per driver kernel call.  Timed on the same host for twitter-sd-lite
 # and yelp-lite: 2^15 was the fastest block for walks, or within 15 % of it
 # (twitter RW, 129 800 walks: 27 ms, against 93 ms in 2^12 blocks), and RR
@@ -202,8 +197,10 @@ def driver_sketches(
     """``kernel`` over ids ``0..count-1`` on the driver, as one call would give.
 
     The ids go in blocks of ``DRIVER_BLOCK``, so the kernel's per-id
-    temporaries stay bounded whatever the budget.
+    temporaries stay bounded whatever the budget.  A ``count`` below 1
+    raises before any kernel call.
     """
+    _check_budget(count)
     nodes, offsets = [], [np.zeros(1, dtype=np.int64)]
     for lo in range(0, count, DRIVER_BLOCK):
         block_nodes, block_offsets = kernel(np.arange(lo, min(lo + DRIVER_BLOCK, count)))
@@ -222,21 +219,32 @@ def sketches(
     """Sketches ``0..count-1`` of ``kernel`` as flat ``(nodes, offsets)``.
 
     Up to ``driver_max`` ids (the kernel family's measured crossover) run
-    on the driver and start no Spark job; more run as one ``map_id_range``
-    job, collected by ``collect_sketches``.  The arrays are the same either
-    way.  A ``count`` below 1 raises before either path.
+    on the driver (``driver_sketches``) and start no Spark job; more run as
+    one ``map_id_range`` job, collected by ``collect_sketches``.  The arrays
+    are the same either way.  A ``count`` below 1 raises on entry to either
+    path, before any kernel call or job.
     """
-    _check_budget(count)
     if count <= driver_max:
         return driver_sketches(count, kernel)
     return collect_sketches(map_id_range(spark, count, kernel, names))
 
 
-def _walk_kernel(
-    graph: OpinionGraph, cand: int, t: int, lam: int | None, theta: int | None, seed: int
+def walk_kernel(
+    graph: OpinionGraph,
+    cand: int,
+    t: int,
+    *,
+    lam: int | None = None,
+    theta: int | None = None,
+    seed: int = 0,
 ):
-    """``(kernel, count)`` of the walks that ``generate_walks`` and
-    ``walk_sketches`` make (see ``generate_walks``)."""
+    """``(kernel, count)`` of a walk budget: ``kernel(ids)`` is
+    ``reverse_walks`` at those ids, and ``count`` the number of walks.
+
+    Either ``lam`` walks from *every* node (RW, Alg. 4; walk ``i`` starts
+    at ``i // lam``) or ``theta`` walks from uniformly drawn nodes (RS
+    sketches, Alg. 5).
+    """
     if (lam is None) == (theta is None):
         raise ValueError("pass exactly one of lam= or theta=")
     alias, d = graph.reverse_alias(), graph.d[cand].copy()
@@ -257,31 +265,10 @@ def generate_walks(
     theta: int | None = None,
     seed: int = 0,
 ) -> DataFrame:
-    """Walks DataFrame ``(walk_id, path)``.
+    """Walks DataFrame ``(walk_id, path)`` of a ``walk_kernel`` budget.
 
-    Either ``lam`` walks from *every* node (RW, Alg. 4; walk ``i`` starts
-    at ``i // lam``) or ``theta`` walks from uniformly drawn nodes (RS
-    sketches, Alg. 5).  Walk ``i`` is ``reverse_walks`` at id ``i``,
-    whatever the partitioning.  A budget below 1 raises before any job.
+    Walk ``i`` is ``reverse_walks`` at id ``i``, whatever the
+    partitioning.  A budget below 1 raises before any job.
     """
-    kernel, count = _walk_kernel(graph, cand, t, lam, theta, seed)
+    kernel, count = walk_kernel(graph, cand, t, lam=lam, theta=theta, seed=seed)
     return map_id_range(spark, count, kernel, WALK_COLUMNS)
-
-
-def walk_sketches(
-    spark: SparkSession | None,
-    graph: OpinionGraph,
-    cand: int,
-    t: int,
-    *,
-    lam: int | None = None,
-    theta: int | None = None,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``generate_walks``'s walks, collected, as flat ``(nodes, offsets)``.
-
-    Made by ``sketches``: on the driver up to ``WALK_DRIVER_MAX`` walks, in
-    one Spark job above it.
-    """
-    kernel, count = _walk_kernel(graph, cand, t, lam, theta, seed)
-    return sketches(spark, count, kernel, WALK_COLUMNS, WALK_DRIVER_MAX)

@@ -6,8 +6,8 @@ partition holds several small Arrow batches, and a kernel called on split
 id ranges equals one call on the whole range.  Spark's rows are read in the
 order it returns them: ``collect_sketches`` does not sort, so that order
 must be the id order.  The sketch consumers (``SketchSelector`` for RW/RS,
-``rr_sketches`` for IC/LT) read those same arrays on either side of their
-family's driver/Spark crossover, and start a Spark job only above it.
+``rr_sketches`` for IC/LT) read those same arrays.  Walks are always made
+on the driver; RR sets start one Spark job only above ``RR_DRIVER_MAX``.
 """
 import numpy as np
 import pandas as pd
@@ -32,13 +32,6 @@ from repro.oracle import assert_equivalent
 
 KINDS = ["rw", "rs", "ic", "lt"]
 T, SEED, LAM, COUNT = 5, 9, 7, 500
-# The module constant that holds each kind's driver/Spark crossover.
-CROSSOVER = {
-    "rw": (walks, "WALK_DRIVER_MAX"),
-    "rs": (walks, "WALK_DRIVER_MAX"),
-    "ic": (im, "RR_DRIVER_MAX"),
-    "lt": (im, "RR_DRIVER_MAX"),
-}
 
 
 @pytest.fixture(scope="module")
@@ -225,20 +218,27 @@ def _jobs(spark, group, make):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_consumers_equal_spark_on_both_sides_of_the_crossover(monkeypatch, spark, graph, kind):
-    """The lite budget runs on the driver and starts no job; with the
-    constant below the budget, construction starts exactly one job.  Both
-    read the collected Spark DataFrame's arrays and pick the same seeds."""
-    assert _count(graph, kind) <= getattr(*CROSSOVER[kind])
-    on_driver, jobs = _jobs(spark, f"driver-{kind}", lambda: _consumer(spark, graph, kind))
+def test_consumers_equal_spark_at_lite_budgets(spark, graph, kind):
+    """A lite budget runs on the driver, starts no job and reads the
+    collected Spark DataFrame's arrays."""
+    assert kind in ("rw", "rs") or COUNT <= im.RR_DRIVER_MAX
+    got, jobs = _jobs(spark, f"driver-{kind}", lambda: _consumer(spark, graph, kind))
     assert jobs == 0
-    monkeypatch.setattr(*CROSSOVER[kind], _count(graph, kind) - 1)
+    _, want = _spark(spark, graph, kind)
+    _assert_same({"nodes": got.nodes, "offsets": got.offsets}, want)
+
+
+@pytest.mark.parametrize("kind", ["ic", "lt"])
+def test_rr_sketches_above_the_crossover_run_one_job(monkeypatch, spark, graph, kind):
+    """With ``RR_DRIVER_MAX`` below the budget, ``rr_sketches`` starts
+    exactly one job, reads the Spark arrays and picks the driver's seeds."""
+    on_driver = _consumer(spark, graph, kind)
+    monkeypatch.setattr(im, "RR_DRIVER_MAX", COUNT - 1)
     on_spark, jobs = _jobs(spark, f"spark-{kind}", lambda: _consumer(spark, graph, kind))
     assert jobs == 1
     _, want = _spark(spark, graph, kind)
-    for got in (on_driver, on_spark):
-        _assert_same({"nodes": got.nodes, "offsets": got.offsets}, want)
-    assert on_driver.select(6) == on_spark.select(6)
+    _assert_same({"nodes": on_spark.nodes, "offsets": on_spark.offsets}, want)
+    assert on_spark.select(6) == on_driver.select(6)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -5,10 +5,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
-# Spark stays where it partitions real work: sketch generation above a
-# kernel family's measured crossover.  The one dispatch (``sketches``: the
-# driver at lite budgets, else ``map_id_range`` out and ``collect_sketches``
-# back) lives in opinion/walks.py.  Everything else, the RR-set kernels,
+# Spark stays where it partitions real work: RR-set generation above its
+# measured crossover.  The driver path (``driver_sketches``), the dispatch
+# (``sketches``) and the Spark transport (``map_id_range`` out,
+# ``collect_sketches`` back) live in opinion/walks.py.  Everything else, the RR-set kernels,
 # RW/RS and exact DM evaluation included, is NumPy on the driver, so a new
 # Spark dependency has to be added here on purpose.
 SPARK_MODULES = {"opinion/walks.py"}
