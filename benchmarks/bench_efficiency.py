@@ -27,6 +27,16 @@ fresh graph, plain plurality DM (k = 4), then ``sandwich_select`` with
 S_F = the DM seeds.  It records the row kernels' batch sizes and how many
 held every node in ``extra_info``.
 
+``test_reach_time`` times ``graphs.graph.reach`` at t = 20 on its two
+expansions, forced by setting ``DENSE_N_THRESHOLD``: the frontier BFS and
+one bit per root.  ``sets`` are the sandwich's coverage sets (the reverse
+reach of every user outside V_q^(t), plurality, trailing target); ``pairs``
+the forward reach of every node with 2 blocked seeds, as reach-local DM
+runs it.  The bits cover the small graphs, yelp-lite and dblp-lite, and
+twitter-sd-lite shows why larger graphs keep the frontier.  A revision
+without the bits skips their cases.  It records the set count and node
+total in ``extra_info``.
+
 ``test_rr_sets_time`` times the driver RR-set kernel ``baselines.im.rr_sets``
 (2 000 sets, seed 3) for IC and LT on the three small lite graphs; perfbench
 times RR-set generation only inside its Spark job.  It records the set
@@ -51,10 +61,11 @@ to ``BENCH_efficiency.json``.
 import numpy as np
 import pytest
 
+import repro.graphs.graph as graph_mod
 import repro.opinion.walks as walks
 from repro.baselines.im import rr_sets
 from repro.core.dm import ExactEvaluator, greedy_dm
-from repro.core.sandwich import sandwich_select
+from repro.core.sandwich import favorable_users_np, reach_sets_np, sandwich_select
 from repro.experiments.datasets import TARGETS, load
 from repro.experiments.tables import method_selector, trailing_candidate
 
@@ -157,6 +168,29 @@ def test_dm_then_sandwich_time(benchmark, monkeypatch, dataset):
     res = benchmark.pedantic(run, setup=setup, rounds=3, warmup_rounds=1)
     benchmark.extra_info.update(row_batches=list(sizes), full_batches=sizes.count(g.n))
     assert len(res.seeds) == 4
+
+
+@pytest.mark.parametrize("dataset", ["yelp-lite", "dblp-lite", "twitter-sd-lite"])
+@pytest.mark.parametrize("kind", ["sets", "pairs"])
+@pytest.mark.parametrize("path", ["frontier", "bits"])
+def test_reach_time(benchmark, monkeypatch, path, kind, dataset):
+    if not hasattr(graph_mod, "_reach_bits"):
+        if path == "bits":
+            pytest.skip("this revision has no bit-parallel reach")
+    else:
+        monkeypatch.setattr(graph_mod, "DENSE_N_THRESHOLD", 10**9 if path == "bits" else -1)
+    g = load(dataset)
+    if kind == "sets":
+        target = trailing_candidate(g, 20, "plurality")
+        users = np.flatnonzero(~favorable_users_np(g, target, 20, 1))
+        args = (reach_sets_np, (g, 20, users), {})
+    else:
+        indptr, dst, _ = g.forward_csr()
+        blocked = np.zeros(g.n, dtype=bool)
+        blocked[[3, 7]] = True
+        args = (graph_mod.reach, (indptr, dst, np.arange(g.n), 20), {"blocked": blocked})
+    nodes, offsets = benchmark.pedantic(*args, rounds=7, iterations=1, warmup_rounds=1)
+    benchmark.extra_info.update(sets=len(offsets) - 1, nodes=len(nodes))
 
 
 @pytest.mark.parametrize("model", ["ic", "lt"])

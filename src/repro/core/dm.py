@@ -47,21 +47,32 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graphs.graph import OpinionGraph, out_edges, reach, segment_sum, spmv_dst
+from repro.graphs.graph import (
+    DENSE_N_THRESHOLD,
+    OpinionGraph,
+    out_edges,
+    reach,
+    segment_sum,
+    spmv_dst,
+)
 from repro.opinion.fj import fj_diffuse_np
 from repro.voting.scores import score_change, score_rows
 
-# Kernel choice reads only (n, m).  Above DENSE_N_THRESHOLD nodes a batch
-# runs reach-local: on twitter-sd-lite (n = 3 245) an all-candidate batch
+# Kernel choice reads only (n, m).  Above DENSE_N_THRESHOLD nodes (set in
+# ``graphs.graph``, whose ``reach`` splits at the same size) a batch runs
+# reach-local: on twitter-sd-lite (n = 3 245) an all-candidate batch
 # takes 0.02 s, against 42 s dense.  Small graphs keep every opinion row,
 # since a candidate reaches most of the graph (94 % of yelp-lite in t = 20
 # hops; reach-local took 2.8 s there, 2× dense).  Among those, a graph with
 # n²/m ≥ LAYERED_SPARSITY runs the layered kernel (t·batch·m flops), the
-# rest dense BLAS (t·batch·n²).  One all-candidate batch at t = 20 took
-# layered/dense 0.53× the time on yelp-lite (n²/m = 118) and 2.4× on
-# dblp-lite (20); on random n = 966 graphs 0.47×, 0.78×, 0.97×, 1.15× and
-# 2.12× at n²/m = 130, 86, 68, 49 and 27 (4 OpenBLAS threads, 4-core host).
-DENSE_N_THRESHOLD = 1500
+# rest dense BLAS (t·batch·n²).  One all-candidate plurality batch at
+# t = 20 took layered/dense 0.31× the time on yelp-lite (n²/m = 118) and
+# 1.44× on dblp-lite (20); on random n = 966 graphs 0.26×, 0.41×, 0.42×,
+# 0.50× and 0.90× at n²/m = 129, 88, 71, 53 and 31 (medians of 5, 4-core
+# host, 4 OpenBLAS threads).  Before the layered kernel's unbuffered
+# gathers those graphs read 0.45×, 0.64×, 0.78×, 1.01× and 1.43×, so the
+# crossover has moved from near 64 to between 20 and 31; no lite dataset
+# lies in between, and the constant stays.
 LAYERED_SPARSITY = 64
 
 # ``_dense`` multiplies blocks of exactly this many rows.  OpenBLAS picks its
@@ -262,6 +273,12 @@ class ExactEvaluator:
         labels.  One FJ step adds layer r's terms w_ij·b_i into the prefix
         of rows it covers, r = 0, 1, …: every node sums its terms in edge
         order, starting from the first, as ``segment_sum`` does.
+
+        Two blocks swap roles every step.  Each layer's sources, weights
+        and row prefixes of both blocks are cut once per call, not once per
+        step.  The gathers use ``mode="clip"`` (the sources are in range by
+        construction): under the default ``"raise"`` NumPy buffers ``out``
+        and holds the GIL, about 3× slower for the same rows.
         """
         lay = self.graph.in_layers()
         g = self.graph.with_seeds(self.target, seeds)
@@ -271,19 +288,24 @@ class ExactEvaluator:
         cols, pins = np.arange(nb), lay.rank[cand_seeds]
         B = np.repeat(b0[:, None], nb, axis=1)
         B[pins, cols] = 1.0
-        agg, part = np.empty_like(B), np.empty_like(B)
-        for _ in range(self.t):
-            for r, (lo, hi) in enumerate(zip(lay.ptr[:-1], lay.ptr[1:])):
-                out = agg if r == 0 else part[: hi - lo]
-                np.take(B, lay.src[lo:hi], axis=0, out=out)
-                out *= lay.w[lo:hi, None]
+        blocks, part = (B, np.empty_like(B)), np.empty_like(B)
+        layers = [
+            (lay.src[lo:hi], lay.w[lo:hi, None], [X[: hi - lo] for X in blocks], part[: hi - lo])
+            for lo, hi in zip(lay.ptr[:-1], lay.ptr[1:])
+        ]
+        for s in range(self.t):
+            prev, new = blocks[s % 2], (s + 1) % 2
+            for r, (src, w, rows, scratch) in enumerate(layers):
+                out = scratch if r else rows[new]
+                np.take(prev, src, axis=0, out=out, mode="clip")
+                np.multiply(out, w, out=out)
                 if r:
-                    agg[: hi - lo] += out
-            agg *= keep
-            agg += fixed
+                    np.add(rows[new], out, out=rows[new])
+            agg = blocks[new]
+            np.multiply(agg, keep, out=agg)
+            np.add(agg, fixed, out=agg)
             agg[pins, cols] = 1.0  # seed row: d=1, b0=1 ⇒ stays 1
-            B, agg = agg, B
-        return np.ascontiguousarray(B[lay.rank].T)
+        return np.ascontiguousarray(blocks[self.t % 2][lay.rank].T)
 
     def _reach_local(self, seeds, cand_seeds):
         """F(S ∪ {v}) = F(S) + the change seeding v makes inside its t-hop reach."""

@@ -18,8 +18,10 @@ For Copeland:
 Algorithm 3 then returns argmax_F over {S_U, S_L, S_F}; the empirical
 quality ratio F(S_U)/UB(S_U) (§IV-D) is reported alongside.
 
-Reachability is ``graphs.graph.reach``, the frontier BFS that the exact
-evaluator's reach-local kernel and the IC and LT RR sets also run.  The
+Reachability is ``graphs.graph.reach``, the one entry point that the exact
+evaluator's reach-local kernel and the IC and LT RR sets also call; on
+graphs of at most ``DENSE_N_THRESHOLD`` nodes it expands one bit per root,
+on larger ones it runs the frontier BFS, with the same sets.  The
 coverage sets are the uncovered users' t-hop reach over the *reverse* CSR —
 user u's set holds every node v with u ∈ N_v^(t) — in the flat format
 ``SketchSet`` reads, so no (n × n) mask is built.  UB(S) counts the base

@@ -14,11 +14,14 @@ the Spark jobs (walk, sketch and RR-set generation) ship them to
 exact evaluator's layered FJ kernel.  ``edges_pdf`` / ``state_pdf``
 export the instance as pandas tables for the DuckDB oracle.
 
-``reach`` is the one multi-source frontier BFS: t-hop reachable sets
+``reach`` is the one reachability entry point: t-hop reachable sets
 N_v^(t) (Def. 2) over the forward CSR for DM's reach-local kernel and the
 sandwich UB, the same over the reverse CSR for the sandwich's coverage
 sets, and live-edge reverse reachability for the IC and LT RR sets.  It
-returns flat sorted sets ``(nodes, offsets)``.
+returns flat sorted sets ``(nodes, offsets)`` from one of two
+expansions, split by size: one bit per root on graphs of at most
+``DENSE_N_THRESHOLD`` nodes, a multi-source frontier BFS on larger ones
+and for every ``live`` call.  Both give the same bytes.
 
 Normalization convention: the paper states that users without in-neighbors
 retain their initial opinions (DeGroot); we realize this with an implicit
@@ -349,6 +352,18 @@ def spmv_dst(graph: OpinionGraph, x: np.ndarray) -> np.ndarray:
     return segment_sum(x[..., graph.src] * graph.w, graph.dst, graph.n)
 
 
+# Graphs with at most this many nodes are small.  There the exact
+# evaluator (``core.dm``) keeps every candidate's opinion row, and ``reach``
+# without ``live`` expands one bit per root (``_reach_bits``).  Above it the
+# evaluator runs reach-local, and ``reach`` the frontier BFS.  At t = 20,
+# frontier → bits (``test_reach_time``, BENCH_efficiency.json):
+# the sandwich's coverage sets 0.21 → 0.010 s on yelp-lite and 0.24 →
+# 0.005 s on dblp-lite; every node's forward reach with 2 seeds blocked
+# 0.21 → 0.011 s and 0.40 → 0.007 s.  On twitter-sd-lite (n = 3 245) the
+# bits lose, 0.009 → 0.059 s and 0.018 → 0.15 s, so larger graphs keep
+# the frontier.
+DENSE_N_THRESHOLD = 1500
+
 # Entries one root chunk of ``reach`` may hold.  Unfiltered, a hop can
 # expand every CSR entry of the chunk (≈ 8 bytes each in several
 # temporaries), so a chunk has ``_EXPAND_BUDGET // m`` roots; m ≥ n, so its
@@ -389,14 +404,19 @@ def reach(
     root's own edges) only where ``live(j, e, h)`` holds (a live-edge graph
     per root; ``hops`` ≥ n − 1 is unbounded).  ``live`` sees each frontier
     node's edges as one consecutive run, frontier nodes in (root, node)
-    order.  All roots of a chunk expand together, one hop at a time, over
-    deduplicated (root, node) frontier pairs; chunks hold ``_EXPAND_BUDGET``
-    CSR entries per hop, or ``seen`` entries with ``live``.  A chunk's sets
-    are read off its ``seen`` mask, or, with ``live``, by sorting the keys
-    each hop added.
+    order.
+
+    Without ``live``, a graph of at most ``DENSE_N_THRESHOLD`` nodes runs
+    ``_reach_bits``.  Otherwise all roots of a chunk expand together, one
+    hop at a time, over deduplicated (root, node) frontier pairs; chunks
+    hold ``_EXPAND_BUDGET`` CSR entries per hop, or ``seen`` entries with
+    ``live``.  A chunk's sets are read off its ``seen`` mask, or, with
+    ``live``, by sorting the keys each hop added.
     """
     n = len(indptr) - 1
     roots = np.asarray(roots, dtype=np.int64)
+    if live is None and n <= DENSE_N_THRESHOLD:
+        return _reach_bits(indptr, nbr, roots, hops, blocked)
     step = max(1, _EXPAND_BUDGET // (n if live is not None else max(len(nbr), 1)))
     nodes, counts = [np.zeros(0, dtype=np.int32)], [np.zeros(1, dtype=np.int64)]
     for lo in range(0, len(roots), step):
@@ -427,4 +447,49 @@ def reach(
         rows, node = np.divmod(keys, n)
         nodes.append(node.astype(np.int32))
         counts.append(np.bincount(rows, minlength=size))
+    return np.concatenate(nodes), np.cumsum(np.concatenate(counts))
+
+
+def _reach_bits(
+    indptr: np.ndarray,
+    nbr: np.ndarray,
+    roots: np.ndarray,
+    hops: int,
+    blocked: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``reach`` without ``live``, one bit per root for every node.
+
+    Node x holds bit j when x is in root j's set.  A hop ORs into every node
+    the bits of its CSR predecessors (the nodes whose edges enter it) and
+    its own: one gather and one ``np.bitwise_or.reduceat`` over the
+    transposed CSR.  A ``blocked`` node keeps only its own roots' bits, and
+    the hops stop once no bit changes.  OR is exact, so the sets are the
+    frontier BFS's.  Chunks hold ``_EXPAND_BUDGET`` gathered 64-bit words
+    per hop; a chunk's sets are read off one ``unpackbits`` of its bits.
+    """
+    n = len(indptr) - 1
+    # Every node's predecessors and the node itself, grouped by node.
+    tail = np.concatenate([np.repeat(np.arange(n), np.diff(indptr)), np.arange(n)])
+    head = np.concatenate([nbr, np.arange(n)])
+    pred, starts = tail[np.argsort(head, kind="stable")], _indptr(head, n)[:-1]
+    step = 64 * max(1, _EXPAND_BUDGET // max(len(pred), 1))
+    nodes, counts = [np.zeros(0, dtype=np.int32)], [np.zeros(1, dtype=np.int64)]
+    for lo in range(0, len(roots), step):
+        size = min(step, len(roots) - lo)
+        col = np.arange(size, dtype=np.uint64)
+        init = np.zeros((n, -(-size // 64)), dtype="<u8")
+        np.bitwise_or.at(init, (roots[lo : lo + size], col // 64), np.uint64(1) << col % 64)
+        bits = init
+        for _ in range(hops):
+            new = np.bitwise_or.reduceat(bits[pred], starts, axis=0)
+            if blocked is not None:
+                new[blocked] = init[blocked]
+            if np.array_equal(new, bits):
+                break
+            bits = new
+        # Row j of the unpacked block is root j's set; the pad bits are dropped.
+        mask = np.unpackbits(bits.view(np.uint8), axis=1, count=size, bitorder="little")
+        mask = mask.T.astype(bool)
+        nodes.append(np.broadcast_to(np.arange(n, dtype=np.int32), mask.shape)[mask])
+        counts.append(np.count_nonzero(mask, axis=1))
     return np.concatenate(nodes), np.cumsum(np.concatenate(counts))

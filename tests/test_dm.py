@@ -316,6 +316,25 @@ class TestLayeredKernel:
                 np.testing.assert_array_equal(rows[v], want)
             assert ev._layered(seeds, np.array([], dtype=np.int64)).shape == (0, g.n)
 
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_narrow_batches_equal_fj_diffusion_bit_for_bit(self, width):
+        """Batches of one and two columns, on a graph with a node of
+        in-degree 14 (so 14 layers, each cut once per call): every row is
+        the whole batch's row and ``fj_diffuse_np``'s, at an odd and an even
+        t (the two blocks swap roles every step)."""
+        g, hubs = _looped_graph()
+        assert np.bincount(g.dst).max() >= 9
+        cands = np.random.default_rng(width).permutation(g.n)
+        for t, seeds in itertools.product([3, 20], [[], hubs]):
+            ev = ExactEvaluator(None, g, 0, t, "cumulative")
+            whole = ev._layered(seeds, np.arange(g.n))
+            for batch in cands[: g.n - g.n % width].reshape(-1, width):
+                rows = ev._layered(seeds, batch)
+                np.testing.assert_array_equal(rows, whole[batch])
+                for v, row in zip(batch, rows):
+                    want = opinions_at_horizon_np(g, t, 0, sorted(set(seeds) | {v}))[0]
+                    np.testing.assert_array_equal(row, want)
+
     def test_layers_cover_every_edge_once_in_edge_order(self):
         g, _ = _looped_graph()
         lay = g.in_layers()

@@ -1,4 +1,6 @@
 """Unit tests for the OpinionGraph substrate (repro.graphs.graph)."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,85 @@ class TestForwardReach:
         nodes, offsets = reach(g.dst_indptr(), g.src, roots, t)
         assert nodes.dtype == np.int32 and offsets.dtype == np.int64
         assert np.array_equal(_masks(nodes, offsets, g.n), _forward_reach(g, roots, t).T)
+
+
+def _sink_graph(n, seed):
+    """A random graph whose upper half has no out-edges (sinks), with
+    explicit self-loops on every 5th node besides the orphans' ones."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n // 2, 3 * n)
+    dst = rng.integers(0, n, 3 * n)
+    loops = np.arange(0, n, 5)
+    return OpinionGraph.from_edges(
+        n, np.r_[src, loops], np.r_[dst, loops], np.ones(3 * n + len(loops)),
+        np.zeros((1, n)), np.zeros((1, n)),
+    )
+
+
+class TestBitParallelReach:
+    """Without ``live``, graphs up to ``DENSE_N_THRESHOLD`` nodes expand one
+    bit per root; larger ones run the frontier BFS.  Both give the same
+    bytes."""
+
+    @staticmethod
+    def _both(monkeypatch, *args, **kw):
+        """``reach`` forced onto the frontier BFS, then onto the bits."""
+        out = []
+        for threshold in (-1, 10**9):
+            monkeypatch.setattr(graph_mod, "DENSE_N_THRESHOLD", threshold)
+            out.append(reach(*args, **kw))
+        return out
+
+    @pytest.mark.parametrize("direction", ["forward", "reverse"])
+    @pytest.mark.parametrize("hops", [0, 1, 3, 20])
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_bits_equal_frontier_bytes(self, monkeypatch, direction, hops, budget):
+        """Random graphs with sinks and self-loops; root lists empty, of
+        1, 63, 65 and 130 roots (repeats included) and every node; with and
+        without blocked nodes, one of them a root.  ``budget`` = 1 cuts the
+        roots into 64-root chunks."""
+        if budget:
+            monkeypatch.setattr(graph_mod, "_EXPAND_BUDGET", budget)
+        rng = np.random.default_rng(hops)
+        for g in (random_instance(90, seed=11, avg_deg=1.5), _sink_graph(70, seed=12)):
+            indptr, nbr, _ = g.forward_csr()
+            if direction == "reverse":
+                indptr, nbr = g.dst_indptr(), g.src
+            blocked = np.zeros(g.n, dtype=bool)
+            blocked[rng.choice(g.n, 6, replace=False)] = True
+            root_lists = [np.zeros(0, dtype=np.int64), np.arange(g.n)] + [
+                rng.integers(0, g.n, size) for size in (1, 63, 65, 130)
+            ]
+            root_lists[-1][0] = np.flatnonzero(blocked)[0]
+            for roots, cut in itertools.product(root_lists, (None, blocked)):
+                (fn, fo), (bn, bo) = self._both(monkeypatch, indptr, nbr, roots, hops, blocked=cut)
+                assert bn.dtype == fn.dtype == np.int32 and bo.dtype == fo.dtype == np.int64
+                assert len(bo) == len(roots) + 1
+                assert bn.tobytes() == fn.tobytes() and bo.tobytes() == fo.tobytes()
+
+    def test_sinks_reach_only_themselves_over_the_reverse_csr(self, monkeypatch):
+        """Over ``(dst_indptr, src)`` a sink's set holds the nodes that reach
+        it; the sinks have no CSR predecessor there."""
+        monkeypatch.setattr(graph_mod, "DENSE_N_THRESHOLD", 10**9)
+        g = _sink_graph(70, seed=12)
+        nodes, offsets = reach(g.dst_indptr(), g.src, np.arange(g.n), 20)
+        fwd = _forward_reach(g, np.arange(g.n), 20)
+        assert np.array_equal(_masks(nodes, offsets, g.n), fwd.T)
+        sinks = np.arange(g.n // 2, g.n)
+        assert fwd[sinks].sum(axis=1).tolist() == [1] * len(sinks)
+
+    def test_split_by_size_and_live(self, monkeypatch):
+        """The bits run without ``live`` up to ``DENSE_N_THRESHOLD`` nodes."""
+        calls = []
+        bits = graph_mod._reach_bits
+        monkeypatch.setattr(graph_mod, "_reach_bits", lambda *a: calls.append(a) or bits(*a))
+        g = random_instance(50, seed=6, avg_deg=2.5)
+        indptr, dst, _ = g.forward_csr()
+        reach(indptr, dst, np.arange(5), 3)
+        reach(indptr, dst, np.arange(5), 3, live=lambda j, e, h: np.ones(len(e), dtype=bool))
+        monkeypatch.setattr(graph_mod, "DENSE_N_THRESHOLD", g.n - 1)
+        reach(indptr, dst, np.arange(5), 3)
+        assert len(calls) == 1
 
 
 class TestAdjacencyAndExport:

@@ -1,4 +1,6 @@
 """Tests for the sandwich approximation machinery (§IV, Thms 5–7)."""
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -13,6 +15,7 @@ from repro.core.sandwich import (
     weakly_favorable_users_np,
 )
 from repro.graphs.generators import random_instance, running_example
+import repro.graphs.graph as graph_mod
 from repro.graphs.graph import reach
 from repro.opinion.fj import fj_diffuse_np
 from repro.oracle import assert_equivalent
@@ -76,9 +79,10 @@ class TestReachability:
         for a, b in zip(r1, r3):
             assert not (a & ~b).any()
 
-    def test_reach_t_hop_oracle(self):
+    def test_reach_t_hop_oracle(self, monkeypatch):
         """t = 3 reachability ≡ a DuckDB recursive CTE, without and with
-        blocked nodes (never entered; a blocked root keeps itself)."""
+        blocked nodes (never entered; a blocked root keeps itself), on both
+        of ``reach``'s expansions: the frontier BFS and the bits."""
         g = random_instance(40, seed=6, avg_deg=2.0)
         t = 3
         sql = f"""
@@ -93,7 +97,8 @@ class TestReachability:
         """
         nodes = pd.DataFrame({"v": np.arange(g.n)})
         indptr, dst, _ = g.forward_csr()
-        for cut in ([], [0, 5, 11, 23]):
+        for threshold, cut in itertools.product((-1, 10**9), ([], [0, 5, 11, 23])):
+            monkeypatch.setattr(graph_mod, "DENSE_N_THRESHOLD", threshold)
             blocked = np.zeros(g.n, dtype=bool)
             blocked[cut] = True
             node, offsets = reach(indptr, dst, np.arange(g.n), t, blocked=blocked)
