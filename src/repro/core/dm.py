@@ -69,10 +69,8 @@ from repro.voting.scores import score_change, score_rows
 # t = 20 took layered/dense 0.31× the time on yelp-lite (n²/m = 118) and
 # 1.44× on dblp-lite (20); on random n = 966 graphs 0.26×, 0.41×, 0.42×,
 # 0.50× and 0.90× at n²/m = 129, 88, 71, 53 and 31 (medians of 5, 4-core
-# host, 4 OpenBLAS threads).  Before the layered kernel's unbuffered
-# gathers those graphs read 0.45×, 0.64×, 0.78×, 1.01× and 1.43×, so the
-# crossover has moved from near 64 to between 20 and 31; no lite dataset
-# lies in between, and the constant stays.
+# host, 4 OpenBLAS threads).  So the two cross between n²/m = 20 and 31;
+# no lite dataset lies between that and 64, so no dispatch would change.
 LAYERED_SPARSITY = 64
 
 # ``_dense`` multiplies blocks of exactly this many rows.  OpenBLAS picks its
