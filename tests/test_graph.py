@@ -312,17 +312,6 @@ class TestBitParallelReach:
                 assert len(bo) == len(roots) + 1
                 assert bn.tobytes() == fn.tobytes() and bo.tobytes() == fo.tobytes()
 
-    def test_sinks_reach_only_themselves_over_the_reverse_csr(self, monkeypatch):
-        """Over ``(dst_indptr, src)`` a sink's set holds the nodes that reach
-        it; the sinks have no CSR predecessor there."""
-        monkeypatch.setattr(graph_mod, "DENSE_N_THRESHOLD", 10**9)
-        g = _sink_graph(70, seed=12)
-        nodes, offsets = reach(g.dst_indptr(), g.src, np.arange(g.n), 20)
-        fwd = _forward_reach(g, np.arange(g.n), 20)
-        assert np.array_equal(_masks(nodes, offsets, g.n), fwd.T)
-        sinks = np.arange(g.n // 2, g.n)
-        assert fwd[sinks].sum(axis=1).tolist() == [1] * len(sinks)
-
     def test_split_by_size_and_live(self, monkeypatch):
         """The bits run without ``live`` up to ``DENSE_N_THRESHOLD`` nodes."""
         calls = []
