@@ -5,17 +5,18 @@ and Linear Threshold diffusion models, each coupled with IMM [3].  We
 implement the reverse-reachable (RR) set machinery:
 
 * An RR set from a uniformly random root is its reverse reach in a
-  live-edge graph (Kempe, Kleinberg & Tardos, KDD 2003): the shared
-  frontier BFS ``graphs.graph.reach`` over the reverse CSR, unbounded in
-  hops, with a per-set ``live`` rule.  IC keeps each in-edge (u → v) with
-  probability w_uv (a coin per edge slot).  LT keeps exactly one in-edge
-  per node, drawn by weight (in-weights sum to 1), so the set is a reverse
-  path that stops before its first revisit.  (Our graphs carry a self-loop
-  on in-degree-0 nodes, which simply ends the path.)  Sets come out
-  ascending.
-* Generation: ``rr_sets`` builds a batch of sets by frontier expansion
-  over all of them at once; every coin is keyed by (seed, set id, …) as
-  in ``opinion.walks``, so set ``i`` is the same on the driver and in any
+  live-edge graph (Kempe, Kleinberg & Tardos, KDD 2003).  IC keeps each
+  in-edge (u → v) with probability w_uv (a coin per edge slot): the set is
+  the shared frontier BFS ``graphs.graph.reach`` over the reverse CSR,
+  unbounded in hops, with a per-set ``live`` rule.  LT keeps exactly one
+  in-edge per node, drawn by weight (in-weights sum to 1), so the set is a
+  reverse random walk that stops before its first revisit (``_lt_sets``,
+  which draws as ``opinion.walks.reverse_walks`` does).  (Our graphs carry
+  a self-loop on in-degree-0 nodes, which simply ends the walk.)  Sets
+  come out ascending.
+* Generation: ``rr_sets`` builds a batch of sets, all of them expanding
+  or walking at once; every coin is keyed by (seed, set id, …) as in
+  ``opinion.walks``, so set ``i`` is the same on the driver and in any
   Spark partition.  ``rr_sketches`` gets the sets from
   ``opinion.walks.sketches``: up to ``RR_DRIVER_MAX`` sets the driver runs
   the kernel and no Spark job starts; above it one ``mapInArrow`` job
@@ -36,6 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.sketch import SketchSet
+from repro.graphs import graph as graph_mod
 from repro.graphs.graph import AliasTable, OpinionGraph, reach
 from repro.opinion.walks import (
     ACCEPT,
@@ -71,23 +73,44 @@ def rr_sets(
         raise ValueError(f"unknown IM model: {model}")
     n = len(alias.indptr) - 1
     keys = stream_keys(seed, ids)
+    if model == "lt":
+        return _lt_sets(alias, keys, n)
 
-    def ic(rows, slot, hop):
+    def ic(rows, slot):
         # The coin of reverse-CSR edge slot e in set j is uniform (e, COIN)
         # of the set's stream, so the set does not depend on visiting order.
         return uniforms(keys[rows], slot, COIN) < w[slot]
 
-    def lt(rows, slot, hop):
-        # An LT set's frontier is one node, so its in-edges are one run of
-        # ``rows``; the set keeps the slot its alias draw at step = hop picks.
-        run = np.flatnonzero(np.diff(rows, prepend=-1))
-        node = np.searchsorted(alias.indptr, slot[run], side="right") - 1
-        k = keys[rows[run]]
-        pick = alias.draw(node, uniforms(k, hop, SLOT), uniforms(k, hop, ACCEPT))
-        return slot == np.repeat(pick, np.diff(run, append=len(rows)))
+    return reach(alias.indptr, alias.indices, uniform_nodes(keys, n), n, live=ic)
 
-    live = ic if model == "ic" else lt
-    return reach(alias.indptr, alias.indices, uniform_nodes(keys, n), n, live=live)
+
+def _lt_sets(alias: AliasTable, keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The LT RR sets of stream ``keys``, as ``rr_sets`` returns them.
+
+    Each set is a reverse walk from its drawn root: step s draws an
+    in-neighbor of the walk's s-th node on lanes ``SLOT``/``ACCEPT`` at
+    step s, and the walk stops when the draw is already in the set.  All
+    walks of a chunk step together over a (sets × n) ``seen`` mask of
+    ``graphs.graph._EXPAND_BUDGET`` entries; the sets are read off their
+    sorted ``set·n + node`` keys.
+    """
+    size = max(1, graph_mod._EXPAND_BUDGET // n)
+    found = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(keys), size):
+        k = keys[lo : lo + size]
+        seen = np.zeros(len(k) * n, dtype=bool)
+        rows, cur = np.arange(len(k)), uniform_nodes(k, n)
+        for step in range(n):
+            key = rows * n + cur
+            seen[key] = True
+            found.append(lo * n + key)
+            cur = alias.sample(cur, uniforms(k, step, SLOT), uniforms(k, step, ACCEPT))
+            new = ~seen[rows * n + cur]
+            rows, cur, k = rows[new], cur[new], k[new]
+            if not len(rows):
+                break
+    rows, nodes = np.divmod(np.sort(np.concatenate(found)), n)
+    return nodes.astype(np.int32), graph_mod._indptr(rows, len(keys))
 
 
 def _rr_kernel(graph: OpinionGraph, model: str, seed: int):

@@ -17,11 +17,12 @@ export the instance as pandas tables for the DuckDB oracle.
 ``reach`` is the one reachability entry point: t-hop reachable sets
 N_v^(t) (Def. 2) over the forward CSR for DM's reach-local kernel and the
 sandwich UB, the same over the reverse CSR for the sandwich's coverage
-sets, and live-edge reverse reachability for the IC and LT RR sets.  It
+sets, and live-edge reverse reachability for the IC RR sets.  It
 returns flat sorted sets ``(nodes, offsets)`` from one of two
 expansions, split by size: one bit per root on graphs of at most
 ``DENSE_N_THRESHOLD`` nodes, a multi-source frontier BFS on larger ones
-and for every ``live`` call.  Both give the same bytes.
+and for every ``live`` call.  Both give the same bytes.  (An LT RR set is
+a reverse walk, not a reach: ``baselines.im`` draws it with ``AliasTable``.)
 
 Normalization convention: the paper states that users without in-neighbors
 retain their initial opinions (DeGroot); we realize this with an implicit
@@ -51,8 +52,10 @@ class AliasTable:
     prob: np.ndarray  # (nnz,) float64 — alias acceptance probabilities
     alias: np.ndarray  # (nnz,) int32 — alias slot (local index within row)
 
-    def draw(self, nodes: np.ndarray, u_slot: np.ndarray, u_accept: np.ndarray) -> np.ndarray:
-        """The reverse-CSR slot of one in-edge of each node in ``nodes``.
+    def sample(
+        self, nodes: np.ndarray, u_slot: np.ndarray, u_accept: np.ndarray
+    ) -> np.ndarray:
+        """One in-neighbor for each node in ``nodes``, from two uniforms each.
 
         ``u_slot`` picks the alias slot and ``u_accept`` decides between the
         slot and its alias.
@@ -60,13 +63,8 @@ class AliasTable:
         lo = self.indptr[nodes]
         # Every node has >=1 in-edge after self-loop normalization.
         slot = (u_slot * (self.indptr[nodes + 1] - lo)).astype(np.int64)
-        return lo + np.where(u_accept < self.prob[lo + slot], slot, self.alias[lo + slot])
-
-    def sample(
-        self, nodes: np.ndarray, u_slot: np.ndarray, u_accept: np.ndarray
-    ) -> np.ndarray:
-        """One in-neighbor for each node in ``nodes``: the source of its ``draw``."""
-        return self.indices[self.draw(nodes, u_slot, u_accept)]
+        local = np.where(u_accept < self.prob[lo + slot], slot, self.alias[lo + slot])
+        return self.indices[lo + local]
 
 
 def _build_alias_row(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,9 +365,10 @@ DENSE_N_THRESHOLD = 1500
 # Entries one root chunk of ``reach`` may hold.  Unfiltered, a hop can
 # expand every CSR entry of the chunk (≈ 8 bytes each in several
 # temporaries), so a chunk has ``_EXPAND_BUDGET // m`` roots; m ≥ n, so its
-# (roots × n) ``seen`` mask fits too.  A live-edge set keeps about one
+# (roots × n) ``seen`` mask fits too.  An IC live-edge set keeps about one
 # in-edge per node (in-weights sum to 1), so there the mask is the bound
-# and a chunk has ``_EXPAND_BUDGET // n`` roots.
+# and a chunk has ``_EXPAND_BUDGET // n`` roots.  ``baselines.im``'s LT
+# walks size their chunks' ``seen`` masks by it too.
 _EXPAND_BUDGET = 1 << 20
 
 
@@ -391,7 +390,7 @@ def reach(
     hops: int,
     *,
     blocked: np.ndarray | None = None,
-    live: Callable[[np.ndarray, np.ndarray, int], np.ndarray] | None = None,
+    live: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes within ``hops`` CSR hops of each root, as flat sorted sets.
 
@@ -400,11 +399,9 @@ def reach(
     is N_v^(t) of Def. 2; over the reverse CSR ``(dst_indptr, src)``, the
     nodes that reach the root.  A ``blocked`` node is never entered, so
     paths through it are cut; a root always keeps itself.  With ``live``,
-    edge slot ``e`` is followed from root ``j`` at hop ``h`` (from 0, the
-    root's own edges) only where ``live(j, e, h)`` holds (a live-edge graph
-    per root; ``hops`` ≥ n − 1 is unbounded).  ``live`` sees each frontier
-    node's edges as one consecutive run, frontier nodes in (root, node)
-    order.
+    edge slot ``e`` is followed from root ``j`` only where ``live(j, e)``
+    holds, elementwise over arrays of pairs (a live-edge graph per root;
+    ``hops`` ≥ n − 1 is unbounded).
 
     Without ``live``, a graph of at most ``DENSE_N_THRESHOLD`` nodes runs
     ``_reach_bits``.  Otherwise all roots of a chunk expand together, one
@@ -425,10 +422,10 @@ def reach(
         rows, frontier = np.arange(size), roots[lo : lo + size]
         found = [rows * n + frontier]  # the keys each hop adds, with ``live``
         seen[found[0]] = True
-        for hop in range(hops):
+        for _ in range(hops):
             owner, slot = out_edges(indptr, frontier)
             if live is not None:
-                keep = live(lo + rows[owner], slot, hop)
+                keep = live(lo + rows[owner], slot)
                 owner, slot = owner[keep], slot[keep]
             tgt = nbr[slot]
             key = rows[owner] * n + tgt

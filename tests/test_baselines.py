@@ -1,4 +1,6 @@
 """Tests for the baseline seeders (§VIII-A): IC/LT RR sets, PR, RWR, DC, GED-T."""
+import itertools
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -45,6 +47,36 @@ def _bfs_rr_set(g, seed, set_id, root):
     return sorted(visited)
 
 
+def _orphan_sink_graph(n, seed):
+    """A random graph whose first 5 nodes have no in-edges (a self-loop
+    only, so an LT path ends there at once) and whose last 5 are sinks."""
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(0, n - 5, 3 * n), rng.integers(5, n, 3 * n)
+    return OpinionGraph.from_edges(
+        n, src, dst, rng.random(3 * n) + 0.1, np.zeros((1, n)), np.zeros((1, n))
+    )
+
+
+def _lt_reference(g, seed, ids):
+    """Reference LT RR sets as flat ``(nodes, offsets)``, built one path at
+    a time: from the set's root, step i draws the in-neighbor of the path's
+    i-th node with the walk's alias lanes, up to the first revisit."""
+    alias = g.reverse_alias()
+    paths = []
+    for set_id in ids:
+        key = stream_keys(seed, np.array([set_id]))
+        path = [int(uniform_nodes(key, g.n)[0])]
+        for step in range(g.n):
+            u = uniforms(key, step, SLOT), uniforms(key, step, ACCEPT)
+            v = int(alias.sample(np.array([path[-1]]), *u)[0])
+            if v in path:
+                break
+            path.append(v)
+        paths.append(sorted(path))
+    nodes = np.array([v for path in paths for v in path], dtype=np.int32)
+    return nodes, np.cumsum([0] + [len(path) for path in paths], dtype=np.int64)
+
+
 class TestRRSets:
     def test_ic_root_always_included(self):
         g = random_instance(30, seed=0)
@@ -73,21 +105,19 @@ class TestRRSets:
     def test_lt_is_a_path_of_distinct_nodes(self):
         """Each LT set holds the nodes of a reverse path of distinct nodes,
         ascending: from its root, step i draws the in-neighbor of the path's
-        i-th node with the walk's alias lanes, up to the first revisit."""
-        g = random_instance(30, seed=1)
-        alias = g.reverse_alias()
-        sets, roots = _rr(g, "lt", 1, 300)
-        assert max(map(len, sets)) > 3
-        for j, (root, s) in enumerate(zip(roots, sets)):
-            key = stream_keys(1, np.array([j]))
-            path = [root]
-            for step in range(g.n):
-                u = uniforms(key, step, SLOT), uniforms(key, step, ACCEPT)
-                v = alias.sample(np.array([path[-1]]), *u)[0]
-                if v in path:
-                    break
-                path.append(v)
-            assert s == sorted(path)
+        i-th node with the walk's alias lanes, up to the first revisit.  The
+        flat arrays equal those built from the reference paths, dtypes
+        included, on a graph with self-loop-only nodes and sinks too, and on
+        id ranges of 1, 63 and 65 ids from nonzero ids."""
+        graphs = [random_instance(30, seed=1), _orphan_sink_graph(30, seed=4)]
+        id_ranges = [np.arange(300), np.array([5]), np.arange(7, 70), np.arange(1000, 1065)]
+        for g, ids in itertools.product(graphs, id_ranges):
+            nodes, offsets = rr_sets(g.reverse_alias(), g.w, "lt", 1, ids)
+            ref_nodes, ref_offsets = _lt_reference(g, 1, ids)
+            assert nodes.dtype == np.int32 and offsets.dtype == np.int64
+            assert np.array_equal(nodes, ref_nodes) and np.array_equal(offsets, ref_offsets)
+            if len(ids) == 300:
+                assert np.diff(offsets).max() > 3
 
     def test_ic_respects_reverse_reachability(self):
         g = running_example()

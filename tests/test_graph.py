@@ -320,7 +320,7 @@ class TestBitParallelReach:
         g = random_instance(50, seed=6, avg_deg=2.5)
         indptr, dst, _ = g.forward_csr()
         reach(indptr, dst, np.arange(5), 3)
-        reach(indptr, dst, np.arange(5), 3, live=lambda j, e, h: np.ones(len(e), dtype=bool))
+        reach(indptr, dst, np.arange(5), 3, live=lambda j, e: np.ones(len(e), dtype=bool))
         monkeypatch.setattr(graph_mod, "DENSE_N_THRESHOLD", g.n - 1)
         reach(indptr, dst, np.arange(5), 3)
         assert len(calls) == 1
