@@ -52,12 +52,13 @@ from repro.opinion.walks import (
 
 RR_COLUMNS = ("sketch_id", "nodes")
 # Up to this many RR sets are generated on the driver, more in one Spark
-# job.  Spark first won at 2^16 sets, with LT on yelp-lite (0.83 s on the
-# driver against 0.57 s), and at 2^17-2^18 for the other kinds and graphs;
-# at 2^15 the driver won everywhere (yelp LT 0.37 against 0.43 s)
-# (BENCH_efficiency.json, the 4b78c8d entry, test_generation_time; 4 cores,
-# local[4]).
-RR_DRIVER_MAX = 1 << 15
+# job.  At 2^16 sets the driver won for IC and LT on both graphs timed
+# (yelp-lite LT 0.33 s against 0.52 s, IC 0.34 against 0.44 s).  Spark
+# first won at 2^17, on yelp-lite (IC 0.68 against 0.64 s, LT 0.70 against
+# 0.64 s); on twitter-sd-lite the driver still won there
+# (BENCH_efficiency.json, the b5aa1af entry, test_generation_time, medians
+# of 5 runs; 4 cores, local[4]).
+RR_DRIVER_MAX = 1 << 16
 
 
 def rr_sets(

@@ -52,9 +52,7 @@ class AliasTable:
     prob: np.ndarray  # (nnz,) float64 — alias acceptance probabilities
     alias: np.ndarray  # (nnz,) int32 — alias slot (local index within row)
 
-    def sample(
-        self, nodes: np.ndarray, u_slot: np.ndarray, u_accept: np.ndarray
-    ) -> np.ndarray:
+    def sample(self, nodes: np.ndarray, u_slot: np.ndarray, u_accept: np.ndarray) -> np.ndarray:
         """One in-neighbor for each node in ``nodes``, from two uniforms each.
 
         ``u_slot`` picks the alias slot and ``u_accept`` decides between the
