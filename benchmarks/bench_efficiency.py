@@ -56,7 +56,10 @@ they are always made on the driver.  A revision without ``sketches``
 skips these cases.
 
 ``benchmarks/record_efficiency.py`` runs this file and appends the medians
-to ``BENCH_efficiency.json``.
+to ``BENCH_efficiency.json``.  ``test_selection_time`` and
+``test_generation_time`` call ``method_selector`` and
+``opinion.walks.sketches`` without a session argument, so they fail
+against a ``--parent`` revision whose functions still take one first.
 """
 import numpy as np
 import pytest
@@ -74,12 +77,12 @@ _K, _T = 5, 8
 
 @pytest.mark.parametrize("n", [250, 500, 1000, 3245])
 @pytest.mark.parametrize("method", ["DM", "RW", "RS"])
-def test_selection_time(spark, benchmark, method, n):
+def test_selection_time(benchmark, method, n):
     g = load("twitter-sd-lite", nodes=n)
 
     def run():
         return method_selector(
-            spark, g, method, 0, _T, "cumulative", lam=20, theta=max(256, n // 2), seed=0
+            g, method, 0, _T, "cumulative", lam=20, theta=max(256, n // 2), seed=0
         )(_K)
 
     seeds = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -217,7 +220,8 @@ _GENERATION = [
 @pytest.mark.parametrize(
     "kind, path, ids", _GENERATION, ids=[f"{k}-{p}-{i}" for k, p, i in _GENERATION]
 )
-def test_generation_time(spark, benchmark, kind, path, ids, dataset):
+@pytest.mark.usefixtures("spark")
+def test_generation_time(benchmark, kind, path, ids, dataset):
     if not hasattr(walks, "sketches"):
         pytest.skip("this revision has no driver/Spark dispatch")
     g = load(dataset)
@@ -233,7 +237,7 @@ def test_generation_time(spark, benchmark, kind, path, ids, dataset):
 
     driver_max = ids if path == "driver" else 0
     nodes, offsets = benchmark.pedantic(
-        walks.sketches, args=(spark, ids, kernel, ("id", "path"), driver_max),
+        walks.sketches, args=(ids, kernel, ("id", "path"), driver_max),
         rounds=3 if ids <= 1 << 17 else 1, iterations=1,
     )
     benchmark.extra_info.update(ids=ids, path_nodes=len(nodes))

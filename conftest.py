@@ -55,10 +55,13 @@ from pyspark.sql import SparkSession  # noqa: E402
 def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch).  The tests only generate sketches and collect them; no
-    test shuffles or joins a DataFrame, so the only SQL setting is Arrow,
-    for the tests that call ``toPandas``.
+    Only the tests of the Spark side request it: the sketch transport
+    (``opinion.walks.map_id_range`` / ``collect_sketches``), the RR-set and
+    walk DataFrames, and job counting.  ``map_id_range`` gets its session
+    with ``getOrCreate``, so it runs in this one.  Master and driver memory
+    come from ``PYSPARK_SUBMIT_ARGS`` (set above, pre-JVM-launch).  No test
+    shuffles or joins a DataFrame, so the only SQL setting is Arrow, for
+    the tests that call ``toPandas``.
     """
     s = (
         SparkSession.builder.appName("repro")

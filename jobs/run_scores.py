@@ -1,7 +1,6 @@
 """Accuracy/efficiency comparison (Figures 6–8 rendered as tables)."""
 import argparse
 
-from _session import get_spark
 from repro.experiments.datasets import TARGETS, load
 from repro.experiments.tables import scores_comparison, trailing_candidate
 
@@ -27,7 +26,6 @@ def main() -> None:
         "horizon — useful when the default target already dominates), or an index",
     )
     args = ap.parse_args()
-    spark = get_spark("scores")
     g = load(args.dataset, nodes=args.nodes)
     if args.target == "paper":
         target = TARGETS[args.dataset]
@@ -35,12 +33,9 @@ def main() -> None:
         target = trailing_candidate(g, args.t, args.scores[0])
     else:
         target = int(args.target)
-    df = scores_comparison(
-        spark, g, target, args.t, args.ks, args.scores, theta=args.theta
-    )
+    df = scores_comparison(g, target, args.t, args.ks, args.scores, theta=args.theta)
     print(f"Score comparison — {args.dataset}, t={args.t}, target=c{target}")
     print(df.to_string(index=False))
-    spark.stop()
 
 
 if __name__ == "__main__":

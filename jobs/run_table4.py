@@ -1,7 +1,6 @@
 """Table IV: ACM-election case study analogue (paper §VIII-B)."""
 import argparse
 
-from _session import get_spark
 from repro.experiments.tables import table4
 
 
@@ -11,8 +10,7 @@ def main() -> None:
     ap.add_argument("--k", type=int, default=50)
     ap.add_argument("--t", type=int, default=20)
     args = ap.parse_args()
-    spark = get_spark("table4")
-    df, res = table4(spark, n=args.n, k=args.k, t=args.t)
+    df, res = table4(n=args.n, k=args.k, t=args.t)
     print(f"Table IV — case study (n={res['n']}, k={args.k}, t={args.t})")
     print(df.to_string(index=False))
     print(
@@ -20,7 +18,6 @@ def main() -> None:
         f"({100*res['overall_without']/res['n']:.1f}% → {100*res['overall_with']/res['n']:.1f}%)"
     )
     print("top-10 seed domains:", res["top10_domains"])
-    spark.stop()
 
 
 if __name__ == "__main__":

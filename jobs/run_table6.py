@@ -1,7 +1,6 @@
 """Table VI: minimum #seeds for the target to win (DM / RW / RS)."""
 import argparse
 
-from _session import get_spark
 from repro.experiments.datasets import TARGETS, load
 from repro.experiments.tables import table6, trailing_candidate
 
@@ -20,7 +19,6 @@ def main() -> None:
         "Table VI's premise is a target that is losing without seeds",
     )
     args = ap.parse_args()
-    spark = get_spark("table6")
     g = load(args.dataset, nodes=args.nodes)
     if args.target == "worst":
         target = trailing_candidate(g, args.t, args.score)
@@ -28,13 +26,12 @@ def main() -> None:
         target = TARGETS[args.dataset]
     else:
         target = int(args.target)
-    df = table6(spark, g, target, args.t, args.score, k_max=args.k_max)
+    df = table6(g, target, args.t, args.score, k_max=args.k_max)
     print(
         f"Table VI — min seeds to win ({args.dataset}, {args.score}, "
         f"t={args.t}, target=c{target})"
     )
     print(df.to_string(index=False))
-    spark.stop()
 
 
 if __name__ == "__main__":

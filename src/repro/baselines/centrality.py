@@ -10,8 +10,9 @@
   opinions, biasing the ranking toward the target's support base.
 
 All three run on the driver: one NumPy score vector over the n nodes
-(``pagerank_np`` or a ``bincount`` of out-degrees), then ``top_k``.  Each
-keeps a leading ``spark`` argument, unused, because perfbench calls it.
+(``pagerank_np`` or a ``bincount`` of out-degrees), then ``top_k``, with
+no Spark session.  The leading ``spark`` argument of ``degree_seeds`` and
+``rwr_seeds`` is perfbench's and ignored.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ def pagerank_np(
     return pi
 
 
-def pagerank_seeds(spark, graph: OpinionGraph, k: int) -> list[int]:
+def pagerank_seeds(graph: OpinionGraph, k: int) -> list[int]:
     """Top-k PageRank (reverse-graph) nodes, after the default 20 iterations."""
     return top_k(pagerank_np(graph), k)
 

@@ -19,9 +19,12 @@ implement the reverse-reachable (RR) set machinery:
   ``opinion.walks``, so set ``i`` is the same on the driver and in any
   Spark partition.  ``rr_sketches`` gets the sets from
   ``opinion.walks.sketches``: up to ``RR_DRIVER_MAX`` sets the driver runs
-  the kernel and no Spark job starts; above it one ``mapInArrow`` job
-  makes and collects them.  ``generate_rr_sets`` builds that job's
-  DataFrame alone.  This module does not import Spark.
+  the kernel and no Spark session is needed; above it one ``mapInArrow``
+  job makes and collects them, in the session ``opinion.walks`` gets.
+  ``generate_rr_sets`` builds that job's DataFrame alone.  This module
+  neither imports Spark nor takes a session: the leading ``spark``
+  argument of ``generate_rr_sets`` and ``select_seeds_im`` is perfbench's
+  and ignored.
 * Seed selection: greedy max-coverage over θ_im RR sets, made once in id
   order (``rr_sketches``) and run by the shared, resumable
   sketch greedy (``core.sketch``): with every RR set's ``op`` at 0, a node's
@@ -136,11 +139,10 @@ def generate_rr_sets(
 ):
     """θ RR sets as a DataFrame ``(sketch_id, nodes)``: set ``i`` is
     ``rr_sets`` at id ``i``, whatever the partitioning."""
-    return map_id_range(spark, theta, _rr_kernel(graph, model, seed), RR_COLUMNS)
+    return map_id_range(theta, _rr_kernel(graph, model, seed), RR_COLUMNS)
 
 
 def rr_sketches(
-    spark,
     graph: OpinionGraph,
     model: str,
     theta: int,
@@ -153,7 +155,7 @@ def rr_sketches(
     Its ``select(k)`` is the IMM-lite greedy, resumable like RW's and RS's.
     """
     kernel = _rr_kernel(graph, model, seed)
-    nodes, offsets = sketches(spark, theta, kernel, RR_COLUMNS, RR_DRIVER_MAX)
+    nodes, offsets = sketches(theta, kernel, RR_COLUMNS, RR_DRIVER_MAX)
     return SketchSet(graph.n, nodes, offsets, np.zeros(theta), retire=True)
 
 
@@ -167,4 +169,4 @@ def select_seeds_im(
     seed: int = 0,
 ) -> list[int]:
     """Greedy max-coverage over RR sets (IMM-lite seed selection)."""
-    return rr_sketches(spark, graph, model, theta, seed=seed).select(k)
+    return rr_sketches(graph, model, theta, seed=seed).select(k)

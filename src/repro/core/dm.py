@@ -117,7 +117,8 @@ class ExactEvaluator:
     non-target candidates' exact horizon opinions (they have no seeds, so
     it is constant across the greedy run); ``user_mask`` restricts the
     cumulative sum to a user subset (the sandwich LB, Def. 3).  The leading
-    ``spark`` argument is unused; perfbench still passes it.
+    ``spark`` argument is perfbench's and ignored; callers in ``repro``
+    pass ``None``.
 
     Every evaluator on a graph reads one batch, kept on the graph: the
     all-candidate batch at S = ∅ for its target and t, made on first use by

@@ -11,9 +11,9 @@ Estimators (Eqs. 35, 42, 47):
 * Copeland: pairwise duel counts over the θ samples.
 
 ``core.sketch.SketchSelector`` builds the sketches (each start drawn from
-its walk's own counter stream, on the driver with no Spark job) and runs
-the greedy on the driver, with every walk its own unit, ranked against the
-non-target opinions of its start user.
+its walk's own counter stream, on the driver with no Spark session) and
+runs the greedy on the driver, with every walk its own unit, ranked
+against the non-target opinions of its start user.
 """
 from __future__ import annotations
 
@@ -22,7 +22,10 @@ from repro.graphs.graph import OpinionGraph
 
 
 class RSSelector(SketchSelector):
-    """Greedy seed selection on θ uniformly-sampled sketches."""
+    """Greedy seed selection on θ uniformly-sampled sketches.
+
+    The leading ``spark`` argument is perfbench's and ignored.
+    """
 
     def __init__(
         self,
@@ -37,4 +40,4 @@ class RSSelector(SketchSelector):
         omega=None,
         seed: int = 0,
     ):
-        super().__init__(spark, graph, target, t, score, theta=theta, p=p, omega=omega, seed=seed)
+        super().__init__(graph, target, t, score, theta=theta, p=p, omega=omega, seed=seed)

@@ -15,7 +15,7 @@ from one start user forming one unit whose estimate b̂_u is their mean:
 The non-target candidates' opinions at the horizon are exact (direct
 matrix–vector products), matching the paper's complexity analysis
 (§V-B: extra O((r−1)tm)).  ``core.sketch.SketchSelector`` builds the
-sketches; RW is its λ-walks-per-user case.
+sketches; RW is its λ-walks-per-user case, and needs no Spark session.
 """
 from __future__ import annotations
 
@@ -24,7 +24,10 @@ from repro.graphs.graph import OpinionGraph
 
 
 class RWSelector(SketchSelector):
-    """Greedy seed selection on λ pre-generated reverse walks per user."""
+    """Greedy seed selection on λ pre-generated reverse walks per user.
+
+    The leading ``spark`` argument is perfbench's and ignored.
+    """
 
     def __init__(
         self,
@@ -39,4 +42,4 @@ class RWSelector(SketchSelector):
         omega=None,
         seed: int = 0,
     ):
-        super().__init__(spark, graph, target, t, score, lam=lam, p=p, omega=omega, seed=seed)
+        super().__init__(graph, target, t, score, lam=lam, p=p, omega=omega, seed=seed)

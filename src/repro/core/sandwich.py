@@ -28,7 +28,7 @@ user u's set holds every node v with u ∈ N_v^(t) — in the flat format
 set together with the forward reach of S.  The DuckDB oracle tests check
 ``reach`` against t-hop reachability written as a recursive CTE.
 Everything here runs on the driver; the leading ``spark`` argument of
-``sandwich_select`` is unused, as in ``core.dm``.
+``sandwich_select`` is perfbench's and ignored, as in ``core.dm``.
 """
 from __future__ import annotations
 
@@ -142,13 +142,11 @@ def sandwich_select(
     # S_L: greedy on the masked cumulative LB (plurality variants only).
     s_l = None
     if score != "copeland":
-        ev_lb = ExactEvaluator(
-            spark, graph, target, t, "cumulative", user_mask=fav
-        )
+        ev_lb = ExactEvaluator(None, graph, target, t, "cumulative", user_mask=fav)
         s_l, _ = greedy_dm(ev_lb, k, celf=True)
 
     # S_F: feasible greedy on F itself; the same evaluator scores all three.
-    ev_f = ExactEvaluator(spark, graph, target, t, score, p=pp, omega=omega_arr)
+    ev_f = ExactEvaluator(None, graph, target, t, score, p=pp, omega=omega_arr)
     if selector is not None:
         s_f = selector(k)
     else:

@@ -8,9 +8,10 @@ that contains it (Post-Generation Truncation, Thm 9).  ``SketchSet`` holds
 the sketches as flat arrays on the driver — an int32 node array, offsets,
 a per-sketch ``op`` and a per-sketch live length ``cut`` — and runs that
 loop with NumPy.  The sketches come once, in id order, from
-``opinion.walks`` (the one module that knows about Spark): reverse walks
-are always made on the driver, and RR sets on the driver up to a measured
-crossover, in one Spark job above it.  ``select`` launches no job.
+``opinion.walks`` (the one module that knows about Spark and gets a
+session): reverse walks are always made on the driver, and RR sets on the
+driver up to a measured crossover, in one Spark job above it.  ``select``
+launches no job, and no constructor here takes a session.
 
 Sketches are grouped into *units* of ``per_unit`` consecutive sketches, the
 things the score counts:
@@ -165,15 +166,15 @@ class SketchSelector:
 
     ``lam`` walks from every user (RW, Alg. 4) or ``theta`` walks from
     uniformly drawn users (RS, Alg. 5, λ_v = 1), made once on the driver
-    by ``opinion.walks.driver_sketches``, so construction starts no Spark
-    job; units, their users, each walk's ``op`` and the scale all follow
+    by ``opinion.walks.driver_sketches``, so construction needs no Spark
+    session; units, their users, each walk's ``op`` and the scale all follow
     from the paths.  ``walks``, the same walks as a Spark DataFrame
-    ``(walk_id, path)`` of the same kernel, is built on first read.
+    ``(walk_id, path)`` of the same kernel, is built on first read, in the
+    session ``opinion.walks.map_id_range`` gets.
     """
 
     def __init__(
         self,
-        spark,
         graph: OpinionGraph,
         target: int,
         t: int,
@@ -186,7 +187,7 @@ class SketchSelector:
         seed: int = 0,
     ):
         kernel, count = walk_kernel(graph, target, t, lam=lam, theta=theta, seed=seed)
-        self._walk_frame = partial(map_id_range, spark, count, kernel, WALK_COLUMNS)
+        self._walk_frame = partial(map_id_range, count, kernel, WALK_COLUMNS)
         nodes, offsets = driver_sketches(count, kernel)
         per_unit = lam or 1
         users = nodes[offsets[:-1:per_unit]]

@@ -105,7 +105,6 @@ def votes_for_target(graph: OpinionGraph, t: int, seeds) -> np.ndarray:
 
 
 def run_case_study(
-    spark,
     *,
     n: int = 640,
     k: int = 50,
@@ -113,9 +112,12 @@ def run_case_study(
     lam: int = 40,
     seed: int = 21,
 ) -> dict:
-    """Table IV analogue: per-domain tallies without/with RW seeds."""
+    """Table IV analogue: per-domain tallies without/with RW seeds.
+
+    RW runs on the driver, so the case study needs no Spark session.
+    """
     g, users = build_case_study(n, seed=seed)
-    sel = RWSelector(spark, g, 0, t, "plurality", lam=lam, seed=seed + 2)
+    sel = RWSelector(None, g, 0, t, "plurality", lam=lam, seed=seed + 2)
     seeds = sel.select(k)
     without = votes_for_target(g, t, [])
     with_seeds = votes_for_target(g, t, seeds)

@@ -3,7 +3,8 @@
 Every function returns a pandas DataFrame with the same row structure as
 the corresponding paper table so EXPERIMENTS.md can diff paper numbers
 against ours.  Heavy lifting is delegated to the selectors/baselines;
-this module only orchestrates and formats.
+this module only orchestrates and formats.  No harness takes a Spark
+session: the selectors' leading ``spark`` placeholder gets ``None``.
 """
 from __future__ import annotations
 
@@ -58,8 +59,8 @@ def table3() -> pd.DataFrame:
 # --------------------------------------------------------------------- #
 # Table IV
 # --------------------------------------------------------------------- #
-def table4(spark, **kw) -> tuple[pd.DataFrame, dict]:
-    res = run_case_study(spark, **kw)
+def table4(**kw) -> tuple[pd.DataFrame, dict]:
+    res = run_case_study(**kw)
     return pd.DataFrame(res["rows"]), res
 
 
@@ -70,7 +71,6 @@ METHODS = ("DM", "RW", "RS", "IC", "LT", "GED-T", "PR", "RWR", "DC")
 
 
 def method_selector(
-    spark,
     graph: OpinionGraph,
     method: str,
     target: int,
@@ -87,13 +87,14 @@ def method_selector(
     ``select(k)`` returns the first k seeds of the method's sequence: a
     later call with a larger k extends it, a smaller k returns its prefix.
     It raises ``ValueError`` unless 0 ≤ k ≤ n.  RS's θ defaults to
-    max(1024, n // 2).
+    max(1024, n // 2).  No method needs a Spark session unless IC/LT's
+    ``im_theta`` exceeds ``baselines.im.RR_DRIVER_MAX``.
     """
     if method in ("DM", "GED-T"):
         # GED-T is Gionis et al. [25] adapted to horizon t (§VIII-A): the exact
         # greedy on the cumulative objective whatever the score, without CELF.
         objective = score if method == "DM" else "cumulative"
-        ev = ExactEvaluator(spark, graph, target, t, objective)
+        ev = ExactEvaluator(None, graph, target, t, objective)
         celf = method == "DM" and score == "cumulative"
         seq: list[int] = []
 
@@ -104,23 +105,22 @@ def method_selector(
 
         return select
     if method == "RW":
-        return RWSelector(spark, graph, target, t, score, lam=lam, seed=seed).select
+        return RWSelector(None, graph, target, t, score, lam=lam, seed=seed).select
     if method == "RS":
         th = max(1024, graph.n // 2) if theta is None else theta
-        return RSSelector(spark, graph, target, t, score, theta=th, seed=seed).select
+        return RSSelector(None, graph, target, t, score, theta=th, seed=seed).select
     if method in ("IC", "LT"):
-        return rr_sketches(spark, graph, method.lower(), im_theta, seed=seed).select
+        return rr_sketches(graph, method.lower(), im_theta, seed=seed).select
     if method == "PR":
-        return lambda k: pagerank_seeds(spark, graph, k)
+        return lambda k: pagerank_seeds(graph, k)
     if method == "RWR":
-        return lambda k: rwr_seeds(spark, graph, k, target)
+        return lambda k: rwr_seeds(None, graph, k, target)
     if method == "DC":
-        return lambda k: degree_seeds(spark, graph, k)
+        return lambda k: degree_seeds(None, graph, k)
     raise ValueError(f"unknown method: {method}")
 
 
 def scores_comparison(
-    spark,
     graph: OpinionGraph,
     target: int,
     t: int,
@@ -145,7 +145,7 @@ def scores_comparison(
         for method in methods:
             start = time.perf_counter()
             seeds = method_selector(
-                spark, graph, method, target, t, score,
+                graph, method, target, t, score,
                 lam=lam, theta=theta, im_theta=im_theta, seed=seed,
             )(kmax)
             elapsed = time.perf_counter() - start
@@ -167,7 +167,6 @@ def scores_comparison(
 # Table VI
 # --------------------------------------------------------------------- #
 def table6(
-    spark,
     graph: OpinionGraph,
     target: int,
     t: int,
@@ -186,7 +185,7 @@ def table6(
     prefix is located; win checks use exact opinions (Alg. 2 line 5).
     """
     selectors = {
-        m: method_selector(spark, graph, m, target, t, score, lam=lam, theta=theta, seed=seed)
+        m: method_selector(graph, m, target, t, score, lam=lam, theta=theta, seed=seed)
         for m in ("DM", "RW", "RS")
     }
     rows = []

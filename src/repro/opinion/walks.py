@@ -29,23 +29,26 @@ Lane ``START`` at step 0 is reserved for a uniformly drawn start node (RS
 sketches, IM roots).  A sketch therefore does not depend on which other
 ids share its batch, partition or core.
 
-Where sketches are made: this is the only module that imports Spark.
-``driver_sketches`` calls a flat ``(nodes, offsets)`` kernel
-(``reverse_walks`` here, ``rr_sets`` in ``baselines.im``) on sketch ids
-``0..count-1`` on the driver, ``DRIVER_BLOCK`` ids at a time: at lite
-budgets a whole kernel pass costs less than launching one Spark job.
-``map_id_range`` runs the kernel on each Arrow batch of the ids of
-``spark.range(count)`` and emits ``(id, node list)`` rows, and
-``collect_sketches`` hands them back in id order, with no sort, in one job.
-Both give the same arrays, because a sketch depends on its id only.
-Reverse walks are always made on the driver: it won at every walk count
-measured.  RR sets go through ``sketches``, which takes the Spark job above
-their measured crossover (``RR_DRIVER_MAX`` in ``baselines.im``).
-``walk_kernel`` is the one closure of a walk budget; ``generate_walks`` and
-``generate_rr_sets`` build the Spark DataFrame of a kernel, for callers
-that read it in Spark.  Everything else about a walk follows from its path
-(its start is ``path[0]``, its estimate the initial opinion of
-``path[-1]``), so ``core.sketch`` derives it on the driver.
+Where sketches are made: this is the only module that imports Spark, and
+the only one that gets a session.  ``driver_sketches`` calls a flat
+``(nodes, offsets)`` kernel (``reverse_walks`` here, ``rr_sets`` in
+``baselines.im``) on sketch ids ``0..count-1`` on the driver,
+``DRIVER_BLOCK`` ids at a time: at lite budgets a whole kernel pass costs
+less than launching one Spark job.  ``map_id_range`` runs the kernel on
+each Arrow batch of the ids of ``spark.range(count)`` and emits ``(id, node
+list)`` rows, and ``collect_sketches`` hands them back in id order, with no
+sort, in one job.  Both give the same arrays, because a sketch depends on
+its id only.  Reverse walks are always made on the driver: it won at every
+walk count measured.  RR sets go through ``sketches``, which takes the
+Spark job above their measured crossover (``RR_DRIVER_MAX`` in
+``baselines.im``).  ``map_id_range`` is the one place that asks for a
+session, with ``SparkSession.builder.getOrCreate()``: a caller's live
+session when there is one, else a new one configured from
+``PYSPARK_SUBMIT_ARGS``.  So a run whose budgets all stay on the driver
+never starts a JVM.  ``walk_kernel`` is the one closure of a walk budget.
+Everything else about a walk follows from its path (its start is
+``path[0]``, its estimate the initial opinion of ``path[-1]``), so
+``core.sketch`` derives it on the driver.
 """
 from __future__ import annotations
 
@@ -151,7 +154,6 @@ def _check_budget(count: int) -> None:
 
 
 def map_id_range(
-    spark: SparkSession,
     count: int,
     kernel: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     names: tuple[str, str],
@@ -160,10 +162,12 @@ def map_id_range(
 
     The ids come from ``spark.range`` in ``defaultParallelism`` partitions,
     one Arrow batch at a time; ``kernel(ids)`` returns flat ``(nodes, offsets)``
-    and ``names`` names the two columns.  A ``count`` (the sketch budget)
-    below 1 raises before any job.
+    and ``names`` names the two columns.  The session is the caller's live
+    one, or a new one.  A ``count`` (the sketch budget) below 1 raises
+    before any session or job.
     """
     _check_budget(count)
+    spark = SparkSession.builder.getOrCreate()
 
     def gen(batches):
         for batch in batches:
@@ -210,7 +214,6 @@ def driver_sketches(
 
 
 def sketches(
-    spark: SparkSession | None,
     count: int,
     kernel: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     names: tuple[str, str],
@@ -219,14 +222,14 @@ def sketches(
     """Sketches ``0..count-1`` of ``kernel`` as flat ``(nodes, offsets)``.
 
     Up to ``driver_max`` ids (the kernel family's measured crossover) run
-    on the driver (``driver_sketches``) and start no Spark job; more run as
+    on the driver (``driver_sketches``) and need no session; more run as
     one ``map_id_range`` job, collected by ``collect_sketches``.  The arrays
     are the same either way.  A ``count`` below 1 raises on entry to either
     path, before any kernel call or job.
     """
     if count <= driver_max:
         return driver_sketches(count, kernel)
-    return collect_sketches(map_id_range(spark, count, kernel, names))
+    return collect_sketches(map_id_range(count, kernel, names))
 
 
 def walk_kernel(
@@ -243,7 +246,8 @@ def walk_kernel(
 
     Either ``lam`` walks from *every* node (RW, Alg. 4; walk ``i`` starts
     at ``i // lam``) or ``theta`` walks from uniformly drawn nodes (RS
-    sketches, Alg. 5).
+    sketches, Alg. 5).  ``map_id_range(count, kernel, WALK_COLUMNS)`` is
+    the same walks as a Spark DataFrame ``(walk_id, path)``.
     """
     if (lam is None) == (theta is None):
         raise ValueError("pass exactly one of lam= or theta=")
@@ -254,21 +258,3 @@ def walk_kernel(
 
     return kernel, theta if lam is None else graph.n * lam
 
-
-def generate_walks(
-    spark: SparkSession,
-    graph: OpinionGraph,
-    cand: int,
-    t: int,
-    *,
-    lam: int | None = None,
-    theta: int | None = None,
-    seed: int = 0,
-) -> DataFrame:
-    """Walks DataFrame ``(walk_id, path)`` of a ``walk_kernel`` budget.
-
-    Walk ``i`` is ``reverse_walks`` at id ``i``, whatever the
-    partitioning.  A budget below 1 raises before any job.
-    """
-    kernel, count = walk_kernel(graph, cand, t, lam=lam, theta=theta, seed=seed)
-    return map_id_range(spark, count, kernel, WALK_COLUMNS)

@@ -138,36 +138,38 @@ class TestRRSets:
         with pytest.raises(ValueError, match="budget"):
             select_seeds_im(None, g, model, 3, theta=0)
 
-    def test_spark_generation_counts(self, spark):
+    @pytest.mark.usefixtures("spark")
+    def test_spark_generation_counts(self):
         g = random_instance(40, seed=3)
-        rr = generate_rr_sets(spark, g, "ic", 200, seed=0)
+        rr = generate_rr_sets(None, g, "ic", 200, seed=0)
         assert rr.count() == 200
 
 
 class TestIMSeedSelection:
     @pytest.mark.parametrize("model", ["ic", "lt"])
-    def test_selects_k_distinct(self, spark, model):
+    def test_selects_k_distinct(self, model):
         g = random_instance(40, seed=5)
-        seeds = select_seeds_im(spark, g, model, 3, theta=500, seed=1)
+        seeds = select_seeds_im(None, g, model, 3, theta=500, seed=1)
         assert len(seeds) == 3 and len(set(seeds)) == 3
 
-    def test_first_seed_max_coverage(self, spark):
+    @pytest.mark.usefixtures("spark")
+    def test_first_seed_max_coverage(self):
         g = random_instance(40, seed=6)
         theta = 400
-        rr = generate_rr_sets(spark, g, "ic", theta, seed=2).toPandas()
+        rr = generate_rr_sets(None, g, "ic", theta, seed=2).toPandas()
         counts = {}
         for nodes in rr["nodes"]:
             for v in set(nodes):
                 counts[v] = counts.get(v, 0) + 1
         best_cov = max(counts.values())
-        seeds = select_seeds_im(spark, g, "ic", 1, theta=theta, seed=2)
+        seeds = select_seeds_im(None, g, "ic", 1, theta=theta, seed=2)
         assert counts[seeds[0]] == best_cov
 
 
 class TestCentrality:
-    def test_degree_seeds_match_numpy(self, spark):
+    def test_degree_seeds_match_numpy(self):
         g = random_instance(50, seed=9)
-        seeds = degree_seeds(spark, g, 5)
+        seeds = degree_seeds(None, g, 5)
         deg = np.zeros(g.n)
         real = g.src != g.dst
         np.add.at(deg, g.src[real], 1)
@@ -208,21 +210,21 @@ class TestCentrality:
         pi = pagerank_np(g)
         assert pi.min() >= 0 and np.isclose(pi.sum(), 1.0, atol=1e-6)
 
-    def test_pagerank_seeds_are_top(self, spark):
+    def test_pagerank_seeds_are_top(self):
         g = random_instance(40, seed=13)
-        seeds = pagerank_seeds(spark, g, 3)
+        seeds = pagerank_seeds(g, 3)
         pi = pagerank_np(g)
         top = set(np.argsort(-pi)[:3].tolist())
         assert set(seeds) == top
 
-    def test_rwr_restart_biases_ranking(self, spark):
+    def test_rwr_restart_biases_ranking(self):
         g = random_instance(40, seed=14)
-        a = rwr_seeds(spark, g, 5, 0, iters=8)
-        b = pagerank_seeds(spark, g, 5)
+        a = rwr_seeds(None, g, 5, 0, iters=8)
+        b = pagerank_seeds(g, 5)
         assert len(a) == 5  # may or may not differ from PR, but must be valid
         assert len(set(a)) == 5
 
-    def test_degree_pads_when_graph_sparse(self, spark):
+    def test_degree_pads_when_graph_sparse(self):
         # 3 nodes, single real edge → requesting 3 seeds pads deterministically.
         from repro.graphs.graph import OpinionGraph
 
@@ -230,7 +232,7 @@ class TestCentrality:
             3, np.array([0]), np.array([1]), np.array([1.0]),
             [[0.1, 0.2, 0.3]], [[0.5, 0.5, 0.5]],
         )
-        seeds = degree_seeds(spark, g, 3)
+        seeds = degree_seeds(None, g, 3)
         assert len(seeds) == 3 and len(set(seeds)) == 3
 
 
@@ -240,4 +242,4 @@ class TestGEDT:
         g = random_instance(30, seed=15)
         ev = ExactEvaluator(None, g, 0, 3, "cumulative")
         dm, _ = greedy_dm(ev, 3, celf=True)
-        assert method_selector(None, g, "GED-T", 0, 3, "cumulative")(3) == dm
+        assert method_selector(g, "GED-T", 0, 3, "cumulative")(3) == dm

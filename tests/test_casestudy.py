@@ -66,8 +66,8 @@ class TestVotes:
 
 
 @pytest.mark.slow
-def test_run_case_study_end_to_end(spark):
-    res = run_case_study(spark, n=120, k=8, t=6, lam=15, seed=9)
+def test_run_case_study_end_to_end():
+    res = run_case_study(n=120, k=8, t=6, lam=15, seed=9)
     assert len(res["rows"]) == 7
     assert res["overall_with"] >= res["overall_without"]
     assert len(res["seeds"]) == 8

@@ -20,13 +20,15 @@ from repro.core.sketch import SketchSelector
 from repro.graphs.generators import random_instance
 from repro.opinion.walks import (
     LANES,
+    WALK_COLUMNS,
     collect_sketches,
     driver_sketches,
-    generate_walks,
+    map_id_range,
     reverse_walks,
     sketches,
     stream_keys,
     uniforms,
+    walk_kernel,
 )
 from repro.oracle import assert_equivalent
 
@@ -53,14 +55,15 @@ def _driver(graph, kind, ids):
     return {"nodes": nodes, "offsets": offsets}
 
 
-def _spark(spark, graph, kind):
+def _spark(graph, kind):
     """The Spark DataFrame's ids, in the order Spark returns them, and its
     sketches, collected as ``_driver`` returns them."""
     if kind in ("ic", "lt"):
-        df = generate_rr_sets(spark, graph, kind, COUNT, seed=SEED)
+        df = generate_rr_sets(None, graph, kind, COUNT, seed=SEED)
     else:
         size = {"lam": LAM} if kind == "rw" else {"theta": COUNT}
-        df = generate_walks(spark, graph, 0, T, seed=SEED, **size)
+        kernel, count = walk_kernel(graph, 0, T, seed=SEED, **size)
+        df = map_id_range(count, kernel, WALK_COLUMNS)
     nodes, offsets = collect_sketches(df)
     ids = df.toArrow().column(0).to_numpy()
     return ids, {"nodes": nodes, "offsets": offsets}
@@ -151,9 +154,10 @@ def test_uniforms_in_unit_interval_and_distinct_per_lane():
     assert len(np.unique(draws)) == draws.size
 
 
+@pytest.mark.usefixtures("spark")
 @pytest.mark.parametrize("kind", KINDS)
-def test_spark_equals_driver(spark, graph, kind):
-    ids, cols = _spark(spark, graph, kind)
+def test_spark_equals_driver(graph, kind):
+    ids, cols = _spark(graph, kind)
     np.testing.assert_array_equal(ids, np.arange(_count(graph, kind)))
     _assert_same(cols, _driver(graph, kind, ids))
 
@@ -164,7 +168,7 @@ def test_spark_equals_driver_with_small_batches(spark, graph, kind):
     key = "spark.sql.execution.arrow.maxRecordsPerBatch"
     spark.conf.set(key, "7")
     try:
-        ids, cols = _spark(spark, graph, kind)
+        ids, cols = _spark(graph, kind)
     finally:
         spark.conf.unset(key)
     assert _count(graph, kind) > 7 * spark.sparkContext.defaultParallelism
@@ -185,9 +189,11 @@ def test_split_ranges_equal_one_call(graph, kind):
 
 @pytest.mark.parametrize("key, value", [("lam", 0), ("lam", -1), ("theta", 0), ("theta", -5)])
 def test_walk_budget_below_one_raises_before_any_job(graph, key, value):
-    # No session: the check must come before Spark is touched.
+    # The check must come before Spark is touched; ``test_entrypoints``
+    # checks it in a process with no session.
+    kernel, count = walk_kernel(graph, 0, T, **{key: value})
     with pytest.raises(ValueError, match="budget"):
-        generate_walks(None, graph, 0, T, **{key: value})
+        map_id_range(count, kernel, WALK_COLUMNS)
 
 
 @pytest.mark.parametrize("model", ["ic", "lt"])
@@ -196,13 +202,13 @@ def test_rr_budget_below_one_raises_before_any_job(graph, model):
         generate_rr_sets(None, graph, model, 0)
 
 
-def _consumer(spark, graph, kind):
+def _consumer(graph, kind):
     """The ``SketchSet`` that RW/RS (``SketchSelector``) or IC/LT
     (``rr_sketches``) build for ``kind``."""
     if kind in ("ic", "lt"):
-        return rr_sketches(spark, graph, kind, COUNT, seed=SEED)
+        return rr_sketches(graph, kind, COUNT, seed=SEED)
     size = {"lam": LAM} if kind == "rw" else {"theta": COUNT}
-    return SketchSelector(spark, graph, 0, T, "cumulative", seed=SEED, **size).sketches
+    return SketchSelector(graph, 0, T, "cumulative", seed=SEED, **size).sketches
 
 
 def _jobs(spark, group, make):
@@ -222,9 +228,9 @@ def test_consumers_equal_spark_at_lite_budgets(spark, graph, kind):
     """A lite budget runs on the driver, starts no job and reads the
     collected Spark DataFrame's arrays."""
     assert kind in ("rw", "rs") or COUNT <= im.RR_DRIVER_MAX
-    got, jobs = _jobs(spark, f"driver-{kind}", lambda: _consumer(spark, graph, kind))
+    got, jobs = _jobs(spark, f"driver-{kind}", lambda: _consumer(graph, kind))
     assert jobs == 0
-    _, want = _spark(spark, graph, kind)
+    _, want = _spark(graph, kind)
     _assert_same({"nodes": got.nodes, "offsets": got.offsets}, want)
 
 
@@ -232,11 +238,11 @@ def test_consumers_equal_spark_at_lite_budgets(spark, graph, kind):
 def test_rr_sketches_above_the_crossover_run_one_job(monkeypatch, spark, graph, kind):
     """With ``RR_DRIVER_MAX`` below the budget, ``rr_sketches`` starts
     exactly one job, reads the Spark arrays and picks the driver's seeds."""
-    on_driver = _consumer(spark, graph, kind)
+    on_driver = _consumer(graph, kind)
     monkeypatch.setattr(im, "RR_DRIVER_MAX", COUNT - 1)
-    on_spark, jobs = _jobs(spark, f"spark-{kind}", lambda: _consumer(spark, graph, kind))
+    on_spark, jobs = _jobs(spark, f"spark-{kind}", lambda: _consumer(graph, kind))
     assert jobs == 1
-    _, want = _spark(spark, graph, kind)
+    _, want = _spark(graph, kind)
     _assert_same({"nodes": on_spark.nodes, "offsets": on_spark.offsets}, want)
     assert on_spark.select(6) == on_driver.select(6)
 
@@ -262,5 +268,5 @@ def test_driver_blocks_equal_one_call(monkeypatch, graph, kind):
 def test_sketches_budget_below_one_raises_before_either_path(driver_max, count):
     calls = []
     with pytest.raises(ValueError, match="budget"):
-        sketches(None, count, calls.append, walks.WALK_COLUMNS, driver_max)
+        sketches(count, calls.append, walks.WALK_COLUMNS, driver_max)
     assert calls == []

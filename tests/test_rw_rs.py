@@ -27,10 +27,11 @@ def small_graph():
 
 
 class TestRW:
-    def test_gain_pipeline_matches_bruteforce(self, spark, small_graph):
+    @pytest.mark.usefixtures("spark")
+    def test_gain_pipeline_matches_bruteforce(self, small_graph):
         """Estimated marginal gains ≡ recomputing the estimate per candidate."""
         g = small_graph
-        sel = RWSelector(spark, g, 0, 3, "cumulative", lam=10, seed=1)
+        sel = RWSelector(None, g, 0, 3, "cumulative", lam=10, seed=1)
         gains, cand = sel.sketches.gains()
         walks = walk_frame(sel.walks, g.b0[0])
         lam = 10
@@ -42,36 +43,36 @@ class TestRW:
             )
             assert np.isclose(gains[v], exp), f"node {v}"
 
-    def test_estimated_score_tracks_truncation(self, spark, small_graph):
+    def test_estimated_score_tracks_truncation(self, small_graph):
         g = small_graph
-        sel = RWSelector(spark, g, 0, 3, "cumulative", lam=20, seed=2)
+        sel = RWSelector(None, g, 0, 3, "cumulative", lam=20, seed=2)
         before = sel.estimated_score()
         seeds = sel.select(2)
         after = sel.estimated_score()
         assert after >= before  # estimates only rise with seeds
         assert len(set(seeds)) == 2
 
-    def test_selects_distinct_seeds(self, spark, small_graph):
-        sel = RWSelector(spark, small_graph, 0, 3, "plurality", lam=15, seed=3)
+    def test_selects_distinct_seeds(self, small_graph):
+        sel = RWSelector(None, small_graph, 0, 3, "plurality", lam=15, seed=3)
         seeds = sel.select(3)
         assert len(set(seeds)) == 3
 
-    def test_running_example_first_pick(self, spark):
+    def test_running_example_first_pick(self):
         """With dense walks, RW recovers DM's first pick on the example."""
         g = running_example()
-        sel = RWSelector(spark, g, 0, 1, "cumulative", lam=400, seed=4)
+        sel = RWSelector(None, g, 0, 1, "cumulative", lam=400, seed=4)
         assert sel.select(1) == [0]  # Table I: node 0 maximizes cumulative
 
-    def test_running_example_plurality_pick(self, spark):
+    def test_running_example_plurality_pick(self):
         g = running_example()
-        sel = RWSelector(spark, g, 0, 1, "plurality", lam=400, seed=5)
+        sel = RWSelector(None, g, 0, 1, "plurality", lam=400, seed=5)
         assert sel.select(1) == [2]  # Table I: node 2 maximizes plurality
 
     @pytest.mark.parametrize("score", ["cumulative", "plurality", "copeland"])
-    def test_quality_close_to_dm(self, spark, small_graph, score):
+    def test_quality_close_to_dm(self, small_graph, score):
         g = small_graph
         t, k = 3, 3
-        sel = RWSelector(spark, g, 0, t, score, lam=60, seed=6)
+        sel = RWSelector(None, g, 0, t, score, lam=60, seed=6)
         rw_seeds = sel.select(k)
         ev = ExactEvaluator(None, g, 0, t, score)
         dm_seeds, dm_trace = greedy_dm(ev, k, celf=(score == "cumulative"))
@@ -79,9 +80,9 @@ class TestRW:
         f_dm = dm_trace[-1]
         assert f_rw >= 0.8 * f_dm, (rw_seeds, dm_seeds, f_rw, f_dm)
 
-    def test_estimated_score_close_to_exact(self, spark, small_graph):
+    def test_estimated_score_close_to_exact(self, small_graph):
         g = small_graph
-        sel = RWSelector(spark, g, 0, 3, "cumulative", lam=120, seed=7)
+        sel = RWSelector(None, g, 0, 3, "cumulative", lam=120, seed=7)
         est = sel.estimated_score()
         exact = _exact(g, 0, 3, [], "cumulative")
         assert abs(est - exact) / exact < 0.1
@@ -100,16 +101,17 @@ class TestSketchBudget:
 
 
 class TestRS:
-    def test_cumulative_estimate_scales(self, spark, small_graph):
+    def test_cumulative_estimate_scales(self, small_graph):
         g = small_graph
-        rs = RSSelector(spark, g, 0, 3, "cumulative", theta=3000, seed=8)
+        rs = RSSelector(None, g, 0, 3, "cumulative", theta=3000, seed=8)
         est = rs.estimated_score()
         exact = _exact(g, 0, 3, [], "cumulative")
         assert abs(est - exact) / exact < 0.15
 
-    def test_gain_pipeline_matches_bruteforce(self, spark, small_graph):
+    @pytest.mark.usefixtures("spark")
+    def test_gain_pipeline_matches_bruteforce(self, small_graph):
         g = small_graph
-        rs = RSSelector(spark, g, 0, 3, "cumulative", theta=300, seed=9)
+        rs = RSSelector(None, g, 0, 3, "cumulative", theta=300, seed=9)
         gains, cand = rs.sketches.gains()
         walks = walk_frame(rs.walks, g.b0[0])
         scale = g.n / 300
@@ -121,23 +123,23 @@ class TestRS:
             )
             assert np.isclose(gains[v], exp), f"node {v}"
 
-    def test_selects_distinct_seeds(self, spark, small_graph):
-        rs = RSSelector(spark, small_graph, 0, 3, "plurality", theta=500, seed=10)
+    def test_selects_distinct_seeds(self, small_graph):
+        rs = RSSelector(None, small_graph, 0, 3, "plurality", theta=500, seed=10)
         seeds = rs.select(3)
         assert len(set(seeds)) == 3
 
     @pytest.mark.parametrize("score", ["cumulative", "plurality", "copeland"])
-    def test_quality_close_to_dm(self, spark, small_graph, score):
+    def test_quality_close_to_dm(self, small_graph, score):
         g = small_graph
         t, k = 3, 3
-        rs = RSSelector(spark, g, 0, t, score, theta=2500, seed=11)
+        rs = RSSelector(None, g, 0, t, score, theta=2500, seed=11)
         rs_seeds = rs.select(k)
         ev = ExactEvaluator(None, g, 0, t, score)
         _, dm_trace = greedy_dm(ev, k, celf=(score == "cumulative"))
         f_rs = _exact(g, 0, t, rs_seeds, score)
         assert f_rs >= 0.75 * dm_trace[-1], (rs_seeds, f_rs, dm_trace[-1])
 
-    def test_running_example_first_pick(self, spark):
+    def test_running_example_first_pick(self):
         g = running_example()
-        rs = RSSelector(spark, g, 0, 1, "cumulative", theta=2000, seed=12)
+        rs = RSSelector(None, g, 0, 1, "cumulative", theta=2000, seed=12)
         assert rs.select(1) == [0]

@@ -187,15 +187,15 @@ class TestBounds:
 
 
 class TestSandwichSelect:
-    def test_rejects_cumulative(self, spark):
+    def test_rejects_cumulative(self):
         g = random_instance(20, seed=22)
         with pytest.raises(ValueError):
-            sandwich_select(spark, g, 0, 2, 2, "cumulative")
+            sandwich_select(None, g, 0, 2, 2, "cumulative")
 
     @pytest.mark.parametrize("score", ["plurality", "copeland"])
-    def test_runs_and_reports_ratio(self, spark, score):
+    def test_runs_and_reports_ratio(self, score):
         g = random_instance(30, r=3, seed=23, avg_deg=2.5)
-        res = sandwich_select(spark, g, 0, 2, 2, score)
+        res = sandwich_select(None, g, 0, 2, 2, score)
         assert 0 < res.ratio <= 1.0 + 1e-9
         assert len(res.seeds) == 2
         assert res.source in {"S_U", "S_L", "S_F"}
@@ -232,9 +232,9 @@ class TestSandwichSelect:
         res = sandwich_select(None, g, 0, 2, 2, score, p=2, omega=[0.3, 0.3, 0.3])
         assert 0 < res.ratio <= 1.0
 
-    def test_result_at_least_feasible_greedy(self, spark):
+    def test_result_at_least_feasible_greedy(self):
         g = random_instance(30, r=2, seed=24, avg_deg=2.5)
-        res = sandwich_select(spark, g, 0, 2, 2, "plurality")
+        res = sandwich_select(None, g, 0, 2, 2, "plurality")
         # Alg. 3 returns the best of the three → ≥ F(S_F).
         best = max(res.f_su, res.f_sf, res.f_sl)
         ev = ExactEvaluator(None, g, 0, 2, "plurality")

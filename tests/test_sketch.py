@@ -65,10 +65,11 @@ def graph():
 
 
 @pytest.mark.parametrize("score", list(SCORES))
-def test_rw_seeds_equal_bruteforce(spark, graph, score):
+@pytest.mark.usefixtures("spark")
+def test_rw_seeds_equal_bruteforce(graph, score):
     t, lam, k = 3, 6, 3
     kw = SCORES[score]
-    sel = RWSelector(spark, graph, 0, t, score, lam=lam, seed=3, **kw)
+    sel = RWSelector(None, graph, 0, t, score, lam=lam, seed=3, **kw)
     walks = walk_frame(sel.walks, graph.b0[0])
     others = others_at_horizon(graph, 0, t)
     ref = _reference_greedy(
@@ -78,10 +79,11 @@ def test_rw_seeds_equal_bruteforce(spark, graph, score):
 
 
 @pytest.mark.parametrize("score", list(SCORES))
-def test_rs_seeds_equal_bruteforce(spark, graph, score):
+@pytest.mark.usefixtures("spark")
+def test_rs_seeds_equal_bruteforce(graph, score):
     t, theta, k = 3, 160, 3
     kw = SCORES[score]
-    sel = RSSelector(spark, graph, 0, t, score, theta=theta, seed=4, **kw)
+    sel = RSSelector(None, graph, 0, t, score, theta=theta, seed=4, **kw)
     walks = walk_frame(sel.walks, graph.b0[0])
     others = others_at_horizon(graph, 0, t)[:, walks["start"].to_numpy()]
     ref = _reference_greedy(
@@ -91,7 +93,7 @@ def test_rs_seeds_equal_bruteforce(spark, graph, score):
 
 
 def test_select_starts_no_spark_job(spark, graph):
-    sel = RWSelector(spark, graph, 0, 3, "copeland", lam=5, seed=5)
+    sel = RWSelector(None, graph, 0, 3, "copeland", lam=5, seed=5)
     sc = spark.sparkContext
     tracker = sc.statusTracker()
     try:

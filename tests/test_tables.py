@@ -39,32 +39,32 @@ class TestTable3:
 
 
 class TestDispatch:
-    def test_unknown_method_raises(self, spark):
+    def test_unknown_method_raises(self):
         g = random_instance(20, seed=0)
         with pytest.raises(ValueError):
-            method_selector(spark, g, "XX", 0, 2, "cumulative")
+            method_selector(g, "XX", 0, 2, "cumulative")
 
     @pytest.mark.parametrize("method", ["DC", "PR", "RWR"])
-    def test_centrality_methods_return_k(self, spark, method):
+    def test_centrality_methods_return_k(self, method):
         g = random_instance(30, seed=1)
-        seeds = method_selector(spark, g, method, 0, 2, "cumulative")(3)
+        seeds = method_selector(g, method, 0, 2, "cumulative")(3)
         assert len(seeds) == 3 and len(set(seeds)) == 3
 
-    def test_dm_method(self, spark):
+    def test_dm_method(self):
         g = random_instance(25, seed=2)
-        seeds = method_selector(spark, g, "DM", 0, 2, "cumulative")(2)
+        seeds = method_selector(g, "DM", 0, 2, "cumulative")(2)
         assert len(seeds) == 2
 
     def test_rs_budget_below_one_raises(self):
         # θ = 0 is a budget, not "use the default"; it raises before any job.
         g = random_instance(20, seed=0)
         with pytest.raises(ValueError, match="budget"):
-            method_selector(None, g, "RS", 0, 2, "cumulative", theta=0)
+            method_selector(g, "RS", 0, 2, "cumulative", theta=0)
 
     def test_im_budget_below_one_raises(self):
         g = random_instance(20, seed=0)
         with pytest.raises(ValueError, match="budget"):
-            method_selector(None, g, "IC", 0, 2, "cumulative", im_theta=0)(3)
+            method_selector(g, "IC", 0, 2, "cumulative", im_theta=0)(3)
 
 
 class TestSelectProtocol:
@@ -74,24 +74,24 @@ class TestSelectProtocol:
     def graph(self):
         return random_instance(20, r=2, seed=6, avg_deg=3.0)
 
-    def _selector(self, spark, g, method, score):
-        return method_selector(spark, g, method, 0, 2, score, lam=10, theta=200, im_theta=200)
+    def _selector(self, g, method, score):
+        return method_selector(g, method, 0, 2, score, lam=10, theta=200, im_theta=200)
 
     # Rank scores change only the seeds of DM, RW and RS.
     @pytest.mark.parametrize(
         "method, score",
         [(m, "cumulative") for m in METHODS] + [(m, "plurality") for m in ("DM", "RW", "RS")],
     )
-    def test_extends_and_returns_prefixes(self, spark, graph, method, score):
-        select = self._selector(spark, graph, method, score)
+    def test_extends_and_returns_prefixes(self, graph, method, score):
+        select = self._selector(graph, method, score)
         first = select(3)
         seq = select(6)
         assert seq[:3] == first
-        assert seq == self._selector(spark, graph, method, score)(6)
+        assert seq == self._selector(graph, method, score)(6)
         assert select(2) == seq[:2]
 
     @pytest.mark.parametrize("method", ["IC", "LT"])
-    def test_im_generates_rr_sets_once(self, monkeypatch, spark, graph, method):
+    def test_im_generates_rr_sets_once(self, monkeypatch, graph, method):
         """IC/LT keep their RR sets: four ``select(k)`` calls run one
         generation, and each prefix is ``select_seeds_im``'s k seeds."""
         import repro.baselines.im as im
@@ -99,15 +99,15 @@ class TestSelectProtocol:
         made = []
         generate = im.sketches
         monkeypatch.setattr(im, "sketches", lambda *a, **kw: made.append(a) or generate(*a, **kw))
-        select = self._selector(spark, graph, method, "cumulative")
+        select = self._selector(graph, method, "cumulative")
         got = {k: select(k) for k in (2, 5, 1, 6)}
         assert len(made) == 1
         for k, seeds in got.items():
-            assert seeds == im.select_seeds_im(spark, graph, method.lower(), k, theta=200)
+            assert seeds == im.select_seeds_im(None, graph, method.lower(), k, theta=200)
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_k_outside_0_n_raises(self, spark, graph, method):
-        select = self._selector(spark, graph, method, "cumulative")
+    def test_k_outside_0_n_raises(self, graph, method):
+        select = self._selector(graph, method, "cumulative")
         select(2)  # also after a prefix has been selected
         for k in (-1, graph.n + 1):
             with pytest.raises(ValueError, match="cannot select"):
@@ -121,17 +121,17 @@ def test_scores_comparison_runs_one_empty_batch(monkeypatch):
     g = load("yelp-lite", nodes=400)
     q = trailing_candidate(g, 20, "cumulative")
     scores = ["cumulative", "plurality", "copeland"]
-    df = scores_comparison(None, g, q, 20, [5], scores, methods=("DM", "GED-T"))
+    df = scores_comparison(g, q, 20, [5], scores, methods=("DM", "GED-T"))
     assert len(df) == 6
     assert sizes.count(g.n) == 1 and sizes[0] == g.n
 
 
 @pytest.mark.slow
 class TestComparisonHarness:
-    def test_scores_comparison_small(self, spark):
+    def test_scores_comparison_small(self):
         g = random_instance(40, r=2, seed=3, avg_deg=2.5)
         df = scores_comparison(
-            spark, g, 0, 2, [1, 2], ["cumulative"],
+            g, 0, 2, [1, 2], ["cumulative"],
             methods=("DM", "RW", "DC"), lam=10, theta=200, im_theta=200,
         )
         assert set(df["method"]) == {"DM", "RW", "DC"}
@@ -143,22 +143,22 @@ class TestComparisonHarness:
                 sub["F"].diff().dropna(), 0
             ) or (sub["F"].diff().dropna() >= -1e-9).all()
 
-    def test_dm_dominates_on_cumulative(self, spark):
+    def test_dm_dominates_on_cumulative(self):
         g = random_instance(40, r=2, seed=4, avg_deg=2.5)
         df = scores_comparison(
-            spark, g, 0, 2, [3], ["cumulative"],
+            g, 0, 2, [3], ["cumulative"],
             methods=("DM", "DC"), lam=10, theta=200, im_theta=200,
         )
         f = df.set_index("method")["F"]
         assert f["DM"] >= f["DC"] - 1e-9
 
     @pytest.mark.parametrize("score", ["cumulative", "plurality", "copeland"])
-    def test_proposed_methods_beat_baselines(self, spark, score):
+    def test_proposed_methods_beat_baselines(self, score):
         """Shape claim (paper §VIII-C): the proposed methods beat the
         IC/LT/PR/RWR/DC baselines at the largest k."""
         ks = [5, 10]
         df = scores_comparison(
-            spark, load("dblp-lite", nodes=200), 0, 8, ks, [score],
+            load("dblp-lite", nodes=200), 0, 8, ks, [score],
             methods=METHODS, lam=20, theta=400, im_theta=2000,
         )
         top = df[df["k"] == max(ks)].set_index("method")["F"]
@@ -166,9 +166,9 @@ class TestComparisonHarness:
             top["IC"], top["LT"], top["PR"], top["RWR"], top["DC"]
         ) - 1e-9
 
-    def test_table6_shape(self, spark):
+    def test_table6_shape(self):
         g = random_instance(40, r=2, seed=5, avg_deg=3.0)
-        df = table6(spark, g, 0, 2, "plurality", k_max=20, lam=10, theta=300)
+        df = table6(g, 0, 2, "plurality", k_max=20, lam=10, theta=300)
         assert set(df["method"]) == {"DM", "RW", "RS"}
         won = df[df["win_within_budget"]]
         assert (won["k_star"] >= 0).all()
@@ -197,17 +197,17 @@ class TestDegenerateInputs:
 
     @pytest.mark.parametrize("score", SCORES)
     @pytest.mark.parametrize("method", METHODS)
-    def test_method_returns_k_distinct_nodes(self, spark, small, method, score):
+    def test_method_returns_k_distinct_nodes(self, small, method, score):
         target = TARGETS["yelp-lite"]
         self._check(
             small,
-            lambda t, k: method_selector(spark, small, method, target, t, score)(k),
+            lambda t, k: method_selector(small, method, target, t, score)(k),
         )
 
     @pytest.mark.parametrize("score", ["plurality", "copeland"])
-    def test_sandwich_returns_k_distinct_nodes(self, spark, small, score):
+    def test_sandwich_returns_k_distinct_nodes(self, small, score):
         target = TARGETS["yelp-lite"]
         self._check(
             small,
-            lambda t, k: sandwich_select(spark, small, target, t, k, score).seeds,
+            lambda t, k: sandwich_select(None, small, target, t, k, score).seeds,
         )

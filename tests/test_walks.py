@@ -1,5 +1,5 @@
 """Tests for reverse random walks (§V): the driver kernel, unbiasedness
-(Thms 8–9), truncation semantics, Spark generation, and
+(Thms 8–9), truncation semantics, the walks' Spark DataFrame, and
 truncation/estimation of the collected walks in the sketch engine.
 Spark ≡ driver exactness is in ``test_generation.py``."""
 import numpy as np
@@ -12,8 +12,20 @@ from repro.core.rw import RWSelector
 from repro.core.sketch import SketchSet
 from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import fj_diffuse_np
-from repro.opinion.walks import collect_sketches, generate_walks, reverse_walks
+from repro.opinion.walks import (
+    WALK_COLUMNS,
+    collect_sketches,
+    map_id_range,
+    reverse_walks,
+    walk_kernel,
+)
 from tests.reference import truncated_estimate_np, walk_frame
+
+
+def _walk_df(g, t, **budget):
+    """The walks DataFrame ``(walk_id, path)`` of a ``walk_kernel`` budget."""
+    kernel, count = walk_kernel(g, 0, t, **budget)
+    return map_id_range(count, kernel, WALK_COLUMNS)
 
 
 def _walk_sketches(walks, g, lam: int):
@@ -125,61 +137,62 @@ class TestTruncationSemantics:
         assert _one_walk([5, 1], 0.2, {5}) == 1.0
 
 
+@pytest.mark.usefixtures("spark")
 class TestSparkPipeline:
-    def test_generate_walks_schema_and_count(self, spark):
+    def test_walk_frame_schema_and_count(self):
         g = random_instance(40, seed=6)
-        w = generate_walks(spark, g, 0, 3, lam=5, seed=1)
+        w = _walk_df(g, 3, lam=5, seed=1)
         assert w.count() == 40 * 5
         assert set(w.columns) == {"walk_id", "path"}
 
     @pytest.mark.parametrize("model", ["ic", "lt"])
-    def test_generate_rr_sets_schema_and_count(self, spark, model):
-        """perfbench reads ``nodes`` as ``generate_walks``'s ``path``: both
+    def test_generate_rr_sets_schema_and_count(self, model):
+        """perfbench reads ``nodes`` as the walk frame's ``path``: both
         come from ``map_id_range``, which builds the schema from the names."""
         g = random_instance(40, seed=6)
-        rr = generate_rr_sets(spark, g, model, 30, seed=1)
+        rr = generate_rr_sets(None, g, model, 30, seed=1)
         assert rr.count() == 30
         assert set(rr.columns) == {"sketch_id", "nodes"}
         assert rr.dtypes == [("sketch_id", "bigint"), ("nodes", "array<int>")]
 
-    def test_walks_per_start(self, spark):
+    def test_walks_per_start(self):
         g = random_instance(30, seed=7)
-        w = generate_walks(spark, g, 0, 2, lam=7, seed=2)
+        w = _walk_df(g, 2, lam=7, seed=2)
         starts = np.array([p[0] for p in w.toPandas()["path"]])
         counts = np.bincount(starts)
         assert (counts == 7).all() and len(counts) == 30
 
-    def test_starts_mode(self, spark):
+    def test_starts_mode(self):
         g = random_instance(30, seed=8)
-        w = walk_frame(generate_walks(spark, g, 0, 2, theta=50, seed=3), g.b0[0])
+        w = walk_frame(_walk_df(g, 2, theta=50, seed=3), g.b0[0])
         _, starts, _ = _walks(g, 2, 3, count=50)
         assert w["start"].tolist() == starts.tolist()
 
-    def test_requires_exactly_one_mode(self, spark):
+    def test_requires_exactly_one_mode(self):
         g = random_instance(10, seed=9)
         with pytest.raises(ValueError):
-            generate_walks(spark, g, 0, 2, lam=3, theta=4)
+            walk_kernel(g, 0, 2, lam=3, theta=4)
         with pytest.raises(ValueError):
-            generate_walks(spark, g, 0, 2)
+            walk_kernel(g, 0, 2)
 
-    def test_op_is_b0_of_path_end(self, spark):
+    def test_op_is_b0_of_path_end(self):
         """Both selectors: a walk's op is b0[target] at its last node, and a
         rank score ranks each unit against the others at its first node."""
         g = random_instance(30, r=3, seed=10)
         target, t = 1, 3
         others = others_at_horizon(g, target, t)
         for sel, per_unit in (
-            (RWSelector(spark, g, target, t, "plurality", lam=3, seed=4), 3),
-            (RSSelector(spark, g, target, t, "plurality", theta=70, seed=4), 1),
+            (RWSelector(None, g, target, t, "plurality", lam=3, seed=4), 3),
+            (RSSelector(None, g, target, t, "plurality", theta=70, seed=4), 1),
         ):
             ref = walk_frame(sel.walks, g.b0[target])
             firsts = ref["start"].to_numpy()[::per_unit]
             assert np.array_equal(sel.sketches.op, ref["op"].to_numpy())
             assert np.array_equal(sel.sketches.others, others[:, firsts])
 
-    def test_truncation_matches_reference(self, spark):
+    def test_truncation_matches_reference(self):
         g = random_instance(30, seed=12)
-        w = generate_walks(spark, g, 0, 4, lam=4, seed=6)
+        w = _walk_df(g, 4, lam=4, seed=6)
         sk = _walk_sketches(w, g, 4)
         sk.truncate(3)
         ref = walk_frame(w, g.b0[0])
@@ -195,9 +208,9 @@ class TestSparkPipeline:
             else:
                 assert pg == list(pr)
 
-    def test_estimates_aggregation(self, spark):
+    def test_estimates_aggregation(self):
         g = random_instance(25, seed=13)
-        w = generate_walks(spark, g, 0, 3, lam=6, seed=7)
+        w = _walk_df(g, 3, lam=6, seed=7)
         sk = _walk_sketches(w, g, 6)
         ref = (
             walk_frame(w, g.b0[0]).groupby("start")["op"].mean().sort_index().to_numpy()
