@@ -72,6 +72,7 @@ def _env() -> dict:
     return {
         "cpu": _cpu_model(),
         "cores": os.cpu_count(),
+        "cpus": len(os.sched_getaffinity(0)),
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "numpy": np.__version__,
         "openblas": f"{blas.get('name')} {blas.get('version')}",

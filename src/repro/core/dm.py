@@ -42,6 +42,8 @@ candidate row, one unit per reached node) for the rank scores.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,7 +57,7 @@ from repro.graphs.graph import (
     segment_sum,
     spmv_dst,
 )
-from repro.opinion.fj import fj_diffuse_np
+from repro.opinion.fj import fj_diffuse_np, unseeded_horizon_np
 from repro.voting.scores import score_change, score_rows
 
 # Kernel choice reads only (n, m).  Above DENSE_N_THRESHOLD nodes (set in
@@ -81,6 +83,17 @@ LAYERED_SPARSITY = 64
 # changed 92 of 167 lone rows on a random n = 500 graph.  Blocks of 32 rows
 # changed none and cost the same as one product (dblp-lite, t = 20).
 _DENSE_BLOCK = 32
+# ``_layered`` splits a batch of at least 2·_CHUNK_COLS columns into column
+# chunks, at most nb // _CHUNK_COLS of them, run on _POOL's threads.  Narrow
+# chunks lose to the GIL, which every NumPy call takes to start: on
+# yelp-lite (t = 20, S = [3], medians of 9, 4-core host) 128 columns took
+# 41 ms in one chunk, 34 ms in two of 64 and 66 ms in four of 32; 256
+# columns took 90 ms in one and 55 ms in two of 128.
+_CHUNK_COLS = 128
+# One chunk per CPU the process may run on (``os.sched_getaffinity``): the
+# 966-column batch took 354, 190, 141 and 126 ms in 1, 2, 3 and 4 chunks on
+# the same host.  Threads start on first use, at most one per chunk.
+_POOL = ThreadPoolExecutor(max_workers=os.cpu_count(), thread_name_prefix="layered")
 # ``bound`` adds this to every user's opinion: far above the kernels'
 # rounding (about 1e-14 at t = 20), so the bound holds for their F too.
 _SLACK = 1e-9
@@ -90,8 +103,58 @@ _BOUND_ROWS = 64
 
 def others_at_horizon(graph: OpinionGraph, target: int, t: int) -> np.ndarray:
     """Exact horizon opinions of all non-target candidates (no seeds)."""
-    b = fj_diffuse_np(graph, t)
-    return np.delete(b, target, axis=0)
+    return np.delete(unseeded_horizon_np(graph, t), target, axis=0)
+
+
+def _layer_runs(ptr: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """Layers 1, 2, … of ``InLayers.ptr`` grouped, in order, into runs
+    ``(first, end)`` of consecutive layers ``first .. end - 1`` holding at
+    most ``cap`` edges together.  No layer holds more than n edges, so with
+    ``cap`` ≥ n each layer lies in exactly one run; a graph whose in-degrees
+    are all 1 has one layer and no run."""
+    runs, first, last = [], 1, len(ptr) - 1
+    for end in range(first + 1, last + 1):
+        if ptr[end] - ptr[first] > cap:
+            runs.append((first, end - 1))
+            first = end - 1
+    if first < last:
+        runs.append((first, last))
+    return runs
+
+
+def _layered_block(lay, runs, b0, keep, fixed, pins, t) -> np.ndarray:
+    """The (n × len(pins)) node-major block of ``ExactEvaluator._layered``
+    after t FJ steps, column j with node ``pins[j]`` (a new label) seeded.
+
+    Two blocks swap roles every step.  Each run's sources, weights and
+    buffer, and each layer's row prefix of both blocks and slice of the
+    buffer, are cut once per call, not once per step.
+    """
+    n, nb = len(b0), len(pins)
+    cols = np.arange(nb)
+    B = np.repeat(b0[:, None], nb, axis=1)
+    B[pins, cols] = 1.0
+    blocks, part = (B, np.empty_like(B)), np.empty_like(B)
+    src0, w0 = lay.src[:n], lay.w[:n, None]
+    ptr, gathers = lay.ptr, []
+    for first, end in runs:
+        lo, hi = ptr[first], ptr[end]
+        cuts = [(ptr[r + 1] - ptr[r], ptr[r] - lo) for r in range(first, end)]
+        adds = [[(X[:size], part[at : at + size]) for size, at in cuts] for X in blocks]
+        gathers.append((lay.src[lo:hi], lay.w[lo:hi, None], part[: hi - lo], adds))
+    for s in range(t):
+        prev, new = blocks[s % 2], blocks[(s + 1) % 2]
+        prev.take(src0, axis=0, out=new, mode="clip")
+        np.multiply(new, w0, out=new)
+        for src, w, terms, adds in gathers:
+            prev.take(src, axis=0, out=terms, mode="clip")
+            np.multiply(terms, w, out=terms)
+            for rows, layer in adds[(s + 1) % 2]:
+                np.add(rows, layer, out=rows)
+        np.multiply(new, keep, out=new)
+        np.add(new, fixed, out=new)
+        new[pins, cols] = 1.0  # seed row: d=1, b0=1 ⇒ stays 1
+    return blocks[t % 2]
 
 
 @dataclass
@@ -273,38 +336,42 @@ class ExactEvaluator:
         of rows it covers, r = 0, 1, …: every node sums its terms in edge
         order, starting from the first, as ``segment_sum`` does.
 
-        Two blocks swap roles every step.  Each layer's sources, weights
-        and row prefixes of both blocks are cut once per call, not once per
-        step.  The gathers use ``mode="clip"`` (the sources are in range by
-        construction): under the default ``"raise"`` NumPy buffers ``out``
+        Layer 0 is gathered straight into the new block.  The layers after
+        it are grouped into runs of at most n edges (``_layer_runs``): each
+        run's terms are gathered and weighted in one ``take`` and one
+        ``multiply``, then added layer by layer, so a step makes about
+        L + 2·runs NumPy calls for L layers, not 3·L.  The products and the
+        order of the additions are those of one layer at a time, so the bits
+        are too.  The gathers use ``mode="clip"`` (the sources are in range
+        by construction): under the default ``"raise"`` NumPy buffers ``out``
         and holds the GIL, about 3× slower for the same rows.
+
+        A batch of at least 2·``_CHUNK_COLS`` columns is split into
+        contiguous column chunks, one per CPU the process may run on, run on
+        ``_POOL``'s threads: the gathers and ufuncs release the GIL.  Each
+        chunk owns its three (n × chunk) blocks, so memory does not grow,
+        and each column is computed exactly as it would be alone.
         """
         lay = self.graph.in_layers()
         g = self.graph.with_seeds(self.target, seeds)
         b0, d = g.b0[self.target, lay.order], g.d[self.target, lay.order]
         keep, fixed = (1.0 - d)[:, None], (d * b0)[:, None]
-        nb = len(cand_seeds)
-        cols, pins = np.arange(nb), lay.rank[cand_seeds]
-        B = np.repeat(b0[:, None], nb, axis=1)
-        B[pins, cols] = 1.0
-        blocks, part = (B, np.empty_like(B)), np.empty_like(B)
-        layers = [
-            (lay.src[lo:hi], lay.w[lo:hi, None], [X[: hi - lo] for X in blocks], part[: hi - lo])
-            for lo, hi in zip(lay.ptr[:-1], lay.ptr[1:])
-        ]
-        for s in range(self.t):
-            prev, new = blocks[s % 2], (s + 1) % 2
-            for r, (src, w, rows, scratch) in enumerate(layers):
-                out = scratch if r else rows[new]
-                np.take(prev, src, axis=0, out=out, mode="clip")
-                np.multiply(out, w, out=out)
-                if r:
-                    np.add(rows[new], out, out=rows[new])
-            agg = blocks[new]
-            np.multiply(agg, keep, out=agg)
-            np.add(agg, fixed, out=agg)
-            agg[pins, cols] = 1.0  # seed row: d=1, b0=1 ⇒ stays 1
-        return np.ascontiguousarray(blocks[self.t % 2][lay.rank].T)
+        runs = _layer_runs(lay.ptr, len(b0))
+        pins = lay.rank[cand_seeds]
+        nb = len(pins)
+        chunks = max(1, min(len(os.sched_getaffinity(0)), nb // _CHUNK_COLS))
+        bounds = [nb * i // chunks for i in range(chunks + 1)]
+        out = np.empty((nb, len(b0)))
+
+        def chunk(lo, hi):
+            block = _layered_block(lay, runs, b0, keep, fixed, pins[lo:hi], self.t)
+            out[lo:hi] = block.take(lay.rank, axis=0, mode="clip").T
+
+        if chunks == 1:
+            chunk(0, nb)
+        else:
+            list(_POOL.map(chunk, bounds[:-1], bounds[1:]))
+        return out
 
     def _reach_local(self, seeds, cand_seeds):
         """F(S ∪ {v}) = F(S) + the change seeding v makes inside its t-hop reach."""

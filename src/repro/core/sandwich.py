@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.core.sketch import SketchSet
 from repro.graphs.graph import OpinionGraph, reach
-from repro.opinion.fj import fj_diffuse_np
+from repro.opinion.fj import unseeded_horizon_np
 from repro.voting.scores import positional_weights, rank
 
 
@@ -48,7 +48,7 @@ from repro.voting.scores import positional_weights, rank
 # --------------------------------------------------------------------- #
 def favorable_users_np(graph: OpinionGraph, target: int, t: int, p: int) -> np.ndarray:
     """Boolean mask of V_q^(t): β(b_qv^(t)) ≤ p without any target seeds."""
-    b = fj_diffuse_np(graph, t)
+    b = unseeded_horizon_np(graph, t)
     return rank(b[target], np.delete(b, target, axis=0)) <= p
 
 
@@ -57,7 +57,7 @@ def weakly_favorable_users_np(graph: OpinionGraph, target: int, t: int) -> np.nd
 
     With no other candidate (r = 1) the minimum is +inf, so U_q^(t) is empty.
     """
-    b = fj_diffuse_np(graph, t)
+    b = unseeded_horizon_np(graph, t)
     others = np.delete(b, target, axis=0)
     return b[target] > others.min(axis=0, initial=np.inf)
 

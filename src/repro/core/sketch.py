@@ -58,7 +58,8 @@ class SketchSet:
     against ``others`` (r-1, #units), the non-target candidates' exact
     opinions of the unit's user.  On a hit, a walk keeps its prefix up to
     and including the seed, whose nodes stay candidates; a set
-    (``retire=True``) drops out entirely.
+    (``retire=True``) drops out entirely, and must hold each node at most
+    once, as reachable sets and RR sets do.
     """
 
     def __init__(
@@ -91,10 +92,14 @@ class SketchSet:
         self._sketch = np.repeat(np.arange(nsk), self.cut)
         self._pos = np.arange(len(self.nodes)) - self.offsets[self._sketch]
         # A node counts once per sketch (its first occurrence); truncation
-        # only shortens prefixes, so this mask never changes.
-        _, first = np.unique(self._sketch * n + self.nodes, return_index=True)
-        self._first = np.zeros(len(self.nodes), dtype=bool)
-        self._first[first] = True
+        # only shortens prefixes, so this mask never changes.  A set
+        # (``retire``) holds each node once, so every entry is first.
+        if retire:
+            self._first = np.ones(len(self.nodes), dtype=bool)
+        else:
+            _, first = np.unique(self._sketch * n + self.nodes, return_index=True)
+            self._first = np.zeros(len(self.nodes), dtype=bool)
+            self._first[first] = True
 
     def _live(self) -> np.ndarray:
         """First occurrences of nodes inside their sketch's live prefix."""

@@ -125,6 +125,8 @@ class OpinionGraph:
     # The exact evaluators' all-candidate batch at S = ∅ for one target and
     # t (``core.dm._Batch``): every evaluator on this graph reads it.
     _rows: object | None = field(default=None, repr=False)
+    # B^(t)[∅] as ``(t, b0, d, opinions)`` (``opinion.fj.unseeded_horizon_np``).
+    _unseeded: tuple | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------ #
     # Construction & validation

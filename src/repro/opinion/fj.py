@@ -12,6 +12,9 @@ the update uniform across all nodes.
 for all candidates at once.  The win check, the sandwich bounds, the
 exact evaluator's ``score_of`` and the tables run it, and the DuckDB
 oracle tests check it against t FJ steps written as SQL.
+``unseeded_horizon_np`` keeps B^(t)[∅] on the graph for the callers that
+each need it at the same t: the exact evaluator's and the sketch
+selectors' opponent opinions, and the sandwich's favorable users.
 """
 from __future__ import annotations
 
@@ -33,6 +36,24 @@ def fj_diffuse_np(graph: OpinionGraph, t: int, *, cand: int | None = None) -> np
     for _ in range(t):
         b = (1.0 - d) * spmv_dst(graph, b) + d * b0
     return b
+
+
+def unseeded_horizon_np(graph: OpinionGraph, t: int) -> np.ndarray:
+    """``B^(t)[∅]`` (r, n), read-only, kept on the graph (``_unseeded``).
+
+    Made again when ``t`` or any entry of ``graph.b0`` or ``graph.d``
+    changed since it was kept, the rule of the exact evaluator's kept batch.
+    """
+    kept = graph._unseeded
+    if (
+        kept is None
+        or kept[0] != t
+        or not (np.array_equal(kept[1], graph.b0) and np.array_equal(kept[2], graph.d))
+    ):
+        b = fj_diffuse_np(graph, t)
+        b.setflags(write=False)
+        graph._unseeded = kept = (t, graph.b0.copy(), graph.d.copy(), b)
+    return kept[3]
 
 
 def opinions_at_horizon_np(

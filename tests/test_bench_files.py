@@ -21,6 +21,8 @@ def test_efficiency_entries_have_commit_env_and_cases():
         assert re.fullmatch(r"[0-9a-f]{40}", e["commit"])
         assert isinstance(e["dirty"], bool)
         assert ENV_KEYS <= set(e["env"])
+        if "cpus" in e["env"]:  # recorded since the layered kernel runs on threads
+            assert 1 <= e["env"]["cpus"] <= e["env"]["cores"]
         assert e["cases"]
         for name, case in e["cases"].items():
             assert name.startswith("test_"), name

@@ -201,6 +201,20 @@ def _looped_graph():
     return g, np.argsort(-out_deg, kind="stable")[:3].tolist()
 
 
+def _run_graphs():
+    """Graphs whose in-degree layers form 3, 6 and no runs."""
+    n = 30
+    ring = np.arange(n)
+    cycle = random_instance(n, r=2, seed=35)
+    return {
+        "looped": _looped_graph()[0],
+        "six_runs": random_instance(50, r=3, seed=2, avg_deg=8.0),
+        "cycle": OpinionGraph.from_edges(
+            n, ring, (ring + 1) % n, np.ones(n), cycle.b0, cycle.d
+        ),
+    }
+
+
 def _kernels(ev, seeds, cands):
     """F from each of the three exact kernels, called directly."""
     return {
@@ -347,6 +361,54 @@ class TestLayeredKernel:
         order = np.lexsort((np.repeat(np.arange(len(size)), size), lay.order[dst]))
         np.testing.assert_array_equal(lay.order[lay.src[order]], g.src)
         np.testing.assert_array_equal(lay.w[order], g.w)
+
+    @pytest.mark.parametrize("graph", ["looped", "six_runs", "cycle"])
+    def test_runs_cover_every_layer_after_the_first_once_in_order(self, graph):
+        """``_layer_runs`` groups layers 1, 2, … into consecutive runs of at
+        most n edges, each as long as that allows: 3 runs on the looped
+        graph, 6 on a denser one, none on a cycle (every in-degree 1, one
+        layer).  The rows stay ``fj_diffuse_np``'s bit for bit."""
+        import repro.core.dm as dm_mod
+
+        g = _run_graphs()[graph]
+        ptr = g.in_layers().ptr
+        runs = dm_mod._layer_runs(ptr, g.n)
+        assert len(runs) == {"looped": 3, "six_runs": 6, "cycle": 0}[graph]
+        layers = [r for first, end in runs for r in range(first, end)]
+        assert layers == list(range(1, len(ptr) - 1))
+        assert all(first < end and ptr[end] - ptr[first] <= g.n for first, end in runs)
+        # Greedy: a run stops where its next layer would not fit.
+        assert all(ptr[end + 1] - ptr[first] > g.n for (first, end), _ in zip(runs, runs[1:]))
+        for t, seeds in itertools.product([3, 20], [[], [2]]):
+            ev = ExactEvaluator(None, g, 0, t, "cumulative")
+            rows = ev._layered(seeds, np.arange(g.n))
+            for v in range(g.n):
+                want = opinions_at_horizon_np(g, t, 0, sorted(set(seeds) | {v}))[0]
+                np.testing.assert_array_equal(rows[v], want)
+
+    @pytest.mark.parametrize("t", [3, 20])
+    def test_column_chunks_on_threads_equal_one_chunk(self, monkeypatch, t):
+        """With the column floor lowered to 8 and four CPUs reported, the
+        40 candidates run as four chunks of 10 on the thread pool; the rows
+        are the bytes of one chunk."""
+        import repro.core.dm as dm_mod
+
+        g, hubs = _looped_graph()
+        ev = ExactEvaluator(None, g, 0, t, "cumulative")
+        every = np.arange(g.n)
+        one = {tuple(seeds): ev._layered(seeds, every) for seeds in ([], [2], hubs)}
+        widths = []
+        block = dm_mod._layered_block
+        monkeypatch.setattr(
+            dm_mod, "_layered_block", lambda *a: widths.append(len(a[5])) or block(*a)
+        )
+        monkeypatch.setattr(dm_mod, "_CHUNK_COLS", 8)
+        monkeypatch.setattr(dm_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        for seeds, want in one.items():
+            widths.clear()
+            got = ev._layered(list(seeds), every)
+            assert widths == [10] * 4
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", ["plurality-greedy", "cumulative_lb-celf"])
     def test_greedy_trace_is_exact_f(self, case):
@@ -540,6 +602,37 @@ class TestBatchIndependence:
         ]
         assert len(rows[0]) == 2 * 64 * 640 * 8
         assert rows[0] == rows[1]
+
+
+    def test_layered_rows_do_not_depend_on_the_cpus(self):
+        """``_layered`` rows on yelp-lite (t = 20, every candidate, S ∈ {∅,
+        [3]}) are the same bytes in a process pinned to one CPU, which runs
+        one column chunk, and in an unpinned one, which splits the batch
+        across its CPUs (on a one-CPU host both run one chunk)."""
+        code = (
+            "import hashlib, os, sys, numpy as np\n"
+            "if sys.argv[1] == 'pinned':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from repro.core.dm import ExactEvaluator\n"
+            "from repro.experiments.datasets import load\n"
+            "g = load('yelp-lite')\n"
+            "ev = ExactEvaluator(None, g, 0, 20, 'cumulative')\n"
+            "h = hashlib.sha256()\n"
+            "for seeds in ([], [3]):\n"
+            "    h.update(ev._layered(seeds, np.arange(g.n)).tobytes())\n"
+            "print(len(os.sched_getaffinity(0)), h.hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        (pinned, a), (free, b) = [
+            subprocess.run(
+                [sys.executable, "-c", code, mode], capture_output=True, check=True,
+                text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+            ).stdout.split()
+            for mode in ("pinned", "free")
+        ]
+        assert pinned == "1" and int(free) == len(os.sched_getaffinity(0))
+        assert a == b
 
 
 _BOUND_SCORES = ["plurality", "p_approval", "positional_p_approval", "copeland"]

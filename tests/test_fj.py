@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.generators import random_instance, running_example
-from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np
+from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np, unseeded_horizon_np
 from repro.oracle import assert_equivalent, opinions_pdf
 
 
@@ -27,6 +27,53 @@ def _fj_sql(t: int) -> str:
     ]
     head = f"WITH {', '.join(steps)} " if steps else ""
     return head + f"SELECT node, cand, b FROM s{t}"
+
+
+class TestUnseededHorizon:
+    """B^(t)[∅] is kept on the graph, read-only, and made again when t or
+    any b0/d entry changes."""
+
+    def test_kept_equals_fresh_diffusion(self):
+        g = random_instance(50, r=3, seed=40)
+        b = unseeded_horizon_np(g, 4)
+        np.testing.assert_array_equal(b, fj_diffuse_np(g, 4))
+        assert not b.flags.writeable
+        assert unseeded_horizon_np(g, 4) is b
+
+    @pytest.mark.parametrize("change", ["t", "b0", "d"])
+    def test_made_again_on_change(self, change):
+        g = random_instance(50, r=3, seed=41)
+        b, t = unseeded_horizon_np(g, 4), 4
+        if change == "t":
+            t = 3
+        else:
+            getattr(g, change)[1, 7] = 0.125
+        got = unseeded_horizon_np(g, t)
+        assert got is not b
+        np.testing.assert_array_equal(got, fj_diffuse_np(g, t))
+
+    def test_callers_share_one_diffusion(self, monkeypatch):
+        """The exact evaluator's and the sketch selectors' opponent opinions
+        and the sandwich's (weakly) favorable users run one r-row diffusion
+        between them."""
+        import repro.opinion.fj as fj_mod
+        from repro.core.dm import ExactEvaluator, others_at_horizon
+        from repro.core.sandwich import favorable_users_np, weakly_favorable_users_np
+
+        calls = []
+        diffuse = fj_mod.fj_diffuse_np
+        monkeypatch.setattr(
+            fj_mod, "fj_diffuse_np", lambda *a, **kw: calls.append(kw) or diffuse(*a, **kw)
+        )
+        g = random_instance(50, r=3, seed=42)
+        ExactEvaluator(None, g, 0, 4, "plurality")
+        others_at_horizon(g, 1, 4)
+        favorable_users_np(g, 0, 4, 1)
+        weakly_favorable_users_np(g, 2, 4)
+        assert calls == [{}]
+        g.d[0, 3] = 0.5
+        favorable_users_np(g, 0, 4, 1)
+        assert calls == [{}, {}]
 
 
 class TestNumpyReference:

@@ -133,3 +133,26 @@ def test_select_is_resumable():
 def test_k_above_n_raises():
     with pytest.raises(ValueError):
         _handmade(retire=False).select(6)
+
+
+@pytest.mark.parametrize("dataset", ["yelp-lite", "twitter-sd-lite", "dblp-lite"])
+@pytest.mark.parametrize("kind", ["reach", "ic", "lt"])
+def test_sets_skip_unique_without_changing_the_first_mask(dataset, kind):
+    """``retire=True`` marks every entry as its node's first in its set
+    without ``np.unique``: on the sandwich's coverage sets (t = 20) and the
+    IC and LT RR sets, that is the mask ``np.unique`` gives."""
+    from repro.baselines.im import rr_sketches
+    from repro.core.sandwich import favorable_users_np, reach_sets_np
+    from repro.experiments.datasets import load
+
+    g = load(dataset)
+    if kind == "reach":
+        nodes, offsets = reach_sets_np(g, 20, np.flatnonzero(~favorable_users_np(g, 0, 20, 1)))
+        sk = SketchSet(g.n, nodes, offsets, np.zeros(len(offsets) - 1), retire=True)
+    else:
+        sk = rr_sketches(g, kind, 2000, seed=3)
+    assert sk.retire and len(sk.offsets) > 1
+    _, first = np.unique(sk._sketch * g.n + sk.nodes, return_index=True)
+    want = np.zeros(len(sk.nodes), dtype=bool)
+    want[first] = True
+    np.testing.assert_array_equal(sk._first, want)
