@@ -24,12 +24,17 @@ chosen from the graph's n and m at call time:
 * otherwise, when n²/m ≥ ``LAYERED_SPARSITY``, ``_layered``: an (n × batch)
   opinion block, one column per candidate, whose FJ aggregation adds the
   in-edges layer by layer (``OpinionGraph.in_layers``), t·batch·m flops;
+  each run of layers holding at most n edges is gathered in one call, and
+  a batch of at least 2·``_CHUNK_COLS`` columns runs as column chunks on
+  threads, one per CPU;
 * otherwise ``_dense``: a (batch × n) opinion matrix advanced with BLAS in
   fixed ``_DENSE_BLOCK``-row blocks, t·batch·n² flops.
 
 The row kernels pin each row's own seed to 1.  ``_layered``'s rows are
-bit-identical to ``fj_diffuse_np`` with the candidate seeded; the other
-two differ from it only in float rounding (DESIGN.md §2).  On every
+bit-identical to ``fj_diffuse_np`` with the candidate seeded, on any
+number of threads (a column is computed alone, the same products added
+in the same order); the other two differ from it only in float rounding
+(DESIGN.md §2).  On every
 kernel a candidate's F is the same bits in any batch, so the greedy loop
 compares values scored in different batches.  For the same reason each
 graph keeps one batch, whatever score it was made for: the all-candidate
