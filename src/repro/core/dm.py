@@ -127,22 +127,24 @@ def _layer_runs(ptr: np.ndarray, cap: int) -> list[tuple[int, int]]:
     return runs
 
 
-def _layered_block(lay, runs, b0, keep, fixed, pins, t) -> np.ndarray:
+def _layered_block(lay, b0, d, pins, t) -> np.ndarray:
     """The (n × len(pins)) node-major block of ``ExactEvaluator._layered``
-    after t FJ steps, column j with node ``pins[j]`` (a new label) seeded.
+    after t FJ steps from ``b0`` and ``d`` (in new labels), column j with
+    node ``pins[j]`` (a new label) seeded.
 
     Two blocks swap roles every step.  Each run's sources, weights and
     buffer, and each layer's row prefix of both blocks and slice of the
     buffer, are cut once per call, not once per step.
     """
     n, nb = len(b0), len(pins)
+    keep, fixed = (1.0 - d)[:, None], (d * b0)[:, None]
     cols = np.arange(nb)
     B = np.repeat(b0[:, None], nb, axis=1)
     B[pins, cols] = 1.0
     blocks, part = (B, np.empty_like(B)), np.empty_like(B)
     src0, w0 = lay.src[:n], lay.w[:n, None]
     ptr, gathers = lay.ptr, []
-    for first, end in runs:
+    for first, end in _layer_runs(ptr, n):
         lo, hi = ptr[first], ptr[end]
         cuts = [(ptr[r + 1] - ptr[r], ptr[r] - lo) for r in range(first, end)]
         adds = [[(X[:size], part[at : at + size]) for size, at in cuts] for X in blocks]
@@ -360,8 +362,6 @@ class ExactEvaluator:
         lay = self.graph.in_layers()
         g = self.graph.with_seeds(self.target, seeds)
         b0, d = g.b0[self.target, lay.order], g.d[self.target, lay.order]
-        keep, fixed = (1.0 - d)[:, None], (d * b0)[:, None]
-        runs = _layer_runs(lay.ptr, len(b0))
         pins = lay.rank[cand_seeds]
         nb = len(pins)
         chunks = max(1, min(len(os.sched_getaffinity(0)), nb // _CHUNK_COLS))
@@ -369,13 +369,10 @@ class ExactEvaluator:
         out = np.empty((nb, len(b0)))
 
         def chunk(lo, hi):
-            block = _layered_block(lay, runs, b0, keep, fixed, pins[lo:hi], self.t)
+            block = _layered_block(lay, b0, d, pins[lo:hi], self.t)
             out[lo:hi] = block.take(lay.rank, axis=0, mode="clip").T
 
-        if chunks == 1:
-            chunk(0, nb)
-        else:
-            list(_POOL.map(chunk, bounds[:-1], bounds[1:]))
+        list(_POOL.map(chunk, bounds[:-1], bounds[1:]))
         return out
 
     def _reach_local(self, seeds, cand_seeds):

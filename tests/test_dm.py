@@ -386,6 +386,14 @@ class TestLayeredKernel:
                 want = opinions_at_horizon_np(g, t, 0, sorted(set(seeds) | {v}))[0]
                 np.testing.assert_array_equal(rows[v], want)
 
+    def test_a_run_takes_layers_up_to_exactly_n_edges(self):
+        """n = 4, layers 1–4 of 2, 2, 1 and 4 edges: 2 + 2 fills a run, and a
+        layer of n edges is a run of its own."""
+        import repro.core.dm as dm_mod
+
+        ptr = np.array([0, 4, 6, 8, 9, 13])
+        assert dm_mod._layer_runs(ptr, 4) == [(1, 3), (3, 4), (4, 5)]
+
     @pytest.mark.parametrize("t", [3, 20])
     def test_column_chunks_on_threads_equal_one_chunk(self, monkeypatch, t):
         """With the column floor lowered to 8 and four CPUs reported, the
@@ -400,7 +408,7 @@ class TestLayeredKernel:
         widths = []
         block = dm_mod._layered_block
         monkeypatch.setattr(
-            dm_mod, "_layered_block", lambda *a: widths.append(len(a[5])) or block(*a)
+            dm_mod, "_layered_block", lambda *a: widths.append(len(a[3])) or block(*a)
         )
         monkeypatch.setattr(dm_mod, "_CHUNK_COLS", 8)
         monkeypatch.setattr(dm_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
