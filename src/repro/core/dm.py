@@ -353,11 +353,11 @@ class ExactEvaluator:
         by construction): under the default ``"raise"`` NumPy buffers ``out``
         and holds the GIL, about 3× slower for the same rows.
 
-        A batch of at least 2·``_CHUNK_COLS`` columns is split into
-        contiguous column chunks, one per CPU the process may run on, run on
-        ``_POOL``'s threads: the gathers and ufuncs release the GIL.  Each
-        chunk owns its three (n × chunk) blocks, so memory does not grow,
-        and each column is computed exactly as it would be alone.
+        The batch runs on ``_POOL``'s threads, split into contiguous column
+        chunks, one per CPU the process may run on, when it has at least
+        2·``_CHUNK_COLS`` columns: the gathers and ufuncs release the GIL.
+        Each chunk owns its three (n × chunk) blocks, so memory does not
+        grow, and each column is computed exactly as it would be alone.
         """
         lay = self.graph.in_layers()
         g = self.graph.with_seeds(self.target, seeds)
