@@ -3,29 +3,29 @@
 polynomially while RW/RS grow ~linearly, and RS is the fastest).
 
 Cumulative score, k=5, t=8, on twitter-sd-lite subsamples up to the full
-lite graph (n = 3 245).  twitter-sd-lite is sparse (n²/m ≥ 64 at every
-size), so DM's rows run the layered kernel up to ``DENSE_N_THRESHOLD``
-nodes and reach-local above it.
+lite graph (n = 3 245).  DM's rows run the layered kernel up to
+``DENSE_N_THRESHOLD`` nodes and reach-local above it.
 
 ``test_exact_batch_time`` times one all-candidate ``ExactEvaluator`` batch
-(S = ∅, plurality, t = 20) on the two small lite graphs: dense BLAS on
-dblp-lite (n²/m = 20), the layered kernel on yelp-lite (n²/m = 118).  No
-selection benchmark reaches the dense kernel otherwise.
+(S = ∅, plurality, t = 20) on the two small lite graphs, both on the
+layered kernel: dblp-lite (n²/m = 20, 500 in-degree layers) and yelp-lite
+(n²/m = 118).
 
 ``test_greedy_dm_time`` times ``greedy_dm`` at t = 20 on three paths: plain
 greedy on the reach-local kernel (cumulative GED-T on twitter-sd-lite,
-k = 10), CELF on dense BLAS (cumulative, dblp-lite, k = 6), and plain
-greedy pruned by ``ExactEvaluator.bound`` on the layered kernel (plurality,
-yelp-lite, trailing target, k = 4: perfbench's yelp-plurality DM).  It
-records the evaluator calls and candidates in ``extra_info``.
+k = 10), CELF on the layered kernel (cumulative, dblp-lite, k = 6), and
+plain greedy pruned by ``ExactEvaluator.bound`` on the layered kernel
+(plurality, yelp-lite, trailing target, k = 4: perfbench's yelp-plurality
+DM).  It records the evaluator calls and candidates in ``extra_info``.
 
 ``test_exact_batch_time`` and ``test_greedy_dm_time`` build a fresh graph
 and evaluator for every round (``setup``, not timed): each graph keeps its
 all-candidate batch at S = ∅, so a reused graph would time a lookup.  ``test_dm_then_sandwich_time``
 times what that sharing saves: perfbench's yelp-plurality order on one
 fresh graph, plain plurality DM (k = 4), then ``sandwich_select`` with
-S_F = the DM seeds.  It records the row kernels' batch sizes and how many
-held every node in ``extra_info``.
+S_F = the DM seeds.  It records the layered kernel's batch sizes and how
+many held every node in ``extra_info`` (yelp-lite has run layered since the
+kernel was added, so ``--parent`` counts the same batches).
 
 ``test_reach_time`` times ``graphs.graph.reach`` at t = 20 on its two
 expansions, forced by setting ``DENSE_N_THRESHOLD``: the frontier BFS and
@@ -147,14 +147,11 @@ def test_greedy_dm_time(benchmark, dataset, score, k, celf):
 
 @pytest.mark.parametrize("dataset", ["yelp-lite"])
 def test_dm_then_sandwich_time(benchmark, monkeypatch, dataset):
-    sizes = []
-    for name in ("_dense", "_layered"):
-        kernel = getattr(ExactEvaluator, name)
-        monkeypatch.setattr(
-            ExactEvaluator, name,
-            lambda self, seeds, cands, kernel=kernel: sizes.append(len(cands))
-            or kernel(self, seeds, cands),
-        )
+    sizes, kernel = [], ExactEvaluator._layered
+    monkeypatch.setattr(
+        ExactEvaluator, "_layered",
+        lambda self, seeds, cands: sizes.append(len(cands)) or kernel(self, seeds, cands),
+    )
     g = load(dataset)
     target = trailing_candidate(g, 20, "plurality")
 

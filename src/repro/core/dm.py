@@ -13,34 +13,33 @@ candidates whose cap can still win it: UBLF's upper-bound pruning
 
 Everything runs on the driver, as in the paper's single-process DM.
 ``ExactEvaluator`` is the one exact F(S ∪ {v}) (DM, GED-T, Table VI, the
-sandwich's S_L and S_F); each batch runs one of its three exact kernels,
-chosen from the graph's n and m at call time:
+sandwich's S_L and S_F); each batch runs one of its two exact kernels,
+chosen from the graph's n alone:
 
-* above ``DENSE_N_THRESHOLD`` nodes, ``_reach_local``: one base trajectory
-  b^(0..t)[S], then the change seeding each candidate makes, propagated
-  for t steps only over (candidate, node) pairs inside the candidate's
-  t-hop forward reach N_v^(t) (Def. 2), so F(S ∪ {v}) = F(S) + the change
-  in each reached user's contribution;
-* otherwise, when n²/m ≥ ``LAYERED_SPARSITY``, ``_layered``: an (n × batch)
-  opinion block, one column per candidate, whose FJ aggregation adds the
-  in-edges layer by layer (``OpinionGraph.in_layers``), t·batch·m flops;
-  each run of layers holding at most n edges is gathered in one call, and
-  a batch of at least 2·``_CHUNK_COLS`` columns runs as column chunks on
-  threads, one per CPU;
-* otherwise ``_dense``: a (batch × n) opinion matrix advanced with BLAS in
-  fixed ``_DENSE_BLOCK``-row blocks, t·batch·n² flops.
+* up to ``DENSE_N_THRESHOLD`` nodes, ``_layered``: an (n × batch) opinion
+  block, one column per candidate, whose FJ aggregation adds the in-edges
+  layer by layer (``OpinionGraph.in_layers``), t·batch·m flops; each run
+  of layers holding at most n edges is gathered in one call, and a batch
+  of at least 2·``_CHUNK_COLS`` columns runs as column chunks on threads,
+  one per CPU;
+* above it, ``_reach_local``: one base trajectory b^(0..t)[S], then the
+  change seeding each candidate makes, propagated for t steps only over
+  (candidate, node) pairs inside the candidate's t-hop forward reach
+  N_v^(t) (Def. 2), so F(S ∪ {v}) = F(S) + the change in each reached
+  user's contribution.
 
-The row kernels pin each row's own seed to 1.  ``_layered``'s rows are
-bit-identical to ``fj_diffuse_np`` with the candidate seeded, on any
-number of threads (a column is computed alone, the same products added
-in the same order); the other two differ from it only in float rounding
-(DESIGN.md §2).  On every
-kernel a candidate's F is the same bits in any batch, so the greedy loop
-compares values scored in different batches.  For the same reason each
-graph keeps one batch, whatever score it was made for: the all-candidate
-batch at S = ∅ for one target and t (``_Batch``).  DM, GED-T and the
-sandwich's LB and S_F greedy all start from it, and ``bound`` reads its
-Δ; batches at S ≠ ∅ run their kernel and keep nothing.  F comes from
+The layered rows pin each row's own seed to 1 and are bit-identical to
+``fj_diffuse_np`` with the candidate seeded, on any number of threads (a
+column is computed alone, the same products added in the same order), so
+up to ``DENSE_N_THRESHOLD`` nodes every exact F is that of ``score_rows``
+on ``fj_diffuse_np``'s opinions; reach-local differs from it only in float
+rounding (DESIGN.md §2).  No exact kernel calls BLAS.  On both kernels a
+candidate's F is the same bits in any batch, so the greedy loop compares
+values scored in different batches.  For the same reason each graph keeps
+one batch, whatever score it was made for: the all-candidate batch at
+S = ∅ for one target and t (``_Batch``).  DM, GED-T and the sandwich's LB
+and S_F greedy all start from it, and ``bound`` reads its Δ; batches at
+S ≠ ∅ run their kernel and keep nothing.  F comes from
 ``voting.scores.score_rows``; the reach-local change is a plain Σδ for
 the cumulative score and ``voting.scores.score_change`` (one group per
 candidate row, one unit per reached node) for the rank scores.
@@ -65,29 +64,17 @@ from repro.graphs.graph import (
 from repro.opinion.fj import fj_diffuse_np, unseeded_horizon_np
 from repro.voting.scores import score_change, score_rows
 
-# Kernel choice reads only (n, m).  Above DENSE_N_THRESHOLD nodes (set in
+# Kernel choice reads only n.  Above DENSE_N_THRESHOLD nodes (set in
 # ``graphs.graph``, whose ``reach`` splits at the same size) a batch runs
 # reach-local: on twitter-sd-lite (n = 3 245) an all-candidate batch
-# takes 0.02 s, against 42 s dense.  Small graphs keep every opinion row,
-# since a candidate reaches most of the graph (94 % of yelp-lite in t = 20
-# hops; reach-local took 2.8 s there, 2× dense).  Among those, a graph with
-# n²/m ≥ LAYERED_SPARSITY runs the layered kernel (t·batch·m flops), the
-# rest dense BLAS (t·batch·n²).  One all-candidate plurality batch at
-# t = 20 took layered/dense 0.31× the time on yelp-lite (n²/m = 118) and
-# 1.44× on dblp-lite (20); on random n = 966 graphs 0.26×, 0.41×, 0.42×,
-# 0.50× and 0.90× at n²/m = 129, 88, 71, 53 and 31 (medians of 5, 4-core
-# host, 4 OpenBLAS threads).  So the two cross between n²/m = 20 and 31;
-# no lite dataset lies between that and 64, so no dispatch would change.
-LAYERED_SPARSITY = 64
+# takes 0.02 s, against 42 s for dense BLAS rows.  Small graphs keep every
+# opinion row, since a candidate reaches most of the graph (94 % of
+# yelp-lite in t = 20 hops; reach-local took 2.8 s there, 2× dense BLAS),
+# and run them layered (t·batch·m flops).  Dense BLAS rows (t·batch·n²)
+# lost to the layered kernel on every lite graph: one all-candidate
+# plurality batch at t = 20 on dblp-lite (n²/m = 20, the densest) took
+# 0.359 s dense against 0.239 s layered (medians, 4-core host).
 
-# ``_dense`` multiplies blocks of exactly this many rows.  OpenBLAS picks its
-# kernel (gemv for one row, a small-matrix GEMM, tile tails) from the
-# product's shape, and the kernels sum in different orders: unblocked, a
-# lone candidate's F differed from its all-candidate-batch F by up to
-# 5.7e-14 on dblp-lite, and padding a batch to a multiple of 16 rows still
-# changed 92 of 167 lone rows on a random n = 500 graph.  Blocks of 32 rows
-# changed none and cost the same as one product (dblp-lite, t = 20).
-_DENSE_BLOCK = 32
 # ``_layered`` splits a batch of at least 2·_CHUNK_COLS columns into column
 # chunks, at most nb // _CHUNK_COLS of them, run on _POOL's threads.  Narrow
 # chunks lose to the GIL, which every NumPy call takes to start: on
@@ -175,7 +162,7 @@ class _Batch:
     b0: np.ndarray  # copies of the graph's b0[target] and d[target]
     d: np.ndarray
     base: np.ndarray  # b[∅]
-    rows: np.ndarray | None  # row kernels: the (n × n) b[{v}]
+    rows: np.ndarray | None  # layered: the (n × n) b[{v}]
     pairs: tuple | None  # reach-local: (prow, pnode, δ, roots), see ``_pairs``
 
 
@@ -233,7 +220,7 @@ class ExactEvaluator:
         if len(seeds):
             if self.graph.n > DENSE_N_THRESHOLD:
                 return self._reach_local(seeds, cands)
-            return self._score(getattr(self, self._row_kernel())(seeds, cands))
+            return self._score(self._layered(seeds, cands))
         kept = self._batch()
         if kept.rows is None:
             return self._pair_score(kept.base, kept.pairs, self.graph.n)[cands]
@@ -269,11 +256,6 @@ class ExactEvaluator:
             out[lo:hi] = self._score(up + (kept.rows[lo:hi] - kept.base))
         return out
 
-    def _row_kernel(self) -> str:
-        """The row kernel's name for this graph (``n ≤ DENSE_N_THRESHOLD``)."""
-        n, m = self.graph.n, self.graph.m
-        return "_layered" if LAYERED_SPARSITY * m <= n * n else "_dense"
-
     def _batch(self) -> _Batch:
         """The graph's batch at S = ∅ for this target and t, made here when
         the graph keeps none for them or the target's b⁰ or d changed."""
@@ -295,7 +277,7 @@ class ExactEvaluator:
             # 4-core host: 180.7 MB kept as made, 176.2 MB copied).
             pairs = tuple(a.copy() for a in pairs)
         else:
-            base, rows = self._horizon([]), getattr(self, self._row_kernel())([], everyone)
+            base, rows = self._horizon([]), self._layered([], everyone)
         g._rows = _Batch(q, self.t, g.b0[q].copy(), g.d[q].copy(), base, rows, pairs)
         return g._rows
 
@@ -309,30 +291,6 @@ class ExactEvaluator:
         return score_rows(
             b, self.others, self.score, p=self.p, omega=self.omega, user_mask=self.user_mask
         )
-
-    def _dense(self, seeds, cand_seeds):
-        """Every candidate's (batch × n) opinion row, advanced with BLAS in
-        blocks of ``_DENSE_BLOCK`` rows.
-
-        Every product has the same shape (the last block is padded by
-        repeating its last candidate; the pad rows are dropped), so a row
-        takes the same OpenBLAS path alone as in any wider batch.
-        """
-        graph, t = self.graph, self.t
-        g = graph.with_seeds(self.target, seeds)
-        b0, d = g.b0[self.target], g.d[self.target]
-        nb = len(cand_seeds)
-        cands = np.concatenate([cand_seeds, np.repeat(cand_seeds[-1:], -nb % _DENSE_BLOCK)])
-        W = graph.dense_w()
-        rows, out = np.arange(_DENSE_BLOCK), []
-        for block in cands.reshape(-1, _DENSE_BLOCK):
-            M = np.tile(b0, (_DENSE_BLOCK, 1))
-            M[rows, block] = 1.0
-            for _ in range(t):
-                M = (1.0 - d) * (M @ W) + d * b0
-                M[rows, block] = 1.0  # seed row: d=1, b0=1 ⇒ stays 1
-            out.append(M)
-        return np.concatenate(out or [np.empty((0, graph.n))])[:nb]
 
     def _layered(self, seeds, cand_seeds):
         """Every candidate's (batch × n) opinion row, bit-identical to

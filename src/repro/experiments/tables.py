@@ -24,7 +24,7 @@ from repro.experiments.casestudy import run_case_study
 from repro.experiments.datasets import table3_rows
 from repro.graphs.generators import running_example
 from repro.graphs.graph import OpinionGraph
-from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np
+from repro.opinion.fj import opinions_at_horizon_np, unseeded_horizon_np
 from repro.voting.scores import score_np
 
 
@@ -213,6 +213,6 @@ def trailing_candidate(graph: OpinionGraph, t: int, score: str) -> int:
     Democratic Party, For-Mask, … — trail initially); our symmetric
     synthetic candidates may not, so the harness targets the trailing one.
     """
-    b = fj_diffuse_np(graph, t)
+    b = unseeded_horizon_np(graph, t)  # kept for the evaluators that follow
     vals = [score_np(b, q, score) for q in range(graph.r)]
     return int(np.argmin(vals))

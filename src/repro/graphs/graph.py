@@ -233,12 +233,6 @@ class OpinionGraph:
         """
         return _indptr(self.dst, self.n)
 
-    def dense_w(self) -> np.ndarray:
-        """Dense (n×n) influence matrix — BLAS path for small graphs."""
-        W = np.zeros((self.n, self.n))
-        np.add.at(W, (self.src, self.dst), self.w)
-        return W
-
     def in_layers(self) -> InLayers:
         """The in-edges cut into in-degree layers (cached); see ``InLayers``."""
         if self._in_layers is None:
@@ -351,9 +345,10 @@ def spmv_dst(graph: OpinionGraph, x: np.ndarray) -> np.ndarray:
 
 
 # Graphs with at most this many nodes are small.  There the exact
-# evaluator (``core.dm``) keeps every candidate's opinion row, and ``reach``
-# without ``live`` expands one bit per root (``_reach_bits``).  Above it the
-# evaluator runs reach-local, and ``reach`` the frontier BFS.  At t = 20,
+# evaluator (``core.dm``) keeps every candidate's opinion row, made by its
+# layered kernel, and ``reach`` without ``live`` expands one bit per root
+# (``_reach_bits``).  Above it the evaluator runs reach-local, and ``reach``
+# the frontier BFS.  At t = 20,
 # frontier → bits (``test_reach_time``, BENCH_efficiency.json entry
 # 717b039, medians of 5 runs, 4-core host): the sandwich's coverage sets
 # 0.19 → 0.010 s on yelp-lite and 0.22 → 0.006 s on dblp-lite; every

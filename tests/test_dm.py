@@ -16,7 +16,7 @@ from repro.core.dm import (
 from repro.graphs.generators import random_instance, running_example
 from repro.graphs.graph import OpinionGraph, reach
 from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np
-from repro.voting.scores import score_np
+from repro.voting.scores import score_np, score_rows
 
 
 def _exact_score(g, target, t, seeds, score, **kw):
@@ -216,16 +216,24 @@ def _run_graphs():
 
 
 def _kernels(ev, seeds, cands):
-    """F from each of the three exact kernels, called directly."""
+    """F from each of the two exact kernels, called directly."""
     return {
-        "dense": ev._score(ev._dense(seeds, cands)),
         "layered": ev._score(ev._layered(seeds, cands)),
         "reach_local": ev._reach_local(seeds, cands),
     }
 
 
+def _diffused_f(g, target, t, seeds, cands, score, **kw):
+    """F(S ∪ {v}) for each v in ``cands``: ``score_rows`` of the target's
+    ``opinions_at_horizon_np`` row, one diffusion per candidate."""
+    rows = [opinions_at_horizon_np(g, t, target, sorted(set(seeds) | {int(v)}))[0] for v in cands]
+    others = np.delete(fj_diffuse_np(g, t), target, axis=0)
+    return score_rows(np.reshape(rows, (len(cands), g.n)), others, score, **kw)
+
+
 class TestKernelPaths:
-    """The dense-BLAS, layered and reach-local kernels agree."""
+    """The layered and reach-local kernels agree with one ``fj_diffuse_np``
+    per candidate: layered bit for bit, reach-local up to rounding."""
 
     @pytest.mark.parametrize("case", list(_KERNEL_CASES))
     def test_sparse_path_matches_dense(self, case):
@@ -236,12 +244,11 @@ class TestKernelPaths:
         for t, seeds in itertools.product([0, 1, 3], [[], [2], hubs]):
             ev = ExactEvaluator(None, g, 0, t, score, **kw)
             for cands in batches:
+                want = _diffused_f(g, 0, t, seeds, cands, score, **kw)
                 got = _kernels(ev, seeds, cands)
-                for name in ("layered", "reach_local"):
-                    assert got[name].shape == (len(cands),)
-                    np.testing.assert_allclose(
-                        got[name], got["dense"], rtol=1e-12, atol=1e-12, err_msg=name
-                    )
+                assert got["layered"].shape == got["reach_local"].shape == (len(cands),)
+                np.testing.assert_array_equal(got["layered"], want)
+                np.testing.assert_allclose(got["reach_local"], want, rtol=1e-12, atol=1e-12)
         # The hub seeds do cut paths that the reach-local kernel must skip.
         blocked = np.zeros(g.n, dtype=bool)
         blocked[hubs] = True
@@ -252,7 +259,7 @@ class TestKernelPaths:
     @pytest.mark.parametrize("score", ["plurality", "copeland"])
     def test_sole_candidate_kernels_agree(self, score):
         """r = 1: no opponent, so every user ranks the target first and it
-        wins no duel; all three kernels say so."""
+        wins no duel; both kernels say so."""
         g0 = random_instance(30, r=2, seed=33)
         g = OpinionGraph.from_edges(g0.n, g0.src, g0.dst, g0.w, g0.b0[:1], g0.d[:1])
         ev = ExactEvaluator(None, g, 0, 3, score)
@@ -264,8 +271,7 @@ class TestKernelPaths:
     @pytest.mark.parametrize("score", ["cumulative", "plurality"])
     def test_evaluator_runs_reach_local_kernel_above_threshold(self, monkeypatch, score):
         """Above DENSE_N_THRESHOLD the evaluator dispatches to the reach-local
-        kernel; the references are the dense and layered kernels, called
-        directly."""
+        kernel; the reference is the layered kernel, called directly."""
         import repro.core.dm as dm_mod
 
         g = random_instance(1600, r=3, seed=32, avg_deg=3.0)
@@ -278,23 +284,23 @@ class TestKernelPaths:
         cands = np.arange(0, g.n, 25)
         got = ev(seeds, cands)
         assert len(ran) == 1
-        for rows in (ev._dense, ev._layered):
-            ref = ev._score(rows(seeds, cands))
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+        ref = ev._score(ev._layered(seeds, cands))
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize(
         "dataset, kernel",
-        [("yelp-lite", "_layered"), ("dblp-lite", "_dense"), ("twitter-sd-lite", "_reach_local")],
+        [("yelp-lite", "_layered"), ("dblp-lite", "_layered"), ("twitter-sd-lite", "_reach_local")],
     )
     def test_dispatch_by_n_and_m(self, monkeypatch, dataset, kernel):
-        """Reach-local above DENSE_N_THRESHOLD nodes; below it layered when
-        n²/m ≥ LAYERED_SPARSITY (yelp-lite 118), else dense (dblp-lite 20).
-        The batch is at S ≠ ∅, where the kernel runs on the candidates."""
+        """Reach-local above DENSE_N_THRESHOLD nodes, layered up to it, on
+        sparse (yelp-lite, n²/m = 118) and dense (dblp-lite, 20) graphs
+        alike.  The batch is at S ≠ ∅, where the kernel runs on the
+        candidates."""
         from repro.experiments.datasets import load
 
         ev = ExactEvaluator(None, load(dataset), 0, 2, "cumulative")
         ran = []
-        for name in ("_dense", "_layered", "_reach_local"):
+        for name in ("_layered", "_reach_local"):
             fn = getattr(ev, name)
             monkeypatch.setattr(ev, name, lambda *a, fn=fn, name=name: ran.append(name) or fn(*a))
         ev([5], [0, 1])
@@ -318,16 +324,31 @@ class TestLayeredKernel:
     """Each ``_layered`` row is bit-identical to ``fj_diffuse_np`` with the
     candidate added to S: the same terms, added in the same order."""
 
-    @pytest.mark.parametrize("t", [0, 1, 3])
-    def test_rows_equal_fj_diffusion_bit_for_bit(self, t):
-        g, hubs = _looped_graph()
-        for seeds in ([], [2], hubs):
+    @pytest.mark.parametrize(
+        "graph, t",
+        [("looped", 0), ("looped", 1), ("looped", 3), ("dblp-lite", 20)],
+        ids=["0", "1", "3", "dblp-lite-20"],
+    )
+    def test_rows_equal_fj_diffusion_bit_for_bit(self, graph, t):
+        """The rows, and the F the evaluator returns for them, on the looped
+        graph at S ∈ {∅, [2], hubs} and on dblp-lite (500 in-degree layers,
+        the densest lite graph) at S ∈ {∅, [3]}, every 8th candidate."""
+        if graph == "looped":
+            g, hubs = _looped_graph()
+            sets, check = ([], [2], hubs), np.arange(g.n)
+        else:
+            from repro.experiments.datasets import load
+
+            g = load(graph)
+            assert len(g.in_layers().ptr) - 1 == 500
+            sets, check = ([], [3]), np.arange(0, g.n, 8)
+        for seeds in sets:
             ev = ExactEvaluator(None, g, 0, t, "cumulative")
             rows = ev._layered(seeds, np.arange(g.n))  # some already in S
             assert rows.shape == (g.n, g.n)
-            for v in range(g.n):
-                want = opinions_at_horizon_np(g, t, 0, sorted(set(seeds) | {v}))[0]
-                np.testing.assert_array_equal(rows[v], want)
+            want = [opinions_at_horizon_np(g, t, 0, sorted(set(seeds) | {v}))[0] for v in check]
+            np.testing.assert_array_equal(rows[check], want)
+            np.testing.assert_array_equal(ev(seeds, check), ev._score(np.array(want)))
             assert ev._layered(seeds, np.array([], dtype=np.int64)).shape == (0, g.n)
 
     @pytest.mark.parametrize("width", [1, 2])
@@ -418,18 +439,27 @@ class TestLayeredKernel:
             assert widths == [10] * 4
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("case", ["plurality-greedy", "cumulative_lb-celf"])
+    @pytest.mark.parametrize(
+        "case", ["plurality-greedy", "cumulative_lb-celf", "dblp-lite-cumulative-celf"]
+    )
     def test_greedy_trace_is_exact_f(self, case):
-        """On a layered-dispatched graph the greedy trace is F(prefix) itself:
-        plain greedy on plurality, and CELF on the sandwich's masked
-        cumulative LB."""
+        """On a small graph the greedy trace is F(prefix) itself, bit for
+        bit: plain greedy on plurality and CELF on the sandwich's masked
+        cumulative LB (a sparse random graph, t = 5), and CELF on the
+        cumulative score on dblp-lite (t = 20)."""
         import repro.core.dm as dm_mod
 
-        g = random_instance(150, r=3, seed=34, avg_deg=1.0)
-        assert dm_mod.LAYERED_SPARSITY * g.m <= g.n**2 <= dm_mod.DENSE_N_THRESHOLD**2
+        if case.startswith("dblp-lite"):
+            from repro.experiments.datasets import TARGETS, load
+
+            g = load("dblp-lite")
+            ev, celf = ExactEvaluator(None, g, TARGETS["dblp-lite"], 20, "cumulative"), True
+        else:
+            g = random_instance(150, r=3, seed=34, avg_deg=1.0)
+        assert g.n <= dm_mod.DENSE_N_THRESHOLD
         if case == "plurality-greedy":
             ev, celf = ExactEvaluator(None, g, 0, 5, "plurality"), False
-        else:
+        elif case == "cumulative_lb-celf":
             mask = fj_diffuse_np(g, 5).argmax(axis=0) == 0
             ev, celf = ExactEvaluator(None, g, 0, 5, "cumulative", user_mask=mask), True
         seeds, trace = greedy_dm(ev, 6, celf=celf)
@@ -479,7 +509,6 @@ def _force_kernel(monkeypatch, kernel):
     import repro.core.dm as dm_mod
 
     monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", 0 if kernel == "reach_local" else 10**9)
-    monkeypatch.setattr(dm_mod, "LAYERED_SPARSITY", 0 if kernel == "layered" else 10**9)
 
 
 def _tied_hubs(lead=0):
@@ -553,9 +582,9 @@ class TestLazyGreedy:
 
 
 class TestBatchIndependence:
-    """A candidate's F is the same in any batch, bit for bit on every
-    kernel, so the lazy loop may compare values scored in different
-    batches (``_dense`` runs whole ``_DENSE_BLOCK`` row blocks)."""
+    """A candidate's F is the same in any batch, bit for bit on both
+    kernels, so the lazy loop may compare values scored in different
+    batches."""
 
     @pytest.mark.parametrize("case", list(_KERNEL_CASES))
     def test_value_does_not_depend_on_the_batch(self, case):
@@ -569,48 +598,6 @@ class TestBatchIndependence:
             for cands in batches:
                 for name, got in _kernels(ev, seeds, cands).items():
                     np.testing.assert_array_equal(got, whole[name][cands], err_msg=name)
-
-    def test_dense_rows_do_not_depend_on_the_batch(self):
-        """On a graph where OpenBLAS's kernel choice shows (n = 200; on the
-        40-node graph above every path happens to agree), a candidate's
-        ``_dense`` row is the same bits alone, in a permuted subset and in
-        the whole batch."""
-        g = random_instance(200, r=3, seed=5, avg_deg=20.0)
-        ev = ExactEvaluator(None, g, 0, 3, "cumulative")
-        for seeds in ([], [3, 50]):
-            whole = ev._dense(seeds, np.arange(g.n))
-            sub = np.random.default_rng(1).permutation(g.n)[:103]
-            np.testing.assert_array_equal(ev._dense(seeds, sub), whole[sub])
-            for v in range(0, g.n, 3):
-                np.testing.assert_array_equal(ev._dense(seeds, np.array([v]))[0], whole[v])
-
-    def test_dense_rows_do_not_depend_on_openblas_threads(self):
-        """``_dense`` rows on dblp-lite (t = 20, 64 candidates, S ∈ {∅, [3]})
-        are the same bytes with OPENBLAS_NUM_THREADS = 1 and 4, each run in
-        its own process.  NumPy's OpenBLAS build string reads MAX_THREADS=2,
-        so the "4" run may use 2 threads."""
-        code = (
-            "import sys, numpy as np\n"
-            "from repro.core.dm import ExactEvaluator\n"
-            "from repro.experiments.datasets import load\n"
-            "g = load('dblp-lite')\n"
-            "ev = ExactEvaluator(None, g, 0, 20, 'cumulative')\n"
-            "cands = np.random.default_rng(0).permutation(g.n)[:64]\n"
-            "for seeds in ([], [3]):\n"
-            "    sys.stdout.buffer.write(ev._dense(seeds, cands).tobytes())\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        rows = [
-            subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, check=True, timeout=60,
-                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
-            ).stdout
-            for threads in ("1", "4")
-        ]
-        assert len(rows[0]) == 2 * 64 * 640 * 8
-        assert rows[0] == rows[1]
-
 
     def test_layered_rows_do_not_depend_on_the_cpus(self):
         """``_layered`` rows on yelp-lite (t = 20, every candidate, S ∈ {∅,
@@ -649,7 +636,7 @@ _BOUND_SCORES = ["plurality", "p_approval", "positional_p_approval", "copeland"]
 class TestBound:
     """``ExactEvaluator.bound`` and the pruned plain greedy it drives."""
 
-    @pytest.mark.parametrize("kernel", ["dense", "layered", "reach_local"])
+    @pytest.mark.parametrize("kernel", ["layered", "reach_local"])
     @pytest.mark.parametrize("case", _BOUND_SCORES)
     def test_bound_is_at_least_f_for_every_superset(self, monkeypatch, kernel, case):
         """bound(S)[v] ≥ F(S ∪ {v}) for every v and every S ⊇ S₀, |S| ≤ 2,
@@ -673,7 +660,7 @@ class TestBound:
                     below += int((ub < f.max()).sum())
         assert below  # the bound rules candidates out
 
-    @pytest.mark.parametrize("kernel", ["dense", "layered", "reach_local"])
+    @pytest.mark.parametrize("kernel", ["layered", "reach_local"])
     @pytest.mark.parametrize("case", _BOUND_SCORES)
     def test_pruned_greedy_equals_exhaustive(self, monkeypatch, kernel, case):
         score, kw = _KERNEL_CASES[case]
@@ -734,7 +721,7 @@ class TestBound:
     def test_bound_is_none_only_for_cumulative(self, monkeypatch):
         """On every kernel a rank score's bound is finite for every node and
         seed set, also on a graph with no kept batch yet (``bound`` makes it)."""
-        for kernel in ("dense", "layered", "reach_local"):
+        for kernel in ("layered", "reach_local"):
             _force_kernel(monkeypatch, kernel)
             g = random_instance(40, r=3, seed=13)
             cum = ExactEvaluator(None, g, 0, 3, "cumulative")
@@ -746,9 +733,9 @@ class TestBound:
                 assert ub.shape == (g.n,) and np.isfinite(ub).all()
 
 
-def _row_batches(monkeypatch, kernels=("_dense", "_layered")):
-    """Record the candidate count of every batch the row kernels (or the
-    given kernels: ``("_pairs",)`` for reach-local) run."""
+def _row_batches(monkeypatch, kernels=("_layered",)):
+    """Record the candidate count of every batch the layered kernel (or the
+    given kernels: ``("_pairs",)`` for reach-local) runs."""
     sizes = []
     for name in kernels:
         kernel = getattr(ExactEvaluator, name)
@@ -765,7 +752,7 @@ def _bound_from_own_delta(ev, seeds):
     rows at S = ∅ minus b[∅] in place, then F at b[S] + slack + Δ per block."""
     import repro.core.dm as dm_mod
 
-    delta = getattr(ev, ev._row_kernel())([], np.arange(ev.graph.n))
+    delta = ev._layered([], np.arange(ev.graph.n))
     delta -= ev._horizon([])
     up = ev._horizon(seeds) + dm_mod._SLACK
     out = np.empty(ev.graph.n)
@@ -779,7 +766,7 @@ class TestSharedBatch:
     """Each graph keeps the all-candidate batch at S = ∅ for one target and
     t, and any evaluator on it reads that batch bit for bit."""
 
-    @pytest.mark.parametrize("kernel", ["dense", "layered", "reach_local"])
+    @pytest.mark.parametrize("kernel", ["layered", "reach_local"])
     def test_hit_equals_a_fresh_graph(self, monkeypatch, kernel):
         """Every batch at ∅ (full, reversed, a permuted subset) reads the
         kept batch, and equals a fresh graph's and the kernel's own F for
@@ -810,7 +797,7 @@ class TestSharedBatch:
         ev([], subset)
         assert len(sizes) == ran + 2  # the batch at S ≠ ∅ replaced nothing
 
-    @pytest.mark.parametrize("kernel", ["dense", "layered"])
+    @pytest.mark.parametrize("kernel", ["layered"])
     def test_hit_after_another_score_or_user_mask(self, monkeypatch, kernel):
         _force_kernel(monkeypatch, kernel)
         g, _ = _looped_graph()
@@ -851,7 +838,7 @@ class TestSharedBatch:
         check(0, 3, [], "b0")
         check(0, 3, [], "d")
 
-    @pytest.mark.parametrize("kernel", ["dense", "layered"])
+    @pytest.mark.parametrize("kernel", ["layered"])
     @pytest.mark.parametrize("score", ["plurality", "copeland"])
     def test_bound_and_pruned_greedy_unchanged(self, monkeypatch, kernel, score):
         """``bound`` reads Δ from the graph's batch at ∅ (kept by this

@@ -53,12 +53,14 @@ class TestUnseededHorizon:
         np.testing.assert_array_equal(got, fj_diffuse_np(g, t))
 
     def test_callers_share_one_diffusion(self, monkeypatch):
-        """The exact evaluator's and the sketch selectors' opponent opinions
-        and the sandwich's (weakly) favorable users run one r-row diffusion
-        between them."""
+        """The trailing-target search, the exact evaluator's and the sketch
+        selectors' opponent opinions and the sandwich's (weakly) favorable
+        users run one r-row diffusion between them, made by the first."""
         import repro.opinion.fj as fj_mod
         from repro.core.dm import ExactEvaluator, others_at_horizon
         from repro.core.sandwich import favorable_users_np, weakly_favorable_users_np
+        from repro.experiments.tables import trailing_candidate
+        from repro.voting.scores import score_np
 
         calls = []
         diffuse = fj_mod.fj_diffuse_np
@@ -66,6 +68,10 @@ class TestUnseededHorizon:
             fj_mod, "fj_diffuse_np", lambda *a, **kw: calls.append(kw) or diffuse(*a, **kw)
         )
         g = random_instance(50, r=3, seed=42)
+        b = diffuse(g, 4)
+        want = int(np.argmin([score_np(b, q, "plurality") for q in range(g.r)]))
+        assert trailing_candidate(g, 4, "plurality") == want
+        assert calls == [{}]
         ExactEvaluator(None, g, 0, 4, "plurality")
         others_at_horizon(g, 1, 4)
         favorable_users_np(g, 0, 4, 1)

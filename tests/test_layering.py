@@ -76,3 +76,23 @@ def test_only_the_oracle_asserts():
     raising; only the DuckDB oracle, whose job is asserting, uses them."""
     found = {p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py") if _asserts(p)}
     assert found == {"oracle.py"}
+
+
+# Matrix products run only where the generators build instances.  Every
+# exact FJ kernel gathers and adds in a fixed order instead, so no exact
+# result depends on the BLAS build or its thread count.
+PRODUCTS = {"dot", "matmul", "einsum", "tensordot", "inner"}
+
+
+def _multiplies_matrices(path: Path) -> bool:
+    """Whether ``path`` uses ``@`` or calls one of ``PRODUCTS``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    matmul = any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+    return matmul or bool(_calls(path) & PRODUCTS)
+
+
+def test_only_generators_multiply_matrices():
+    found = {
+        p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py") if _multiplies_matrices(p)
+    }
+    assert found <= {"graphs/generators.py"}

@@ -253,7 +253,7 @@ class TestSharedBatch:
     """The LB and S_F greedy read the all-candidate batch DM kept on the
     graph, and return what they return on a cold graph."""
 
-    # n²/m = 100 runs the layered kernel, 40 dense BLAS.
+    # A sparse graph (n²/m = 100) and a denser one (40), both layered.
     @pytest.mark.parametrize("avg_deg", [1.0, 4.0])
     @pytest.mark.parametrize("with_selector", [False, True])
     def test_warm_equals_cold(self, avg_deg, with_selector):
