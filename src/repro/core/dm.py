@@ -73,7 +73,9 @@ from repro.voting.scores import score_change, score_rows
 # and run them layered (t·batch·m flops).  Dense BLAS rows (t·batch·n²)
 # lost to the layered kernel on every lite graph: one all-candidate
 # plurality batch at t = 20 on dblp-lite (n²/m = 20, the densest) took
-# 0.359 s dense against 0.239 s layered (medians, 4-core host).
+# 0.456 s dense against 0.240 s layered (``test_exact_batch_time``,
+# BENCH_efficiency.json entries 8480c27 and d7f6a29, medians of 5
+# alternating runs, 4-core host).
 
 # ``_layered`` splits a batch of at least 2·_CHUNK_COLS columns into column
 # chunks, at most nb // _CHUNK_COLS of them, run on _POOL's threads.  Narrow

@@ -348,13 +348,13 @@ def spmv_dst(graph: OpinionGraph, x: np.ndarray) -> np.ndarray:
 # evaluator (``core.dm``) keeps every candidate's opinion row, made by its
 # layered kernel, and ``reach`` without ``live`` expands one bit per root
 # (``_reach_bits``).  Above it the evaluator runs reach-local, and ``reach``
-# the frontier BFS.  At t = 20,
-# frontier → bits (``test_reach_time``, BENCH_efficiency.json entry
-# 717b039, medians of 5 runs, 4-core host): the sandwich's coverage sets
-# 0.19 → 0.010 s on yelp-lite and 0.22 → 0.006 s on dblp-lite; every
-# node's forward reach with 2 seeds blocked 0.21 → 0.011 s and 0.40 →
-# 0.007 s.  On twitter-sd-lite (n = 3 245) the bits lose, 0.009 → 0.060 s
-# and 0.018 → 0.14 s, so larger graphs keep the frontier.
+# the frontier BFS.  At t = 20, frontier → bits (``test_reach_time``,
+# BENCH_efficiency.json entry 717b039, medians of 5 runs, 4-core host):
+# the sandwich's coverage sets 0.19 → 0.010 s on yelp-lite and 0.22 →
+# 0.006 s on dblp-lite; every node's forward reach with 2 seeds blocked
+# 0.21 → 0.011 s and 0.40 → 0.007 s.  On twitter-sd-lite (n = 3 245) the
+# bits lose, 0.009 → 0.060 s and 0.018 → 0.14 s, so larger graphs keep the
+# frontier.
 DENSE_N_THRESHOLD = 1500
 
 # Entries one root chunk of ``reach`` may hold.  Unfiltered, a hop can

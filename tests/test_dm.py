@@ -449,19 +449,19 @@ class TestLayeredKernel:
         cumulative score on dblp-lite (t = 20)."""
         import repro.core.dm as dm_mod
 
-        if case.startswith("dblp-lite"):
+        if case == "dblp-lite-cumulative-celf":
             from repro.experiments.datasets import TARGETS, load
 
             g = load("dblp-lite")
             ev, celf = ExactEvaluator(None, g, TARGETS["dblp-lite"], 20, "cumulative"), True
+        elif case == "plurality-greedy":
+            g = random_instance(150, r=3, seed=34, avg_deg=1.0)
+            ev, celf = ExactEvaluator(None, g, 0, 5, "plurality"), False
         else:
             g = random_instance(150, r=3, seed=34, avg_deg=1.0)
-        assert g.n <= dm_mod.DENSE_N_THRESHOLD
-        if case == "plurality-greedy":
-            ev, celf = ExactEvaluator(None, g, 0, 5, "plurality"), False
-        elif case == "cumulative_lb-celf":
             mask = fj_diffuse_np(g, 5).argmax(axis=0) == 0
             ev, celf = ExactEvaluator(None, g, 0, 5, "cumulative", user_mask=mask), True
+        assert g.n <= dm_mod.DENSE_N_THRESHOLD
         seeds, trace = greedy_dm(ev, 6, celf=celf)
         assert trace == [ev.score_of(seeds[: i + 1]) for i in range(6)]
 
