@@ -1,5 +1,6 @@
 """Layering guards over ``src/repro``: which modules may import pyspark, call
-the score-rule primitives or ``out_edges``, or contain an ``assert``."""
+the score-rule primitives or ``out_edges``, contain an ``assert`` or multiply
+matrices."""
 import ast
 from pathlib import Path
 
