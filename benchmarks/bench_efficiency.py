@@ -12,11 +12,19 @@ layered kernel: dblp-lite (n²/m = 20, 500 in-degree layers) and yelp-lite
 (n²/m = 118).
 
 ``test_greedy_dm_time`` times ``greedy_dm`` at t = 20 on three paths: plain
-greedy on the reach-local kernel (cumulative GED-T on twitter-sd-lite,
-k = 10), CELF on the layered kernel (cumulative, dblp-lite, k = 6), and
-plain greedy pruned by ``ExactEvaluator.bound`` on the layered kernel
-(plurality, yelp-lite, trailing target, k = 4: perfbench's yelp-plurality
-DM).  It records the evaluator calls and candidates in ``extra_info``.
+greedy without a bound on the reach-local kernel (cumulative,
+twitter-sd-lite, k = 10: every candidate each round, the path an evaluator
+without ``bound`` such as perfbench's timing proxy runs), CELF on the
+layered kernel (cumulative, dblp-lite, k = 6), and plain greedy pruned by
+``ExactEvaluator.bound`` on the layered kernel (plurality, yelp-lite,
+trailing target, k = 4: perfbench's yelp-plurality DM).  It records the
+evaluator calls and candidates in ``extra_info``.  Its ``GED-T`` cases time
+``method_selector``'s GED-T to k = 20 (the ``jobs/run_scores.py`` default
+k_max) on those three graphs, paper targets.
+
+``test_table6_time`` times ``table6`` at ``jobs/run_table6.py``'s defaults
+(plurality, t = 20, the trailing target, k_max = 200) on yelp-lite and
+dblp-lite, a fresh graph each round, and records the k* in ``extra_info``.
 
 ``test_exact_batch_time`` and ``test_greedy_dm_time`` build a fresh graph
 and evaluator for every round (``setup``, not timed): each graph keeps its
@@ -70,7 +78,7 @@ from repro.baselines.im import rr_sets
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.core.sandwich import favorable_users_np, reach_sets_np, sandwich_select
 from repro.experiments.datasets import TARGETS, load
-from repro.experiments.tables import method_selector, trailing_candidate
+from repro.experiments.tables import method_selector, table6, trailing_candidate
 
 _K, _T = 5, 8
 
@@ -124,10 +132,22 @@ class _Counted:
         ("twitter-sd-lite", "cumulative", 10, False),
         ("dblp-lite", "cumulative", 6, True),
         ("yelp-lite", "plurality", 4, False),
+        ("twitter-sd-lite", "GED-T", 20, None),
+        ("dblp-lite", "GED-T", 20, None),
+        ("yelp-lite", "GED-T", 20, None),
     ],
 )
 def test_greedy_dm_time(benchmark, dataset, score, k, celf):
     g = load(dataset)
+    if score == "GED-T":  # GED-T is cumulative whatever the table's score
+        def setup():
+            select = method_selector(load(dataset), "GED-T", TARGETS[dataset], 20, "plurality")
+            return (select, k), {}
+
+        run = benchmark.pedantic
+        seeds = run(lambda select, k: select(k), setup=setup, rounds=3, warmup_rounds=1)
+        assert len(seeds) == k == len(set(seeds))
+        return
     target = TARGETS[dataset] if score == "cumulative" else trailing_candidate(g, 20, score)
     evs = []
 
@@ -139,10 +159,22 @@ def test_greedy_dm_time(benchmark, dataset, score, k, celf):
     ev = evs[-1]
     benchmark.extra_info.update(eval_calls=len(ev.batches), cands_evaluated=sum(ev.batches))
     assert len(seeds) == k and trace[-1] == ev.score_of(seeds)
-    if score == "cumulative" and not celf:  # GED-T: no bound, every candidate each round
+    if score == "cumulative" and not celf:  # no bound: every candidate each round
         assert ev.batches == [g.n - i for i in range(k)]
     if score != "cumulative":  # one full batch, then at most two a round
         assert ev.batches[0] == g.n and len(ev.batches) <= 2 * k - 1
+
+
+@pytest.mark.parametrize("dataset", ["yelp-lite", "dblp-lite"])
+def test_table6_time(benchmark, dataset):
+    target = trailing_candidate(load(dataset), 20, "plurality")
+
+    def setup():
+        return (load(dataset), target, 20, "plurality"), {"k_max": 200}
+
+    df = benchmark.pedantic(table6, setup=setup, rounds=3, warmup_rounds=1)
+    benchmark.extra_info.update(k_star=df["k_star"].tolist())
+    assert df["win_within_budget"].all()
 
 
 @pytest.mark.parametrize("dataset", ["yelp-lite"])

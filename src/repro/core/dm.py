@@ -3,8 +3,10 @@
 Paper Alg. 1 + §III-C: each greedy round scores every candidate seed by
 recomputing exact opinions at the horizon (t FJ steps) with the candidate
 added to the current seed set, and picks the max marginal gain.
-``greedy_dm`` is one lazy-greedy loop: CELF [49] for the (submodular)
-cumulative score, and plain greedy for the rank scores.  Those are not
+``greedy_picks`` is one lazy-greedy run that yields a pick at a time and
+keeps its state between draws (``greedy_dm`` takes its first k): CELF
+[49] for the (submodular) cumulative score, and plain greedy for the rank
+scores.  Those are not
 submodular, but each user's horizon opinion is (the §V reverse-walk
 coverage view), so ``ExactEvaluator.bound`` caps F(S ∪ {v}) from the
 all-candidate batch at S = ∅, and a plain round re-scores only the
@@ -49,7 +51,8 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -155,14 +158,13 @@ def _layered_block(lay, b0, d, pins, t) -> np.ndarray:
 
 @dataclass
 class _Batch:
-    """The all-candidate batch at S = ∅ for one target and t, kept on the
-    graph (``_rows``).  Candidate v is row v.  It depends on the kernel,
-    target, t and the target's b⁰ and d, not on the score."""
+    """The all-candidate batch at S = ∅ for one target, kept on the graph
+    (``_rows``) with the B^(t)[∅] it was made beside.  Candidate v is row v.
+    It depends on the kernel, target, t and the target's b⁰ and d, not on
+    the score."""
 
     target: int
-    t: int
-    b0: np.ndarray  # copies of the graph's b0[target] and d[target]
-    d: np.ndarray
+    horizon: np.ndarray  # ``unseeded_horizon_np(graph, t)`` when it was made
     base: np.ndarray  # b[∅]
     rows: np.ndarray | None  # layered: the (n × n) b[{v}]
     pairs: tuple | None  # reach-local: (prow, pnode, δ, roots), see ``_pairs``
@@ -181,8 +183,9 @@ class ExactEvaluator:
 
     Every evaluator on a graph reads one batch, kept on the graph: the
     all-candidate batch at S = ∅ for its target and t, made on first use by
-    whichever evaluator needs it, whatever the score, and made again when
-    the target, t or the target's b⁰ or d changed.  A call at S = ∅ scores
+    whichever evaluator needs it, whatever the score, and made again for
+    another target or a new B^(t)[∅] (``unseeded_horizon_np``: another t,
+    or changed b⁰ or d).  A call at S = ∅ scores
     it and returns the candidates' F; a call at S ≠ ∅ runs the kernel and
     keeps nothing.  The rank scores' ``bound`` reads Δ_u(v) = b_u[{v}] −
     b_u[∅] from it, so a plain greedy resumed with ``init`` on a graph with
@@ -259,15 +262,12 @@ class ExactEvaluator:
         return out
 
     def _batch(self) -> _Batch:
-        """The graph's batch at S = ∅ for this target and t, made here when
-        the graph keeps none for them or the target's b⁰ or d changed."""
+        """The graph's batch at S = ∅ for this target and t, made here unless
+        the kept one has this target and was made beside the graph's current
+        B^(t)[∅]: ``unseeded_horizon_np`` alone decides when that is stale."""
         g, q, kept = self.graph, self.target, self.graph._rows
-        if (
-            kept is not None
-            and (kept.target, kept.t) == (q, self.t)
-            and np.array_equal(kept.b0, g.b0[q])
-            and np.array_equal(kept.d, g.d[q])
-        ):
+        horizon = unseeded_horizon_np(g, self.t)
+        if kept is not None and kept.target == q and kept.horizon is horizon:
             return kept
         g._rows = kept = None  # free the old batch before the kernel makes the new one
         everyone, rows, pairs = np.arange(g.n), None, None
@@ -279,8 +279,8 @@ class ExactEvaluator:
             # 4-core host: 180.7 MB kept as made, 176.2 MB copied).
             pairs = tuple(a.copy() for a in pairs)
         else:
-            base, rows = self._horizon([]), self._layered([], everyone)
-        g._rows = _Batch(q, self.t, g.b0[q].copy(), g.d[q].copy(), base, rows, pairs)
+            base, rows = horizon[q], self._layered([], everyone)
+        g._rows = _Batch(q, horizon, base, rows, pairs)
         return g._rows
 
     def _horizon(self, seeds) -> np.ndarray:
@@ -398,52 +398,42 @@ class ExactEvaluator:
         )
 
 
-def greedy_dm(
-    evaluator: ExactEvaluator,
-    k: int,
-    *,
-    celf: bool = True,
-    init: list[int] | None = None,
-) -> tuple[list[int], list[float]]:
-    """Alg. 1 (greedy), lazy with CELF [49] or plain.
+def greedy_picks(
+    evaluator: ExactEvaluator, *, celf: bool, init: Sequence[int] = ()
+) -> Iterator[tuple[int, float]]:
+    """Alg. 1 (greedy), lazy with CELF [49] or plain: yields (the next seed,
+    exact F of the seeds so far) from the start set ``init`` until every
+    node is picked.
 
-    Returns (the first k seeds in selection order, exact F after each new
-    pick).  CELF is valid for the submodular cumulative score; for the
-    non-submodular scores pass ``celf=False`` (plain greedy), matching the
-    paper's use of CELF for cumulative only.  ``init`` resumes either run
-    from an already-selected prefix: greedy is incremental, and CELF's
-    lazy bounds hold from any seed set [49].  Raises ``ValueError`` unless
-    0 ≤ k ≤ n.
-
-    One loop serves both.  Each candidate keeps its last F(S ∪ {v}), the
-    gain over the F(S) it was scored against and the round it was scored
-    in.  A round re-scores the stale candidates ranked above the first
-    fresh one (by gain, ties to the smaller id) in one batch, in ascending
-    id order, until the top candidate is fresh, and picks it.  A run's
-    first batch holds every candidate; CELF's later batches hold at most 32.
+    CELF is valid for the submodular cumulative score; the rank scores run
+    plain (``celf=False``), as the paper uses CELF for cumulative only.
+    Greedy is incremental, and CELF's lazy bounds hold from any seed set
+    [49], so both may start from ``init``.  Each candidate keeps its last
+    F(S ∪ {v}), the gain over the F(S) it was scored against and the round
+    it was scored in, between draws too: drawing more picks continues the
+    run, so a longer ``select(k)`` pays only for its new rounds.  A round
+    re-scores the stale candidates ranked above the first fresh one (by
+    gain, ties to the smaller id) in one batch, in ascending id order,
+    until the top candidate is fresh, and picks it.  A run's first batch
+    holds every candidate; CELF's later batches hold at most 32.
 
     Plain greedy ranks a stale candidate by the gain of the evaluator's
     ``bound(S)`` over F(S).  Its rounds make at most two calls: the top 32,
     then every stale candidate ranked above the best one scored, whose
     bound can still beat or tie it.  The picks and trace are those of
     scoring every candidate.  An evaluator without ``bound``, or whose
-    ``bound`` returns ``None`` (the cumulative score: GED-T), has every
-    candidate scored each round.
+    ``bound`` returns ``None`` (the cumulative score), has every candidate
+    scored each round.
     """
     n = evaluator.graph.n
-    seeds: list[int] = list(init or [])
-    if not 0 <= k <= n:
-        raise ValueError(f"cannot select k={k} seeds from {n} nodes")
-    if k <= len(seeds):
-        return seeds[:k], []
-    trace: list[float] = []
+    seeds = list(init)
     base = evaluator.score_of(seeds)
     bound = None if celf else getattr(evaluator, "bound", None)
     # Unscored candidates rank first; picked ones rank last and are never stale.
     val, gain, when = np.zeros(n), np.full(n, np.inf), np.full(n, -1)
-    gain[seeds], when[seeds] = -np.inf, k
+    gain[seeds], when[seeds] = -np.inf, n
     first = True  # a run's first batch scores every candidate
-    for rnd in range(len(seeds), k):
+    for rnd in range(len(seeds), n):
         ub = None if first or bound is None else bound(seeds)
         if ub is not None:
             stale = when < rnd
@@ -461,6 +451,23 @@ def greedy_dm(
         first = False
         base = float(val[top])  # the evaluator's F, not a running sum of gains
         seeds.append(top)
-        trace.append(base)
-        gain[top], when[top] = -np.inf, k
-    return seeds, trace
+        gain[top], when[top] = -np.inf, n
+        yield top, base
+
+
+def greedy_dm(
+    evaluator: ExactEvaluator,
+    k: int,
+    *,
+    celf: bool = True,
+    init: list[int] | None = None,
+) -> tuple[list[int], list[float]]:
+    """The first k seeds of ``greedy_picks`` from the start set ``init``, in
+    selection order, and the exact F after each pick past ``init``.  Raises
+    ``ValueError`` unless 0 ≤ k ≤ n; k ≤ ``len(init)`` calls no evaluator.
+    """
+    seeds = list(init or [])
+    if not 0 <= k <= evaluator.graph.n:
+        raise ValueError(f"cannot select k={k} seeds from {evaluator.graph.n} nodes")
+    picks = list(islice(greedy_picks(evaluator, celf=celf, init=seeds), max(0, k - len(seeds))))
+    return (seeds + [v for v, _ in picks])[:k], [f for _, f in picks]

@@ -1,21 +1,22 @@
 """FJ-Vote-Win: minimum seed set for the target to win (paper Prob. 2, Alg. 2).
 
 Algorithm 2 binary-searches k with a fresh greedy run per probe (the tests
-keep that faithful form as a reference).  ``min_seeds_to_win_fast``
-exploits that greedy selection is *incremental* (greedy(k') is a prefix of
+keep that faithful form as a reference).  ``min_seeds_to_win`` exploits
+that greedy selection is *incremental* (greedy(k') is a prefix of
 greedy(k)) and that the win predicate is monotone along nested seed sets —
 the target's score is non-decreasing in S while every competitor's score
 is non-increasing (cumulative: unchanged; rank-based: target seeds can only
 demote competitors) — so the answer is the shortest winning prefix of one
-greedy sequence.  It verifies the win with *exact* opinions, as Algorithm 2
+greedy sequence.  It scans the prefixes k = 0, 1, … of one resumable
+``select(k)`` and verifies each with *exact* opinions, as Algorithm 2
 line 5 does.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.graphs.graph import OpinionGraph
-from repro.opinion.fj import fj_diffuse_np
+from repro.opinion.fj import fj_diffuse_np, unseeded_horizon_np
 from repro.voting.scores import score_np
 
 
@@ -29,11 +30,15 @@ def target_wins(
 ) -> bool:
     """Exact check: F(B^(t)[S], c_q) > max over competitors (Eq. 9).
 
-    With no competitor (r = 1) the sole candidate wins.
+    Seeds move only the target's row, so only that row is diffused; the
+    competitors' rows are read from the kept B^(t)[∅]
+    (``unseeded_horizon_np``).  A one-row diffusion is its row of the r-row
+    one, bit for bit.  With no competitor (r = 1) the sole candidate wins.
     """
     if graph.r == 1:
         return True
-    b = fj_diffuse_np(graph.with_seeds(target, seeds), t)
+    b = unseeded_horizon_np(graph, t).copy()
+    b[target] = fj_diffuse_np(graph.with_seeds(target, seeds), t, cand=target)
     mine = score_np(b, target, score, **score_kw)
     best_other = max(
         score_np(b, x, score, **score_kw) for x in range(graph.r) if x != target
@@ -41,29 +46,18 @@ def target_wins(
     return mine > best_other
 
 
-def min_seeds_to_win_fast(
+def min_seeds_to_win(
     graph: OpinionGraph,
     target: int,
     t: int,
     score: str,
-    sequence: Sequence[int],
+    select: Callable[[int], Sequence[int]],
+    k_max: int,
     **score_kw,
-) -> tuple[int, list[int]] | tuple[None, None]:
-    """Shortest winning prefix of one greedy ``sequence`` (see module doc).
-
-    Binary search over the prefix length (win predicate is monotone in the
-    nested prefixes).  Returns (k*, S*) or (None, None).
-    """
-    sequence = list(sequence)
-    if target_wins(graph, target, t, [], score, **score_kw):
-        return 0, []
-    if not target_wins(graph, target, t, sequence, score, **score_kw):
-        return None, None
-    lo, hi = 0, len(sequence)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if target_wins(graph, target, t, sequence[:mid], score, **score_kw):
-            hi = mid
-        else:
-            lo = mid
-    return hi, sequence[:hi]
+) -> int | None:
+    """The smallest k ≤ ``k_max`` whose prefix ``select(k)`` of one seed
+    sequence wins (see module doc), or ``None`` if none does."""
+    for k in range(k_max + 1):
+        if target_wins(graph, target, t, select(k), score, **score_kw):
+            return k
+    return None

@@ -16,10 +16,10 @@ import pandas as pd
 
 from repro.baselines.centrality import degree_seeds, pagerank_seeds, rwr_seeds
 from repro.baselines.im import rr_sketches
-from repro.core.dm import ExactEvaluator, greedy_dm
+from repro.core.dm import ExactEvaluator, greedy_picks
 from repro.core.rs import RSSelector
 from repro.core.rw import RWSelector
-from repro.core.win import min_seeds_to_win_fast, target_wins
+from repro.core.win import min_seeds_to_win
 from repro.experiments.casestudy import run_case_study
 from repro.experiments.datasets import table3_rows
 from repro.graphs.generators import running_example
@@ -92,16 +92,19 @@ def method_selector(
     """
     if method in ("DM", "GED-T"):
         # GED-T is Gionis et al. [25] adapted to horizon t (§VIII-A): the exact
-        # greedy on the cumulative objective whatever the score, without CELF.
+        # greedy on the cumulative objective whatever the score.  The paper's
+        # GED-T scores every candidate each round; CELF picks the same seeds.
         objective = score if method == "DM" else "cumulative"
         ev = ExactEvaluator(None, graph, target, t, objective)
-        celf = method == "DM" and score == "cumulative"
+        picks = greedy_picks(ev, celf=objective == "cumulative")
         seq: list[int] = []
 
         def select(k: int) -> list[int]:
-            seeds, _ = greedy_dm(ev, k, celf=celf, init=seq)
-            seq[len(seq):] = seeds[len(seq):]
-            return seeds
+            if not 0 <= k <= graph.n:
+                raise ValueError(f"cannot select k={k} seeds from {graph.n} nodes")
+            while len(seq) < k:
+                seq.append(next(picks)[0])
+            return seq[:k]
 
         return select
     if method == "RW":
@@ -179,23 +182,17 @@ def table6(
 ) -> pd.DataFrame:
     """Min #seeds for the target to win, per proposed method (DM/RW/RS).
 
-    Uses the greedy-prefix fast path (see ``core.win``): each method's
-    greedy sequence is *extended by doubling* (selectors are resumable)
-    until the target wins or ``k_max`` is hit, then the shortest winning
-    prefix is located; win checks use exact opinions (Alg. 2 line 5).
+    Each method's resumable ``select(k)`` is scanned k = 0, 1, …, ``k_max``
+    for the shortest winning prefix (``core.win.min_seeds_to_win``): one
+    sequence, extended a seed at a time, each prefix checked with exact
+    opinions (Alg. 2 line 5).
     """
-    selectors = {
-        m: method_selector(graph, m, target, t, score, lam=lam, theta=theta, seed=seed)
-        for m in ("DM", "RW", "RS")
-    }
     rows = []
-    for method, extend in selectors.items():
-        k = min(16, k_max)
-        seq = extend(k)
-        while not target_wins(graph, target, t, seq, score) and k < k_max:
-            k = min(k * 2, k_max)
-            seq = extend(k)
-        kstar, _ = min_seeds_to_win_fast(graph, target, t, score, seq)
+    for method in ("DM", "RW", "RS"):
+        select = method_selector(
+            graph, method, target, t, score, lam=lam, theta=theta, seed=seed
+        )
+        kstar = min_seeds_to_win(graph, target, t, score, select, k_max)
         rows.append(
             {
                 "method": method,

@@ -42,7 +42,8 @@ def unseeded_horizon_np(graph: OpinionGraph, t: int) -> np.ndarray:
     """``B^(t)[∅]`` (r, n), read-only, kept on the graph (``_unseeded``).
 
     Made again when ``t`` or any entry of ``graph.b0`` or ``graph.d``
-    changed since it was kept, the rule of the exact evaluator's kept batch.
+    changed since it was kept.  The exact evaluator's kept batch is stale
+    exactly when this returns another array than the one it was made beside.
     """
     kept = graph._unseeded
     if (

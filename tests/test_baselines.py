@@ -243,3 +243,26 @@ class TestGEDT:
         ev = ExactEvaluator(None, g, 0, 3, "cumulative")
         dm, _ = greedy_dm(ev, 3, celf=True)
         assert method_selector(g, "GED-T", 0, 3, "cumulative")(3) == dm
+
+    @pytest.mark.parametrize(
+        "dataset, nodes, t",
+        [("random", 60, 3), ("yelp-lite", 300, 20), ("dblp-lite", 300, 20),
+         ("twitter-sd-lite", 1600, 20)],
+    )
+    def test_celf_equals_scoring_every_candidate(self, dataset, nodes, t):
+        """GED-T runs CELF.  Its seeds are those of the paper's GED-T, plain
+        greedy scoring every candidate each round, and CELF's trace is plain
+        greedy's, with ``==``: on the layered kernel and, above
+        ``DENSE_N_THRESHOLD`` nodes, on reach-local."""
+        from repro.experiments.datasets import load
+
+        def make():
+            if dataset == "random":
+                return random_instance(nodes, r=3, seed=16, avg_deg=2.0)
+            return load(dataset, nodes=nodes)
+
+        k, score = 8, "plurality"  # GED-T ignores the score
+        want = greedy_dm(ExactEvaluator(None, make(), 1, t, "cumulative"), k, celf=False)
+        got = greedy_dm(ExactEvaluator(None, make(), 1, t, "cumulative"), k, celf=True)
+        assert got == want
+        assert method_selector(make(), "GED-T", 1, t, score)(k) == want[0]

@@ -559,9 +559,11 @@ class TestLazyGreedy:
             assert all(c == sorted(c) for c in calls)
         assert sum(len(c) for _, c in ev.calls[1:]) < 4 * (g.n - 3)
 
-    def test_ged_t_scores_every_unselected_each_round(self):
-        """Plain greedy on the cumulative score (GED-T) has no bound: every
-        round scores every unselected candidate."""
+    def test_plain_greedy_without_bound_scores_every_unselected_each_round(self):
+        """``greedy_dm(celf=False)`` on the cumulative score has no bound
+        (``bound`` returns ``None``), as with an evaluator that has no
+        ``bound`` at all, such as perfbench's timing proxy: every round
+        scores every unselected candidate."""
         g = random_instance(40, r=3, seed=13)
         ev = _BoundLog(ExactEvaluator(None, g, 0, 3, "cumulative"))
         seeds, _ = greedy_dm(ev, 5, celf=False, init=[7])

@@ -105,6 +105,37 @@ class TestSelectProtocol:
         for k, seeds in got.items():
             assert seeds == im.select_seeds_im(None, graph, method.lower(), k, theta=200)
 
+    @pytest.mark.parametrize(
+        "method, score", [("DM", "plurality"), ("DM", "cumulative"), ("GED-T", "plurality")]
+    )
+    def test_exact_greedy_resumes_its_run(self, monkeypatch, method, score):
+        """DM and GED-T draw from one greedy run: ``select(6)`` after
+        ``select(3)`` is a fresh ``select(6)``, and no round at S ≠ ∅
+        scores every candidate.  CELF's batches there hold at most 32; plain
+        greedy makes at most two calls a round, the first of at most 32."""
+        from repro.core.dm import ExactEvaluator
+
+        calls, call = [], ExactEvaluator.__call__
+
+        def logged(ev, seeds, cands):
+            calls.append((len(seeds), len(cands)))
+            return call(ev, seeds, cands)
+
+        monkeypatch.setattr(ExactEvaluator, "__call__", logged)
+        g = random_instance(120, r=3, seed=7, avg_deg=3.0)
+        select = method_selector(g, method, 0, 2, score)
+        assert len(select(3)) == 3
+        seq = select(6)
+        rounds = [[size for s, size in calls if s == i] for i in range(1, 6)]
+        fresh = method_selector(random_instance(120, r=3, seed=7, avg_deg=3.0), method, 0, 2, score)
+        assert seq == fresh(6)
+        assert calls[0] == (0, g.n)
+        assert all(rounds)
+        if method == "GED-T" or score == "cumulative":  # CELF
+            assert all(size <= 32 for sizes in rounds for size in sizes)
+        else:
+            assert all(len(sizes) <= 2 and sizes[0] <= 32 for sizes in rounds)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_k_outside_0_n_raises(self, graph, method):
         select = self._selector(graph, method, "cumulative")
@@ -124,6 +155,19 @@ def test_scores_comparison_runs_one_empty_batch(monkeypatch):
     df = scores_comparison(g, q, 20, [5], scores, methods=("DM", "GED-T"))
     assert len(df) == 6
     assert sizes.count(g.n) == 1 and sizes[0] == g.n
+
+
+def test_table6_dblp_lite_is_pinned():
+    """Table VI at ``jobs/run_table6.py``'s defaults on dblp-lite (plurality,
+    t = 20, the trailing target, k_max = 200): the rows EXPERIMENTS.md
+    quotes."""
+    g = load("dblp-lite")
+    target = trailing_candidate(g, 20, "plurality")
+    df = table6(g, target, 20, "plurality", k_max=200)
+    assert target == 1
+    assert df["method"].tolist() == ["DM", "RW", "RS"]
+    assert df["k_star"].tolist() == [34, 42, 54]
+    assert df["win_within_budget"].all()
 
 
 @pytest.mark.slow
