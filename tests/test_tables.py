@@ -121,14 +121,16 @@ class TestSelectProtocol:
             calls.append((len(seeds), len(cands)))
             return call(ev, seeds, cands)
 
+        def make():
+            return random_instance(120, r=3, seed=7, avg_deg=3.0)
+
         monkeypatch.setattr(ExactEvaluator, "__call__", logged)
-        g = random_instance(120, r=3, seed=7, avg_deg=3.0)
+        g = make()
         select = method_selector(g, method, 0, 2, score)
         assert len(select(3)) == 3
         seq = select(6)
         rounds = [[size for s, size in calls if s == i] for i in range(1, 6)]
-        fresh = method_selector(random_instance(120, r=3, seed=7, avg_deg=3.0), method, 0, 2, score)
-        assert seq == fresh(6)
+        assert seq == method_selector(make(), method, 0, 2, score)(6)
         assert calls[0] == (0, g.n)
         assert all(rounds)
         if method == "GED-T" or score == "cumulative":  # CELF
