@@ -39,9 +39,10 @@ rounding (DESIGN.md §2).  No exact kernel calls BLAS.  On both kernels a
 candidate's F is the same bits in any batch, so the greedy loop compares
 values scored in different batches.  For the same reason each graph keeps
 one batch, whatever score it was made for: the all-candidate batch at
-S = ∅ for one target and t (``_Batch``).  DM, GED-T and the sandwich's LB
-and S_F greedy all start from it, and ``bound`` reads its Δ; batches at
-S ≠ ∅ run their kernel and keep nothing.  F comes from
+S = ∅ for one target and t (``_Batch``), which key it alone, since the
+graph is read-only.  DM, GED-T and the sandwich's LB and S_F greedy all
+start from it, and ``bound`` reads its Δ; batches at S ≠ ∅ run their
+kernel and keep nothing.  F comes from
 ``voting.scores.score_rows``; the reach-local change is a plain Σδ for
 the cumulative score and ``voting.scores.score_change`` (one group per
 candidate row, one unit per reached node) for the rank scores.
@@ -158,13 +159,12 @@ def _layered_block(lay, b0, d, pins, t) -> np.ndarray:
 
 @dataclass
 class _Batch:
-    """The all-candidate batch at S = ∅ for one target, kept on the graph
-    (``_rows``) with the B^(t)[∅] it was made beside.  Candidate v is row v.
-    It depends on the kernel, target, t and the target's b⁰ and d, not on
-    the score."""
+    """The all-candidate batch at S = ∅ for one target and t, kept on the
+    (read-only) graph (``_rows``).  Candidate v is row v.  It depends on
+    the kernel, target and t, not on the score."""
 
     target: int
-    horizon: np.ndarray  # ``unseeded_horizon_np(graph, t)`` when it was made
+    t: int
     base: np.ndarray  # b[∅]
     rows: np.ndarray | None  # layered: the (n × n) b[{v}]
     pairs: tuple | None  # reach-local: (prow, pnode, δ, roots), see ``_pairs``
@@ -184,12 +184,11 @@ class ExactEvaluator:
     Every evaluator on a graph reads one batch, kept on the graph: the
     all-candidate batch at S = ∅ for its target and t, made on first use by
     whichever evaluator needs it, whatever the score, and made again for
-    another target or a new B^(t)[∅] (``unseeded_horizon_np``: another t,
-    or changed b⁰ or d).  A call at S = ∅ scores
-    it and returns the candidates' F; a call at S ≠ ∅ runs the kernel and
-    keeps nothing.  The rank scores' ``bound`` reads Δ_u(v) = b_u[{v}] −
-    b_u[∅] from it, so a plain greedy resumed with ``init`` on a graph with
-    no kept batch pays for one ∅ batch, and still prunes.
+    another target or t.  A call at S = ∅ scores it and returns the
+    candidates' F; a call at S ≠ ∅ runs the kernel and keeps nothing.  The
+    rank scores' ``bound`` reads Δ_u(v) = b_u[{v}] − b_u[∅] from it, so a
+    plain greedy resumed with ``init`` on a graph with no kept batch pays
+    for one ∅ batch, and still prunes.
     """
 
     # No batch runs on Spark; perfbench's TimedEvaluator reads this.
@@ -263,11 +262,11 @@ class ExactEvaluator:
 
     def _batch(self) -> _Batch:
         """The graph's batch at S = ∅ for this target and t, made here unless
-        the kept one has this target and was made beside the graph's current
-        B^(t)[∅]: ``unseeded_horizon_np`` alone decides when that is stale."""
+        the kept one has them.  The layered base b[∅] is one row's diffusion,
+        bit for bit that row of B^(t)[∅], so no cumulative evaluator makes
+        the r-row one."""
         g, q, kept = self.graph, self.target, self.graph._rows
-        horizon = unseeded_horizon_np(g, self.t)
-        if kept is not None and kept.target == q and kept.horizon is horizon:
+        if kept is not None and (kept.target, kept.t) == (q, self.t):
             return kept
         g._rows = kept = None  # free the old batch before the kernel makes the new one
         everyone, rows, pairs = np.arange(g.n), None, None
@@ -279,8 +278,8 @@ class ExactEvaluator:
             # 4-core host: 180.7 MB kept as made, 176.2 MB copied).
             pairs = tuple(a.copy() for a in pairs)
         else:
-            base, rows = horizon[q], self._layered([], everyone)
-        g._rows = _Batch(q, horizon, base, rows, pairs)
+            base, rows = self._horizon([]), self._layered([], everyone)
+        g._rows = _Batch(q, self.t, base, rows, pairs)
         return g._rows
 
     def _horizon(self, seeds) -> np.ndarray:

@@ -14,6 +14,10 @@ the Spark jobs (walk, sketch and RR-set generation) ship them to
 exact evaluator's layered FJ kernel.  ``edges_pdf`` / ``state_pdf``
 export the instance as pandas tables for the DuckDB oracle.
 
+An instance is fixed (§II): its arrays are read-only and seeding makes a
+new one (``with_seeds``), so a result kept on a graph (the CSRs,
+``in_layers``, B^(t)[∅], the exact batch) is keyed by its parameters alone.
+
 ``reach`` is the one reachability entry point: t-hop reachable sets
 N_v^(t) (Def. 2) over the forward CSR for DM's reach-local kernel and the
 sandwich UB, the same over the reverse CSR for the sandwich's coverage
@@ -117,16 +121,20 @@ class OpinionGraph:
     b0: np.ndarray  # (r, n) float64 in [0,1] — initial opinions per candidate
     d: np.ndarray  # (r, n) float64 in [0,1] — stubbornness per candidate
     candidates: list[str] = field(default_factory=list)
-    _rev_csr: AliasTable | None = field(default=None, repr=False)
-    _fwd_csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False
-    )
-    _in_layers: InLayers | None = field(default=None, repr=False)
+    # Kept results, never passed in, so ``dataclasses.replace`` starts afresh.
+    _rev_csr: AliasTable | None = field(default=None, init=False, repr=False)
+    _fwd_csr: tuple | None = field(default=None, init=False, repr=False)
+    _in_layers: InLayers | None = field(default=None, init=False, repr=False)
     # The exact evaluators' all-candidate batch at S = ∅ for one target and
     # t (``core.dm._Batch``): every evaluator on this graph reads it.
-    _rows: object | None = field(default=None, repr=False)
-    # B^(t)[∅] as ``(t, b0, d, opinions)`` (``opinion.fj.unseeded_horizon_np``).
-    _unseeded: tuple | None = field(default=None, repr=False)
+    _rows: object | None = field(default=None, init=False, repr=False)
+    # B^(t)[∅] as ``(t, opinions)`` (``opinion.fj.unseeded_horizon_np``).
+    _unseeded: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        """Freeze the instance's arrays: every kept result depends on them."""
+        for a in (self.src, self.dst, self.w, self.b0, self.d):
+            a.setflags(write=False)
 
     # ------------------------------------------------------------------ #
     # Construction & validation
@@ -168,8 +176,8 @@ class OpinionGraph:
             in_sum[orphans] = 1.0
         weight = weight / in_sum[dst]
         order = np.lexsort((src, dst))
-        b0 = np.atleast_2d(np.asarray(b0, dtype=np.float64))
-        d = np.atleast_2d(np.asarray(d, dtype=np.float64))
+        b0 = np.array(b0, dtype=np.float64, ndmin=2)  # copies: the graph freezes its own
+        d = np.array(d, dtype=np.float64, ndmin=2)
         if b0.shape != d.shape or b0.shape[1] != n:
             raise ValueError(f"b0/d shape mismatch: {b0.shape} vs {d.shape}, n={n}")
         if not (((b0 >= 0) & (b0 <= 1)).all() and ((d >= 0) & (d <= 1)).all()):

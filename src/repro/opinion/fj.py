@@ -12,9 +12,10 @@ the update uniform across all nodes.
 for all candidates at once.  The win check, the sandwich bounds, the
 exact evaluator's ``score_of`` and the tables run it, and the DuckDB
 oracle tests check it against t FJ steps written as SQL.
-``unseeded_horizon_np`` keeps B^(t)[∅] on the graph for the callers that
-each need it at the same t: the exact evaluator's and the sketch
-selectors' opponent opinions, and the sandwich's favorable users.
+``unseeded_horizon_np`` keeps B^(t)[∅] on the graph, keyed by t alone
+(the graph is read-only), for the callers that each need it at the same
+t: the win check's, the exact evaluator's and the sketch selectors'
+opponent opinions, and the sandwich's favorable users.
 """
 from __future__ import annotations
 
@@ -39,22 +40,14 @@ def fj_diffuse_np(graph: OpinionGraph, t: int, *, cand: int | None = None) -> np
 
 
 def unseeded_horizon_np(graph: OpinionGraph, t: int) -> np.ndarray:
-    """``B^(t)[∅]`` (r, n), read-only, kept on the graph (``_unseeded``).
-
-    Made again when ``t`` or any entry of ``graph.b0`` or ``graph.d``
-    changed since it was kept.  The exact evaluator's kept batch is stale
-    exactly when this returns another array than the one it was made beside.
-    """
-    kept = graph._unseeded
-    if (
-        kept is None
-        or kept[0] != t
-        or not (np.array_equal(kept[1], graph.b0) and np.array_equal(kept[2], graph.d))
-    ):
+    """``B^(t)[∅]`` (r, n), read-only, kept on the graph (``_unseeded``)
+    for the last ``t`` asked; the graph's arrays are read-only, so ``t``
+    alone decides when it is made again."""
+    if graph._unseeded is None or graph._unseeded[0] != t:
         b = fj_diffuse_np(graph, t)
         b.setflags(write=False)
-        graph._unseeded = kept = (t, graph.b0.copy(), graph.d.copy(), b)
-    return kept[3]
+        graph._unseeded = (t, b)
+    return graph._unseeded[1]
 
 
 def opinions_at_horizon_np(

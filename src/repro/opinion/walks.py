@@ -251,7 +251,7 @@ def walk_kernel(
     """
     if (lam is None) == (theta is None):
         raise ValueError("pass exactly one of lam= or theta=")
-    alias, d = graph.reverse_alias(), graph.d[cand].copy()
+    alias, d = graph.reverse_alias(), graph.d[cand]
 
     def kernel(ids):
         return reverse_walks(alias, d, seed, ids, t, lam=lam)

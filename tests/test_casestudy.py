@@ -73,3 +73,14 @@ def test_run_case_study_end_to_end():
     assert len(res["seeds"]) == 8
     for row in res["rows"]:
         assert row["votes_with"] >= 0 and row["total_users"] >= row["votes_with"]
+
+
+def test_table4_is_pinned():
+    """Table IV at ``jobs/run_table4.py``'s defaults (n = 640, k = 50,
+    t = 20): the target's voters, overall and per domain, that
+    EXPERIMENTS.md quotes."""
+    res = run_case_study(n=640, k=50, t=20)
+    assert (res["overall_without"], res["overall_with"], res["n"]) == (69, 358, 640)
+    assert {row["domain"]: row["votes_with"] for row in res["rows"]} == {
+        "DM": 182, "HCI": 97, "ML": 91, "CN": 124, "AL": 51, "SW": 34, "HW": 93,
+    }

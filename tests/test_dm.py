@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from repro.core.dm import (
 )
 from repro.graphs.generators import random_instance, running_example
 from repro.graphs.graph import OpinionGraph, reach
-from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np
+from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np, unseeded_horizon_np
 from repro.voting.scores import score_np, score_rows
 
 
@@ -815,19 +816,50 @@ class TestSharedBatch:
                 np.testing.assert_array_equal(got([], cands), want([], cands))
         assert sizes.count(g.n) == 1 + len(cases)  # the first batch, then the fresh graphs'
 
+    @pytest.mark.parametrize("kernel", ["layered", "reach_local"])
+    def test_cumulative_batch_runs_no_all_candidate_diffusion(self, monkeypatch, kernel):
+        """A cumulative evaluator on a fresh graph makes its batch at S = ∅
+        with no r-row B^(t)[∅]: every FJ diffusion it runs is the target's
+        row.  Its F is the kernel's own, and its b[∅] is B^(t)[∅]'s row."""
+        import repro.core.dm as dm_mod
+        import repro.opinion.fj as fj_mod
+
+        _force_kernel(monkeypatch, kernel)
+        calls, diffuse = [], fj_mod.fj_diffuse_np
+        for mod in (fj_mod, dm_mod):
+            monkeypatch.setattr(
+                mod, "fj_diffuse_np", lambda *a, **kw: calls.append(kw) or diffuse(*a, **kw)
+            )
+        g, every = _looped_graph()[0], np.arange(40)
+        f = ExactEvaluator(None, g, 0, 3, "cumulative")([], every)
+        assert g._rows is not None and g._unseeded is None
+        assert all(kw.get("cand") == 0 for kw in calls)
+        ref = ExactEvaluator(None, _looped_graph()[0], 0, 3, "cumulative")
+        if kernel == "reach_local":
+            np.testing.assert_array_equal(f, ref._reach_local([], every))
+        else:
+            rows = [opinions_at_horizon_np(ref.graph, 3, 0, [v])[0] for v in every]
+            np.testing.assert_array_equal(f, ref._score(np.array(rows)))
+        np.testing.assert_array_equal(g._rows.base, unseeded_horizon_np(g, 3)[0])
+
     def test_no_hit_on_another_target_t_s0_or_changed_opinions(self, monkeypatch):
         sizes = _row_batches(monkeypatch)
         sub = np.arange(5, 25)
 
+        def changed_copy(graph, name):
+            """The graph with entry (0, 7) of its ``name`` array set to 0.125."""
+            a = getattr(graph, name).copy()
+            a[0, 7] = 0.125
+            return replace(graph, **{name: a})
+
         def check(target, t, seeds, changed=None):
-            """Keep the batch (target 0, t = 3, S₀ = ∅), set one entry of the
-            ``changed`` array (b0 or d) of the graph and of a reference in
-            place, then score ``sub`` on both."""
+            """Keep the batch (target 0, t = 3, S₀ = ∅), copy the graph and
+            a reference with one entry of the ``changed`` array (b0 or d)
+            set, then score ``sub`` on both."""
             g, ref = _looped_graph()[0], _looped_graph()[0]
             ExactEvaluator(None, g, 0, 3, "cumulative")([], np.arange(g.n))
-            for graph in (g, ref):
-                if changed:
-                    getattr(graph, changed)[0, 7] = 0.125
+            if changed:
+                g, ref = changed_copy(g, changed), changed_copy(ref, changed)
             ran = len(sizes)
             got = ExactEvaluator(None, g, target, t, "cumulative")(seeds, sub)
             want = ExactEvaluator(None, ref, target, t, "cumulative")(seeds, sub)

@@ -1,4 +1,6 @@
 """Tests for FJ/DeGroot diffusion — NumPy kernel and DuckDB oracle."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,8 @@ def _fj_sql(t: int) -> str:
 
 
 class TestUnseededHorizon:
-    """B^(t)[∅] is kept on the graph, read-only, and made again when t or
-    any b0/d entry changes."""
+    """B^(t)[∅] is kept on the graph, read-only, and made again when t
+    changes (the graph's b0 and d are read-only)."""
 
     def test_kept_equals_fresh_diffusion(self):
         g = random_instance(50, r=3, seed=40)
@@ -40,14 +42,10 @@ class TestUnseededHorizon:
         assert not b.flags.writeable
         assert unseeded_horizon_np(g, 4) is b
 
-    @pytest.mark.parametrize("change", ["t", "b0", "d"])
+    @pytest.mark.parametrize("change", ["t"])
     def test_made_again_on_change(self, change):
         g = random_instance(50, r=3, seed=41)
-        b, t = unseeded_horizon_np(g, 4), 4
-        if change == "t":
-            t = 3
-        else:
-            getattr(g, change)[1, 7] = 0.125
+        b, t = unseeded_horizon_np(g, 4), 3
         got = unseeded_horizon_np(g, t)
         assert got is not b
         np.testing.assert_array_equal(got, fj_diffuse_np(g, t))
@@ -77,7 +75,9 @@ class TestUnseededHorizon:
         favorable_users_np(g, 0, 4, 1)
         weakly_favorable_users_np(g, 2, 4)
         assert calls == [{}]
-        g.d[0, 3] = 0.5
+        d = g.d.copy()
+        d[0, 3] = 0.5
+        favorable_users_np(replace(g, d=d), 0, 4, 1)
         favorable_users_np(g, 0, 4, 1)
         assert calls == [{}, {}]
 
@@ -116,14 +116,13 @@ class TestNumpyReference:
 
     def test_fully_stubborn_never_move(self):
         g = random_instance(40, seed=1)
-        g.d[:] = 1.0
+        g = replace(g, d=np.ones_like(g.d))
         assert np.allclose(fj_diffuse_np(g, 5), g.b0)
 
     def test_degroot_special_case_averages(self):
         # d == 0: a uniform opinion vector is a fixed point.
         g = random_instance(40, seed=3)
-        g.d[:] = 0.0
-        g.b0[:] = 0.7
+        g = replace(g, d=np.zeros_like(g.d), b0=np.full_like(g.b0, 0.7))
         assert np.allclose(fj_diffuse_np(g, 6), 0.7)
 
     def test_single_candidate_slice_matches(self):

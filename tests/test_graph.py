@@ -1,12 +1,15 @@
 """Unit tests for the OpinionGraph substrate (repro.graphs.graph)."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core.dm import ExactEvaluator
 from repro.graphs.generators import random_instance, running_example
 import repro.graphs.graph as graph_mod
 from repro.graphs.graph import OpinionGraph, _build_alias_row, reach, spmv_dst
+from repro.opinion.fj import unseeded_horizon_np
 
 
 def _tiny(b0=None, d=None):
@@ -133,6 +136,40 @@ class TestSeeds:
         g = running_example()
         g2 = g.with_seeds(0, [])
         assert np.array_equal(g2.b0, g.b0) and np.array_equal(g2.d, g.d)
+
+
+class TestReadOnly:
+    """An instance is fixed (§II): its arrays are read-only, a caller's
+    arrays are copied, not frozen, and a result kept on a graph is never
+    carried over to another instance."""
+
+    def test_arrays_are_read_only_and_callers_stay_writable(self):
+        src, dst, w = np.array([0, 1, 2], dtype=np.int32), np.array([2, 2, 3]), np.ones(3)
+        b0, d = np.full((2, 4), 0.5), np.full((2, 4), 0.25)
+        g = OpinionGraph.from_edges(4, src, dst, w, b0, d)
+        for graph in (g, g.with_seeds(0, [1])):
+            for name in ("src", "dst", "w", "b0", "d"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(graph, name)[0] = 0
+        for a in (src, dst, w, b0, d):
+            a[0] = 1
+        assert g.b0[0, 0] == 0.5 and g.d[0, 0] == 0.25
+
+    def test_replace_carries_no_kept_result(self):
+        """Warm B^(t)[∅], ``in_layers`` and an evaluator's batch, then swap d:
+        the new graph's B^(t)[∅] and exact F are a cold graph's."""
+        g, t, every = random_instance(40, r=3, seed=7), 3, np.arange(40)
+        unseeded_horizon_np(g, t)
+        g.in_layers()
+        ExactEvaluator(None, g, 0, t, "plurality")([], every)
+        d = np.full_like(g.d, 0.3)
+        new, cold = replace(g, d=d), replace(random_instance(40, r=3, seed=7), d=d)
+        np.testing.assert_array_equal(unseeded_horizon_np(new, t), unseeded_horizon_np(cold, t))
+        for score in ("cumulative", "plurality"):
+            np.testing.assert_array_equal(
+                ExactEvaluator(None, new, 0, t, score)([], every),
+                ExactEvaluator(None, cold, 0, t, score)([], every),
+            )
 
 
 class TestSpmv:

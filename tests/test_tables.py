@@ -14,6 +14,8 @@ from repro.experiments.tables import (
 from repro.core.sandwich import sandwich_select
 from repro.experiments.datasets import TARGETS, load
 from repro.graphs.generators import random_instance
+from repro.opinion.fj import opinions_at_horizon_np
+from repro.voting.scores import score_np
 from tests.test_dm import _row_batches
 
 
@@ -188,6 +190,25 @@ class TestComparisonHarness:
             assert sub["F"].is_monotonic_increasing or np.allclose(
                 sub["F"].diff().dropna(), 0
             ) or (sub["F"].diff().dropna() >= -1e-9).all()
+
+    def test_score_free_methods_select_once_per_table(self, monkeypatch):
+        """Only DM, RW and RS read the score: every other method selects
+        once per table, and every row's F is the exact F of its prefix."""
+        import repro.experiments.tables as tables_mod
+
+        calls, select = [], tables_mod.method_selector
+        monkeypatch.setattr(
+            tables_mod, "method_selector",
+            lambda g, method, *a, **kw: calls.append(method) or select(g, method, *a, **kw),
+        )
+        g, kw = random_instance(40, r=3, seed=6, avg_deg=2.5), {"lam": 10, "theta": 200}
+        scores = ["cumulative", "plurality", "copeland"]
+        df = scores_comparison(g, 0, 2, [1, 3], scores, methods=("DM", "RW", "GED-T", "DC"), **kw)
+        assert sorted(calls) == sorted(["DM", "RW"] * 3 + ["GED-T", "DC"])
+        assert len(df) == 3 * 4 * 2
+        for row in df.itertuples():
+            seeds = select(g, row.method, 0, 2, row.score, **kw)(row.k)
+            assert row.F == score_np(opinions_at_horizon_np(g, 2, 0, seeds), 0, row.score)
 
     def test_dm_dominates_on_cumulative(self):
         g = random_instance(40, r=2, seed=4, avg_deg=2.5)

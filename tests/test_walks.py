@@ -2,6 +2,8 @@
 (Thms 8–9), truncation semantics, the walks' Spark DataFrame, and
 truncation/estimation of the collected walks in the sketch engine.
 Spark ≡ driver exactness is in ``test_generation.py``."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,13 +59,13 @@ class TestKernel:
 
     def test_fully_stubborn_walks_stop_immediately(self):
         g = random_instance(30, seed=2)
-        g.d[:] = 1.0
+        g = replace(g, d=np.ones_like(g.d))
         paths, _, _ = _walks(g, 5, 2, lam=1)
         assert all(len(p) == 1 for p in paths)
 
     def test_non_stubborn_walks_run_full_length(self):
         g = random_instance(30, seed=3)
-        g.d[:] = 0.0
+        g = replace(g, d=np.zeros_like(g.d))
         paths, _, _ = _walks(g, 5, 3, lam=1)
         assert all(len(p) == 6 for p in paths)
 
