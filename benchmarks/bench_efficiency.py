@@ -41,9 +41,8 @@ one bit per root.  ``sets`` are the sandwich's coverage sets (the reverse
 reach of every user outside V_q^(t), plurality, trailing target); ``pairs``
 the forward reach of every node with 2 blocked seeds, as reach-local DM
 runs it.  The bits cover the small graphs, yelp-lite and dblp-lite, and
-twitter-sd-lite shows why larger graphs keep the frontier.  A revision
-without the bits skips their cases.  It records the set count and node
-total in ``extra_info``.
+twitter-sd-lite shows why larger graphs keep the frontier.  It records the
+set count and node total in ``extra_info``.
 
 ``test_rr_sets_time`` times the driver RR-set kernel ``baselines.im.rr_sets``
 (2 000 sets, seed 3) for IC and LT on the three small lite graphs; perfbench
@@ -60,8 +59,7 @@ RR sets) on twitter-sd-lite and yelp-lite, it times
 the first ids.  It records the ids and the path nodes in ``extra_info``.
 The smallest size at which Spark wins, over IC, LT and both graphs, sets
 ``baselines.im.RR_DRIVER_MAX``.  Walks have no such size up to 2^22, so
-they are always made on the driver.  A revision without ``sketches``
-skips these cases.
+they are always made on the driver.
 
 ``benchmarks/record_efficiency.py`` runs this file and appends the medians
 to ``BENCH_efficiency.json``.  ``test_selection_time`` and
@@ -206,11 +204,7 @@ def test_dm_then_sandwich_time(benchmark, monkeypatch, dataset):
 @pytest.mark.parametrize("kind", ["sets", "pairs"])
 @pytest.mark.parametrize("path", ["frontier", "bits"])
 def test_reach_time(benchmark, monkeypatch, path, kind, dataset):
-    if not hasattr(graph_mod, "_reach_bits"):
-        if path == "bits":
-            pytest.skip("this revision has no bit-parallel reach")
-    else:
-        monkeypatch.setattr(graph_mod, "DENSE_N_THRESHOLD", 10**9 if path == "bits" else -1)
+    monkeypatch.setattr(graph_mod, "DENSE_N_THRESHOLD", 10**9 if path == "bits" else -1)
     g = load(dataset)
     if kind == "sets":
         target = trailing_candidate(g, 20, "plurality")
@@ -251,18 +245,16 @@ _GENERATION = [
 )
 @pytest.mark.usefixtures("spark")
 def test_generation_time(benchmark, kind, path, ids, dataset):
-    if not hasattr(walks, "sketches"):
-        pytest.skip("this revision has no driver/Spark dispatch")
     g = load(dataset)
     alias = g.reverse_alias()
     if kind in ("IC", "LT"):
         def kernel(block):
             return rr_sets(alias, g.w, kind.lower(), 3, block)
     else:
-        d, lam = g.d[0].copy(), -(-ids // g.n) if kind == "RW" else None
+        lam = -(-ids // g.n) if kind == "RW" else None
 
         def kernel(block):
-            return walks.reverse_walks(alias, d, 3, block, 20, lam=lam)
+            return walks.reverse_walks(alias, g.d[0], 3, block, 20, lam=lam)
 
     driver_max = ids if path == "driver" else 0
     nodes, offsets = benchmark.pedantic(

@@ -186,9 +186,7 @@ class ExactEvaluator:
     whichever evaluator needs it, whatever the score, and made again for
     another target or t.  A call at S = ∅ scores it and returns the
     candidates' F; a call at S ≠ ∅ runs the kernel and keeps nothing.  The
-    rank scores' ``bound`` reads Δ_u(v) = b_u[{v}] − b_u[∅] from it, so a
-    plain greedy resumed with ``init`` on a graph with no kept batch pays
-    for one ∅ batch, and still prunes.
+    rank scores' ``bound`` reads Δ_u(v) = b_u[{v}] − b_u[∅] from it.
     """
 
     # No batch runs on Spark; perfbench's TimedEvaluator reads this.
@@ -397,24 +395,20 @@ class ExactEvaluator:
         )
 
 
-def greedy_picks(
-    evaluator: ExactEvaluator, *, celf: bool, init: Sequence[int] = ()
-) -> Iterator[tuple[int, float]]:
+def greedy_picks(evaluator: ExactEvaluator, *, celf: bool) -> Iterator[tuple[int, float]]:
     """Alg. 1 (greedy), lazy with CELF [49] or plain: yields (the next seed,
-    exact F of the seeds so far) from the start set ``init`` until every
-    node is picked.
+    exact F of the seeds so far) from S = ∅ until every node is picked.
 
     CELF is valid for the submodular cumulative score; the rank scores run
     plain (``celf=False``), as the paper uses CELF for cumulative only.
-    Greedy is incremental, and CELF's lazy bounds hold from any seed set
-    [49], so both may start from ``init``.  Each candidate keeps its last
-    F(S ∪ {v}), the gain over the F(S) it was scored against and the round
-    it was scored in, between draws too: drawing more picks continues the
-    run, so a longer ``select(k)`` pays only for its new rounds.  A round
-    re-scores the stale candidates ranked above the first fresh one (by
-    gain, ties to the smaller id) in one batch, in ascending id order,
-    until the top candidate is fresh, and picks it.  A run's first batch
-    holds every candidate; CELF's later batches hold at most 32.
+    Each candidate keeps its last F(S ∪ {v}), the gain over the F(S) it was
+    scored against and the round it was scored in, between draws too:
+    drawing more picks continues the run, so a longer ``select(k)`` pays
+    only for its new rounds.  A round re-scores the stale candidates ranked
+    above the first fresh one (by gain, ties to the smaller id) in one
+    batch, in ascending id order, until the top candidate is fresh, and
+    picks it.  A run's first batch holds every candidate; CELF's later
+    batches hold at most 32.
 
     Plain greedy ranks a stale candidate by the gain of the evaluator's
     ``bound(S)`` over F(S).  Its rounds make at most two calls: the top 32,
@@ -425,14 +419,13 @@ def greedy_picks(
     scored each round.
     """
     n = evaluator.graph.n
-    seeds = list(init)
+    seeds: list[int] = []
     base = evaluator.score_of(seeds)
     bound = None if celf else getattr(evaluator, "bound", None)
     # Unscored candidates rank first; picked ones rank last and are never stale.
     val, gain, when = np.zeros(n), np.full(n, np.inf), np.full(n, -1)
-    gain[seeds], when[seeds] = -np.inf, n
-    first = True  # a run's first batch scores every candidate
-    for rnd in range(len(seeds), n):
+    for rnd in range(n):
+        first = rnd == 0  # a run's first batch scores every candidate
         ub = None if first or bound is None else bound(seeds)
         if ub is not None:
             stale = when < rnd
@@ -447,7 +440,6 @@ def greedy_picks(
                 batch = np.flatnonzero(when < rnd)
             val[batch] = evaluator(seeds, batch)
             gain[batch], when[batch] = val[batch] - base, rnd
-        first = False
         base = float(val[top])  # the evaluator's F, not a running sum of gains
         seeds.append(top)
         gain[top], when[top] = -np.inf, n
@@ -455,18 +447,12 @@ def greedy_picks(
 
 
 def greedy_dm(
-    evaluator: ExactEvaluator,
-    k: int,
-    *,
-    celf: bool = True,
-    init: list[int] | None = None,
+    evaluator: ExactEvaluator, k: int, *, celf: bool = True
 ) -> tuple[list[int], list[float]]:
-    """The first k seeds of ``greedy_picks`` from the start set ``init``, in
-    selection order, and the exact F after each pick past ``init``.  Raises
-    ``ValueError`` unless 0 ≤ k ≤ n; k ≤ ``len(init)`` calls no evaluator.
+    """The first k seeds of ``greedy_picks``, in selection order, and the
+    exact F after each pick.  Raises ``ValueError`` unless 0 ≤ k ≤ n.
     """
-    seeds = list(init or [])
     if not 0 <= k <= evaluator.graph.n:
         raise ValueError(f"cannot select k={k} seeds from {evaluator.graph.n} nodes")
-    picks = list(islice(greedy_picks(evaluator, celf=celf, init=seeds), max(0, k - len(seeds))))
-    return (seeds + [v for v, _ in picks])[:k], [f for _, f in picks]
+    picks = list(islice(greedy_picks(evaluator, celf=celf), k))
+    return [v for v, _ in picks], [f for _, f in picks]

@@ -152,14 +152,6 @@ class TestGreedy:
         with pytest.raises(ValueError, match="k=7"):
             greedy_dm(ev, 7, celf=celf)
 
-    def test_k_counts_init_seeds_toward_pool(self):
-        g = random_instance(6, seed=15)
-        ev = ExactEvaluator(None, g, 0, 3, "cumulative")
-        seeds, _ = greedy_dm(ev, 6, celf=False, init=[4])
-        assert seeds[0] == 4 and sorted(seeds) == list(range(6))
-        with pytest.raises(ValueError, match="k=7"):
-            greedy_dm(ev, 7, celf=False, init=[4])
-
     def test_running_example_greedy_picks_node0_for_cumulative(self):
         # Table I: {1} (node 0) maximizes the cumulative score at t=1.
         g = running_example()
@@ -490,10 +482,10 @@ class _BoundLog(_CallLog):
         return self.ev.bound(seeds)
 
 
-def _exhaustive(ev, k, init=()):
+def _exhaustive(ev, k):
     """Reference plain greedy: every round scores every unselected
     candidate and picks the largest gain over F(S), ties to the smaller id."""
-    seeds, trace = list(init), []
+    seeds, trace = [], []
     base = ev.score_of(seeds)
     while len(seeds) < k:
         cands = np.array([v for v in range(ev.graph.n) if v not in seeds])
@@ -531,30 +523,16 @@ class TestLazyGreedy:
         greedy_dm(ev, 1, celf=True)
         assert ev.calls == [([], list(range(g.n)))]
 
-    def test_resumed_celf_first_round_scores_every_unselected(self):
-        g = random_instance(40, seed=9)
-        exact = ExactEvaluator(None, g, 0, 4, "cumulative")
-        full, full_trace = greedy_dm(exact, 6, celf=True)
-        init = full[:3]
-        ev = _CallLog(exact)
-        seeds, trace = greedy_dm(ev, 6, celf=True, init=init)
-        assert seeds == full and trace == full_trace[3:]
-        assert ev.calls[0] == (init, [v for v in range(g.n) if v not in init])
-        assert all(len(c) <= 32 and c == sorted(c) for _, c in ev.calls[1:])
-        ev.calls.clear()
-        greedy_dm(ev, 4, celf=True, init=init)
-        assert len(ev.calls) == 1
-
     def test_plain_greedy_scores_every_unselected_then_at_most_two_batches(self):
         """A pruned round scores the top 32 by bound, then in one more batch
         what can still win; the picks and trace are exhaustive greedy's."""
         g = random_instance(80, r=3, seed=13)
         exact = ExactEvaluator(None, g, 0, 3, "plurality")
         ev = _BoundLog(exact)
-        seeds, trace = greedy_dm(ev, 6, celf=False, init=[7])
-        assert (seeds, trace) == _exhaustive(exact, 6, init=[7])
-        assert ev.calls[0] == ([7], [v for v in range(g.n) if v != 7])
-        for i in range(2, 6):
+        seeds, trace = greedy_dm(ev, 6, celf=False)
+        assert (seeds, trace) == _exhaustive(exact, 6)
+        assert ev.calls[0] == ([], list(range(g.n)))
+        for i in range(1, 6):
             calls = [c for s, c in ev.calls if s == seeds[:i]]
             assert 1 <= len(calls) <= 2 and len(calls[0]) <= 32
             assert all(c == sorted(c) for c in calls)
@@ -567,10 +545,9 @@ class TestLazyGreedy:
         scores every unselected candidate."""
         g = random_instance(40, r=3, seed=13)
         ev = _BoundLog(ExactEvaluator(None, g, 0, 3, "cumulative"))
-        seeds, _ = greedy_dm(ev, 5, celf=False, init=[7])
-        assert seeds[0] == 7
+        seeds, _ = greedy_dm(ev, 5, celf=False)
         assert ev.calls == [
-            (seeds[:i], [v for v in range(g.n) if v not in seeds[:i]]) for i in range(1, 5)
+            (seeds[:i], [v for v in range(g.n) if v not in seeds[:i]]) for i in range(5)
         ]
 
     @pytest.mark.parametrize("score, celf", [("cumulative", True), ("plurality", False)])
@@ -579,9 +556,6 @@ class TestLazyGreedy:
         first = ev([], [0, 1, 2])
         assert first[0] == first[1] == first[2]
         assert greedy_dm(ev, 3, celf=celf)[0] == [0, 1, 2]
-        assert greedy_dm(ev, 2, celf=celf, init=[2])[0] == [2, 0]
-        assert greedy_dm(ev, 3, celf=celf, init=[0])[0] == [0, 1, 2]
-        assert greedy_dm(ev, 2, celf=celf, init=[5])[0] == [5, 0]
 
 
 class TestBatchIndependence:
@@ -670,14 +644,12 @@ class TestBound:
         _force_kernel(monkeypatch, kernel)
         g = random_instance(70, r=3, seed=42, avg_deg=3.0)
         ev = ExactEvaluator(None, g, 1, 3, score, **kw)
-        for init in ([], [5]):
-            assert greedy_dm(ev, 5, celf=False, init=init) == _exhaustive(ev, 5, init)
+        assert greedy_dm(ev, 5, celf=False) == _exhaustive(ev, 5)
 
     @pytest.mark.parametrize("score", ["plurality", "copeland"])
     def test_pruned_greedy_equals_exhaustive_on_exact_ties(self, score):
         ev = ExactEvaluator(None, _tied_hubs(), 0, 2, score)
-        for init in ([], [2], [0], [5]):
-            assert greedy_dm(ev, 4, celf=False, init=init) == _exhaustive(ev, 4, init)
+        assert greedy_dm(ev, 4, celf=False) == _exhaustive(ev, 4)
 
     def test_second_batch_scores_a_bound_tie_with_a_smaller_id(self):
         """Round 2's first batch holds 31 decoys and hub 42 (a loose but valid
@@ -877,8 +849,8 @@ class TestSharedBatch:
     def test_bound_and_pruned_greedy_unchanged(self, monkeypatch, kernel, score):
         """``bound`` reads Δ from the graph's batch at ∅ (kept by this
         evaluator, or by the cumulative LB's), bit for bit, and is ≥ F(S ∪ {v});
-        the pruned greedy's seeds and trace equal exhaustive greedy's, from
-        ∅ and from an init, on that graph and on a cold one."""
+        the pruned greedy's seeds and trace equal exhaustive greedy's, on
+        that graph and on a cold one."""
         _force_kernel(monkeypatch, kernel)
         for make in (_tied_hubs, lambda: random_instance(70, r=3, seed=42, avg_deg=3.0)):
             for lb_first in (False, True):
@@ -893,8 +865,7 @@ class TestSharedBatch:
                     np.testing.assert_array_equal(ub, _bound_from_own_delta(ev, seeds))
                     cands = [v for v in range(g.n) if v not in seeds]
                     assert (ub[cands] >= ref(seeds, cands)).all()
-                for init in ([], [5]):
-                    want = _exhaustive(ExactEvaluator(None, make(), 0, 2, score), 4, init)
-                    assert greedy_dm(ev, 4, celf=False, init=init) == want
-                    cold = ExactEvaluator(None, make(), 0, 2, score)
-                    assert greedy_dm(cold, 4, celf=False, init=init) == want
+                want = _exhaustive(ExactEvaluator(None, make(), 0, 2, score), 4)
+                assert greedy_dm(ev, 4, celf=False) == want
+                cold = ExactEvaluator(None, make(), 0, 2, score)
+                assert greedy_dm(cold, 4, celf=False) == want

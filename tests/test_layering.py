@@ -1,10 +1,11 @@
 """Layering guards over ``src/repro``: which modules may import pyspark, call
 the score-rule primitives or ``out_edges``, contain an ``assert`` or multiply
-matrices."""
+matrices, and that a job, harness or benchmark reaches every module."""
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 # Spark stays where it partitions real work: RR-set generation above its
 # measured crossover.  The driver path (``driver_sketches``), the dispatch
@@ -97,3 +98,46 @@ def test_only_generators_multiply_matrices():
         p.relative_to(SRC).as_posix() for p in SRC.rglob("*.py") if _multiplies_matrices(p)
     }
     assert found <= {"graphs/generators.py"}
+
+
+# The entry points whose imports must reach every module: code that no job,
+# harness or benchmark runs is deleted, not kept for later.
+ENTRY_DIRS = ("jobs", "perfbench", "benchmarks")
+
+
+def _imported(path: Path):
+    """Module names ``path`` imports; ``from pkg import name`` names both
+    ``pkg`` and ``pkg.name``, which is a module when ``name`` is one."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def _source(name: str) -> Path | None:
+    """The file under ``src/repro`` that defines module ``name``, if any."""
+    parts = name.split(".")
+    if parts[0] != "repro":
+        return None
+    base = SRC.joinpath(*parts[1:])
+    return next((p for p in (base.with_suffix(".py"), base / "__init__.py") if p.is_file()), None)
+
+
+def test_every_module_is_reached():
+    todo = [p for d in ENTRY_DIRS for p in sorted((ROOT / d).glob("*.py"))]
+    reached = set()
+    while todo:
+        for name in _imported(todo.pop()):
+            path = _source(name)
+            if path is not None and path not in reached:
+                reached.add(path)
+                todo.append(path)
+    unreached = {
+        p.relative_to(SRC).as_posix()
+        for p in SRC.rglob("*.py")
+        if p not in reached and p.name != "__init__.py"
+    }
+    # oracle.py is the tests' DuckDB reference: only tests need reach it.
+    assert unreached <= {"oracle.py"}

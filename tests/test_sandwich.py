@@ -14,6 +14,7 @@ from repro.core.sandwich import (
     ub_value,
     weakly_favorable_users_np,
 )
+from repro.experiments.datasets import TARGETS, load
 from repro.graphs.generators import random_instance, running_example
 import repro.graphs.graph as graph_mod
 from repro.graphs.graph import reach
@@ -239,6 +240,29 @@ class TestSandwichSelect:
         best = max(res.f_su, res.f_sf, res.f_sl)
         ev = ExactEvaluator(None, g, 0, 2, "plurality")
         assert np.isclose(ev.score_of(res.seeds), best)
+
+
+# EXPERIMENTS.md's Fig. 2 table: k, F(S_U)/UB(S_U) to 3 decimals, F(S_F),
+# F(S_U), F(S_L) and the winner.
+FIG2_ROWS = [
+    (5, "0.693", 185, 165, 146, "S_F"),
+    (10, "0.754", 208, 199, 179, "S_F"),
+    (20, "0.779", 235, 225, 184, "S_F"),
+    (30, "0.798", 256, 245, 185, "S_F"),
+    (40, "0.823", 273, 261, 188, "S_F"),
+]
+
+
+def test_fig2_table_is_pinned():
+    """The Fig. 2 table at ``jobs/run_sandwich.py``'s defaults
+    (twitter-sd-lite, n = 400, t = 5, plurality)."""
+    g = load("twitter-sd-lite", nodes=400)
+    target = TARGETS["twitter-sd-lite"]
+    rows = []
+    for k, *_ in FIG2_ROWS:
+        res = sandwich_select(None, g, target, 5, k, "plurality")
+        rows.append((k, f"{res.ratio:.3f}", res.f_sf, res.f_su, res.f_sl, res.source))
+    assert rows == FIG2_ROWS
 
 
 def _dm_then_sandwich(g, with_selector):

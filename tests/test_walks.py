@@ -2,6 +2,7 @@
 (Thms 8–9), truncation semantics, the walks' Spark DataFrame, and
 truncation/estimation of the collected walks in the sketch engine.
 Spark ≡ driver exactness is in ``test_generation.py``."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -118,6 +119,20 @@ class TestUnbiasedness:
         op2 = [truncated_estimate_np(p, o, S) for p, o in zip(paths, op)]
         est = _unit_means(starts, op2, g.n)
         assert np.abs(est - exact).max() < 0.05
+
+    def test_hoeffding_guarantee_holds_empirically(self):
+        """Thm 10: λ = ⌈ln(2/(1 − ρ))/(2δ²)⌉ walks per node estimate each
+        node's exact horizon opinion within δ w.p. ≥ ρ."""
+        g = random_instance(20, seed=0, avg_deg=3.0)
+        delta, rho, t, trials = 0.15, 0.8, 3, 40
+        lam = math.ceil(math.log(2 / (1 - rho)) / (2 * delta**2))
+        exact = fj_diffuse_np(g, t)[0]
+        per_node = 0
+        for s in range(trials):
+            _, starts, op = _walks(g, t, 100 + s, lam=lam)
+            per_node += (np.abs(_unit_means(starts, op, g.n) - exact) < delta).mean()
+        # The guarantee is per node; 40 trials of 20 nodes leave 0.05 of slack.
+        assert per_node / trials >= rho - 0.05
 
 
 def _one_walk(path, op, seeds):
