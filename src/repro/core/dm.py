@@ -39,10 +39,10 @@ rounding (DESIGN.md §2).  No exact kernel calls BLAS.  On both kernels a
 candidate's F is the same bits in any batch, so the greedy loop compares
 values scored in different batches.  For the same reason each graph keeps
 one batch, whatever score it was made for: the all-candidate batch at
-S = ∅ for one target and t (``_Batch``), which key it alone, since the
-graph is read-only.  DM, GED-T and the sandwich's LB and S_F greedy all
-start from it, and ``bound`` reads its Δ; batches at S ≠ ∅ run their
-kernel and keep nothing.  F comes from
+S = ∅, kept by ``OpinionGraph.kept`` under the key (target, t) alone,
+since the graph is read-only.  DM, GED-T and the sandwich's LB and S_F
+greedy all start from it, and ``bound`` reads its Δ; batches at S ≠ ∅
+run their kernel and keep nothing.  F comes from
 ``voting.scores.score_rows``; the reach-local change is a plain Σδ for
 the cumulative score and ``voting.scores.score_change`` (one group per
 candidate row, one unit per reached node) for the rank scores.
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Sequence
 
@@ -157,19 +156,6 @@ def _layered_block(lay, b0, d, pins, t) -> np.ndarray:
     return blocks[t % 2]
 
 
-@dataclass
-class _Batch:
-    """The all-candidate batch at S = ∅ for one target and t, kept on the
-    (read-only) graph (``_rows``).  Candidate v is row v.  It depends on
-    the kernel, target and t, not on the score."""
-
-    target: int
-    t: int
-    base: np.ndarray  # b[∅]
-    rows: np.ndarray | None  # layered: the (n × n) b[{v}]
-    pairs: tuple | None  # reach-local: (prow, pnode, δ, roots), see ``_pairs``
-
-
 class ExactEvaluator:
     """Exact F(S ∪ {v}) for a batch of candidates v, on the driver.
 
@@ -218,15 +204,15 @@ class ExactEvaluator:
         )
 
     def __call__(self, seeds: Sequence[int], cand_seeds: Sequence[int]) -> np.ndarray:
-        cands = np.asarray(cand_seeds, dtype=np.int64)
+        cands, n = np.asarray(cand_seeds, dtype=np.int64), self.graph.n
         if len(seeds):
-            if self.graph.n > DENSE_N_THRESHOLD:
+            if n > DENSE_N_THRESHOLD:
                 return self._reach_local(seeds, cands)
             return self._score(self._layered(seeds, cands))
-        kept = self._batch()
-        if kept.rows is None:
-            return self._pair_score(kept.base, kept.pairs, self.graph.n)[cands]
-        return self._score(kept.rows)[cands]
+        base, batch = self._batch()
+        if n > DENSE_N_THRESHOLD:
+            return self._pair_score(base, batch, n)[cands]
+        return self._score(batch)[cands]
 
     def score_of(self, seeds: Sequence[int]) -> float:
         """Exact F(S) (no extra candidate)."""
@@ -244,10 +230,10 @@ class ExactEvaluator:
         """
         if self.score == "cumulative":
             return None
-        kept, n = self._batch(), self.graph.n
+        (base, batch), n = self._batch(), self.graph.n
         up = self._horizon(seeds) + _SLACK
-        if kept.rows is None:
-            prow, pnode, delta, _ = kept.pairs
+        if n > DENSE_N_THRESHOLD:
+            prow, pnode, delta, _ = batch
             return self._score(up) + score_change(
                 up, self.others, self.score, prow, pnode, up[pnode] + delta, n,
                 p=self.p, omega=self.omega,
@@ -255,30 +241,29 @@ class ExactEvaluator:
         out = np.empty(n)
         for lo in range(0, n, _BOUND_ROWS):
             hi = lo + _BOUND_ROWS
-            out[lo:hi] = self._score(up + (kept.rows[lo:hi] - kept.base))
+            out[lo:hi] = self._score(up + (batch[lo:hi] - base))
         return out
 
-    def _batch(self) -> _Batch:
-        """The graph's batch at S = ∅ for this target and t, made here unless
-        the kept one has them.  The layered base b[∅] is one row's diffusion,
-        bit for bit that row of B^(t)[∅], so no cumulative evaluator makes
-        the r-row one."""
-        g, q, kept = self.graph, self.target, self.graph._rows
-        if kept is not None and (kept.target, kept.t) == (q, self.t):
-            return kept
-        g._rows = kept = None  # free the old batch before the kernel makes the new one
-        everyone, rows, pairs = np.arange(g.n), None, None
-        if g.n > DENSE_N_THRESHOLD:
+    def _batch(self) -> tuple[np.ndarray, object]:
+        """The graph's all-candidate batch at S = ∅, kept under the key
+        (target, t) whatever the score: ``(b[∅], rows)`` on the layered
+        kernel, the (n × n) b[{v}] with candidate v in row v, and
+        ``(b[∅], pairs)`` on reach-local (see ``_pairs``).  The layered
+        b[∅] is one row's diffusion, bit for bit that row of B^(t)[∅], so
+        no cumulative evaluator makes the r-row one."""
+
+        def make():
+            everyone = np.arange(self.graph.n)
+            if self.graph.n <= DENSE_N_THRESHOLD:
+                return self._horizon([]), self._layered([], everyone)
             base, pairs = self._pairs([], everyone)
             # Copied once the kernel's temporaries are freed: kept where the
             # kernel left them, the pairs pinned about 4 MB of freed heap
             # (perfbench twitter-cumulative peak RSS, median of 7 seeds on a
             # 4-core host: 180.7 MB kept as made, 176.2 MB copied).
-            pairs = tuple(a.copy() for a in pairs)
-        else:
-            base, rows = self._horizon([]), self._layered([], everyone)
-        g._rows = _Batch(q, self.t, base, rows, pairs)
-        return g._rows
+            return base, tuple(a.copy() for a in pairs)
+
+        return self.graph.kept("exact_batch", (self.target, self.t), make)
 
     def _horizon(self, seeds) -> np.ndarray:
         """The target's exact horizon opinions b[S] (n,)."""

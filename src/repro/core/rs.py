@@ -21,23 +21,9 @@ from repro.core.sketch import SketchSelector
 from repro.graphs.graph import OpinionGraph
 
 
-class RSSelector(SketchSelector):
-    """Greedy seed selection on θ uniformly-sampled sketches.
+def RSSelector(spark, graph: OpinionGraph, target: int, t: int, score: str, *, theta: int, **kw):
+    """RS (Alg. 5): ``SketchSelector`` on θ = ``theta`` walks from drawn users.
 
     The leading ``spark`` argument is perfbench's and ignored.
     """
-
-    def __init__(
-        self,
-        spark,
-        graph: OpinionGraph,
-        target: int,
-        t: int,
-        score: str,
-        *,
-        theta: int,
-        p: int = 1,
-        omega=None,
-        seed: int = 0,
-    ):
-        super().__init__(graph, target, t, score, theta=theta, p=p, omega=omega, seed=seed)
+    return SketchSelector(graph, target, t, score, theta=theta, **kw)

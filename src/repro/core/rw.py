@@ -23,23 +23,9 @@ from repro.core.sketch import SketchSelector
 from repro.graphs.graph import OpinionGraph
 
 
-class RWSelector(SketchSelector):
-    """Greedy seed selection on λ pre-generated reverse walks per user.
+def RWSelector(spark, graph: OpinionGraph, target: int, t: int, score: str, *, lam: int, **kw):
+    """RW (Alg. 4): ``SketchSelector`` on λ = ``lam`` walks from every user.
 
     The leading ``spark`` argument is perfbench's and ignored.
     """
-
-    def __init__(
-        self,
-        spark,
-        graph: OpinionGraph,
-        target: int,
-        t: int,
-        score: str,
-        *,
-        lam: int = 50,
-        p: int = 1,
-        omega=None,
-        seed: int = 0,
-    ):
-        super().__init__(graph, target, t, score, lam=lam, p=p, omega=omega, seed=seed)
+    return SketchSelector(graph, target, t, score, lam=lam, **kw)

@@ -25,10 +25,10 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from repro.core.rw import RWSelector
+from repro.core.sketch import SketchSelector
 from repro.graphs.generators import social_graph
 from repro.graphs.graph import OpinionGraph
-from repro.opinion.fj import fj_diffuse_np
+from repro.opinion.fj import opinions_at_horizon_np
 
 # Table V domains with Table IV populations and initial target-vote shares.
 DOMAINS = ["DM", "HCI", "ML", "CN", "AL", "SW", "HW"]
@@ -100,7 +100,7 @@ def build_case_study(n: int = 640, *, seed: int = 21) -> tuple[OpinionGraph, pd.
 
 def votes_for_target(graph: OpinionGraph, t: int, seeds) -> np.ndarray:
     """Boolean mask: users whose horizon opinion prefers the target."""
-    b = fj_diffuse_np(graph.with_seeds(0, seeds), t)
+    b = opinions_at_horizon_np(graph, t, 0, seeds)
     return b[0] > b[1]
 
 
@@ -117,7 +117,7 @@ def run_case_study(
     RW runs on the driver, so the case study needs no Spark session.
     """
     g, users = build_case_study(n, seed=seed)
-    sel = RWSelector(None, g, 0, t, "plurality", lam=lam, seed=seed + 2)
+    sel = SketchSelector(g, 0, t, "plurality", lam=lam, seed=seed + 2)
     seeds = sel.select(k)
     without = votes_for_target(g, t, [])
     with_seeds = votes_for_target(g, t, seeds)

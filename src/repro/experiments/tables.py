@@ -4,7 +4,8 @@ Every function returns a pandas DataFrame with the same row structure as
 the corresponding paper table so EXPERIMENTS.md can diff paper numbers
 against ours.  Heavy lifting is delegated to the selectors/baselines;
 this module only orchestrates and formats.  No harness takes a Spark
-session: the selectors' leading ``spark`` placeholder gets ``None``.
+session: the leading ``spark`` placeholder of ``ExactEvaluator`` and the
+centrality baselines gets ``None``.
 """
 from __future__ import annotations
 
@@ -17,8 +18,7 @@ import pandas as pd
 from repro.baselines.centrality import degree_seeds, pagerank_seeds, rwr_seeds
 from repro.baselines.im import rr_sketches
 from repro.core.dm import ExactEvaluator, greedy_picks
-from repro.core.rs import RSSelector
-from repro.core.rw import RWSelector
+from repro.core.sketch import SketchSelector
 from repro.core.win import min_seeds_to_win
 from repro.experiments.casestudy import run_case_study
 from repro.experiments.datasets import table3_rows
@@ -108,10 +108,10 @@ def method_selector(
 
         return select
     if method == "RW":
-        return RWSelector(None, graph, target, t, score, lam=lam, seed=seed).select
+        return SketchSelector(graph, target, t, score, lam=lam, seed=seed).select
     if method == "RS":
         th = max(1024, graph.n // 2) if theta is None else theta
-        return RSSelector(None, graph, target, t, score, theta=th, seed=seed).select
+        return SketchSelector(graph, target, t, score, theta=th, seed=seed).select
     if method in ("IC", "LT"):
         return rr_sketches(graph, method.lower(), im_theta, seed=seed).select
     if method == "PR":

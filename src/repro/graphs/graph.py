@@ -15,7 +15,7 @@ exact evaluator's layered FJ kernel.  ``edges_pdf`` / ``state_pdf``
 export the instance as pandas tables for the DuckDB oracle.
 
 An instance is fixed (§II): its arrays are read-only and seeding makes a
-new one (``with_seeds``), so a result kept on a graph (the CSRs,
+new one (``with_seeds``), so a result kept on a graph (``kept``: the CSRs,
 ``in_layers``, B^(t)[∅], the exact batch) is keyed by its parameters alone.
 
 ``reach`` is the one reachability entry point: t-hop reachable sets
@@ -121,20 +121,23 @@ class OpinionGraph:
     b0: np.ndarray  # (r, n) float64 in [0,1] — initial opinions per candidate
     d: np.ndarray  # (r, n) float64 in [0,1] — stubbornness per candidate
     candidates: list[str] = field(default_factory=list)
-    # Kept results, never passed in, so ``dataclasses.replace`` starts afresh.
-    _rev_csr: AliasTable | None = field(default=None, init=False, repr=False)
-    _fwd_csr: tuple | None = field(default=None, init=False, repr=False)
-    _in_layers: InLayers | None = field(default=None, init=False, repr=False)
-    # The exact evaluators' all-candidate batch at S = ∅ for one target and
-    # t (``core.dm._Batch``): every evaluator on this graph reads it.
-    _rows: object | None = field(default=None, init=False, repr=False)
-    # B^(t)[∅] as ``(t, opinions)`` (``opinion.fj.unseeded_horizon_np``).
-    _unseeded: tuple | None = field(default=None, init=False, repr=False)
+    # Results kept by ``kept``, never passed in, so ``dataclasses.replace``
+    # and ``with_seeds`` start with nothing kept.
+    _kept: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         """Freeze the instance's arrays: every kept result depends on them."""
         for a in (self.src, self.dst, self.w, self.b0, self.d):
             a.setflags(write=False)
+
+    def kept(self, kind: str, key, make: Callable[[], object]):
+        """``make()``'s result, kept under ``kind`` while ``key`` stays the
+        same.  One result is kept per kind: another key drops it before
+        ``make`` runs, so the old and the new are never held together."""
+        if kind not in self._kept or self._kept[kind][0] != key:
+            self._kept.pop(kind, None)
+            self._kept[kind] = (key, make())
+        return self._kept[kind][1]
 
     # ------------------------------------------------------------------ #
     # Construction & validation
@@ -242,8 +245,9 @@ class OpinionGraph:
         return _indptr(self.dst, self.n)
 
     def in_layers(self) -> InLayers:
-        """The in-edges cut into in-degree layers (cached); see ``InLayers``."""
-        if self._in_layers is None:
+        """The in-edges cut into in-degree layers (kept); see ``InLayers``."""
+
+        def make() -> InLayers:
             indeg = np.bincount(self.dst, minlength=self.n)
             order = np.argsort(-indeg, kind="stable")
             rank = np.empty(self.n, dtype=np.int64)
@@ -251,49 +255,50 @@ class OpinionGraph:
             # Position of each edge among its dst's in-edges (dst-sorted order).
             pos = np.arange(self.m) - self.dst_indptr()[self.dst]
             edges = np.argsort(pos * self.n + rank[self.dst], kind="stable")
-            self._in_layers = InLayers(
+            return InLayers(
                 order,
                 rank,
                 _indptr(pos, int(indeg.max())),
                 rank[self.src[edges]],
                 self.w[edges],
             )
-        return self._in_layers
+
+        return self.kept("in_layers", None, make)
 
     # ------------------------------------------------------------------ #
     # Reverse-graph structures (for random walks)
     # ------------------------------------------------------------------ #
     def reverse_alias(self) -> AliasTable:
-        """Alias tables over the reverse graph (cached)."""
-        if self._rev_csr is None:
+        """Alias tables over the reverse graph (kept)."""
+
+        def make() -> AliasTable:
             # The edges are dst-sorted, so (dst_indptr, src, w) is the
             # reverse CSR.
             indptr = self.dst_indptr()
-            indices = self.src.astype(np.int32)
-            ws = self.w
             prob = np.empty(self.m)
             alias = np.empty(self.m, dtype=np.int32)
             for v in range(self.n):
                 lo, hi = indptr[v], indptr[v + 1]
-                p, a = _build_alias_row(ws[lo:hi])
-                prob[lo:hi] = p
-                alias[lo:hi] = a
-            self._rev_csr = AliasTable(indptr, indices, prob, alias)
-        return self._rev_csr
+                prob[lo:hi], alias[lo:hi] = _build_alias_row(self.w[lo:hi])
+            return AliasTable(indptr, self.src.astype(np.int32), prob, alias)
+
+        return self.kept("reverse_alias", None, make)
 
     # ------------------------------------------------------------------ #
     # Forward-graph structures (for reach-local FJ and reachable sets)
     # ------------------------------------------------------------------ #
     def forward_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(indptr, dst, w)`` with edges grouped by source (cached).
+        """``(indptr, dst, w)`` with edges grouped by source (kept).
 
         Self-loops are kept: the reach-local FJ kernel propagates along
         them, and they add no node to a reachable set.
         """
-        if self._fwd_csr is None:
+
+        def make() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             order = np.argsort(self.src, kind="stable")
-            self._fwd_csr = (_indptr(self.src, self.n), self.dst[order], self.w[order])
-        return self._fwd_csr
+            return _indptr(self.src, self.n), self.dst[order], self.w[order]
+
+        return self.kept("forward_csr", None, make)
 
     # ------------------------------------------------------------------ #
     # Oracle exporters

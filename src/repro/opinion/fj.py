@@ -12,10 +12,11 @@ the update uniform across all nodes.
 for all candidates at once.  The win check, the sandwich bounds, the
 exact evaluator's ``score_of`` and the tables run it, and the DuckDB
 oracle tests check it against t FJ steps written as SQL.
-``unseeded_horizon_np`` keeps B^(t)[∅] on the graph, keyed by t alone
-(the graph is read-only), for the callers that each need it at the same
-t: the win check's, the exact evaluator's and the sketch selectors'
-opponent opinions, and the sandwich's favorable users.
+``unseeded_horizon_np`` keeps B^(t)[∅] on the graph
+(``OpinionGraph.kept``), keyed by t alone (the graph is read-only), for
+the callers that each need it at the same t: the win check's, the exact
+evaluator's and the sketch selectors' opponent opinions, and the
+sandwich's favorable users.
 """
 from __future__ import annotations
 
@@ -40,14 +41,15 @@ def fj_diffuse_np(graph: OpinionGraph, t: int, *, cand: int | None = None) -> np
 
 
 def unseeded_horizon_np(graph: OpinionGraph, t: int) -> np.ndarray:
-    """``B^(t)[∅]`` (r, n), read-only, kept on the graph (``_unseeded``)
-    for the last ``t`` asked; the graph's arrays are read-only, so ``t``
-    alone decides when it is made again."""
-    if graph._unseeded is None or graph._unseeded[0] != t:
+    """``B^(t)[∅]`` (r, n), read-only, kept on the graph under key ``t``
+    (``OpinionGraph.kept``) for the last ``t`` asked."""
+
+    def make() -> np.ndarray:
         b = fj_diffuse_np(graph, t)
         b.setflags(write=False)
-        graph._unseeded = (t, b)
-    return graph._unseeded[1]
+        return b
+
+    return graph.kept("unseeded", t, make)
 
 
 def opinions_at_horizon_np(

@@ -804,7 +804,7 @@ class TestSharedBatch:
             )
         g, every = _looped_graph()[0], np.arange(40)
         f = ExactEvaluator(None, g, 0, 3, "cumulative")([], every)
-        assert g._rows is not None and g._unseeded is None
+        assert "exact_batch" in g._kept and "unseeded" not in g._kept
         assert all(kw.get("cand") == 0 for kw in calls)
         ref = ExactEvaluator(None, _looped_graph()[0], 0, 3, "cumulative")
         if kernel == "reach_local":
@@ -812,7 +812,8 @@ class TestSharedBatch:
         else:
             rows = [opinions_at_horizon_np(ref.graph, 3, 0, [v])[0] for v in every]
             np.testing.assert_array_equal(f, ref._score(np.array(rows)))
-        np.testing.assert_array_equal(g._rows.base, unseeded_horizon_np(g, 3)[0])
+        base = g._kept["exact_batch"][1][0]
+        np.testing.assert_array_equal(base, unseeded_horizon_np(g, 3)[0])
 
     def test_no_hit_on_another_target_t_s0_or_changed_opinions(self, monkeypatch):
         sizes = _row_batches(monkeypatch)

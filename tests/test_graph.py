@@ -155,6 +155,37 @@ class TestReadOnly:
             a[0] = 1
         assert g.b0[0, 0] == 0.5 and g.d[0, 0] == 0.25
 
+    def test_kept_holds_one_result_per_kind(self):
+        """The same key returns the kept object without calling ``make``;
+        another key drops the old result before ``make`` runs."""
+        g, made = random_instance(10, seed=1), []
+
+        def make(value):
+            def run():
+                assert "k" not in g._kept  # the old result is already gone
+                made.append(value)
+                return [value]
+
+            return run
+
+        first = g.kept("k", 1, make("a"))
+        assert first == ["a"] and g.kept("k", 1, make("b")) is first and made == ["a"]
+        second = g.kept("k", 2, make("c"))
+        assert second == ["c"] and made == ["a", "c"]
+        assert g.kept("other", 1, lambda: "x") == "x" and g.kept("k", 2, make("d")) is second
+        assert made == ["a", "c"]
+
+    def test_with_seeds_starts_with_nothing_kept(self):
+        g = random_instance(40, r=3, seed=7)
+        unseeded_horizon_np(g, 3)
+        for warm in (g.in_layers, g.reverse_alias, g.forward_csr):
+            warm()
+        ExactEvaluator(None, g, 0, 3, "plurality")([], np.arange(40))
+        assert set(g._kept) == {
+            "unseeded", "in_layers", "reverse_alias", "forward_csr", "exact_batch"
+        }
+        assert g.with_seeds(0, [1])._kept == {} and g.with_seeds(1, [])._kept == {}
+
     def test_replace_carries_no_kept_result(self):
         """Warm B^(t)[∅], ``in_layers`` and an evaluator's batch, then swap d:
         the new graph's B^(t)[∅] and exact F are a cold graph's."""

@@ -100,6 +100,40 @@ def test_only_generators_multiply_matrices():
     assert found <= {"graphs/generators.py"}
 
 
+GRAPH = SRC / "graphs" / "graph.py"
+
+
+def _graph_private_fields() -> set[str]:
+    """``OpinionGraph``'s underscore fields, read from graph.py's AST."""
+    tree = ast.parse(GRAPH.read_text(), filename=str(GRAPH))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "OpinionGraph")
+    return {
+        n.target.id
+        for n in cls.body
+        if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+        and n.target.id.startswith("_")
+    }
+
+
+def _attributes(path: Path) -> set[str]:
+    """Every ``x.name`` attribute name ``path`` reads or writes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
+def test_only_graph_names_its_private_fields():
+    """A result kept on a graph goes through ``OpinionGraph.kept``: no other
+    module reads or writes the graph's private fields."""
+    fields = _graph_private_fields()
+    assert fields  # the class and its fields were found
+    found = {
+        p.relative_to(SRC).as_posix()
+        for p in SRC.rglob("*.py")
+        if p != GRAPH and _attributes(p) & fields
+    }
+    assert found == set()
+
+
 # The entry points whose imports must reach every module: code that no job,
 # harness or benchmark runs is deleted, not kept for later.
 ENTRY_DIRS = ("jobs", "perfbench", "benchmarks")
